@@ -27,7 +27,9 @@ from .fatpoints import (
     FatPointScheme,
     GradedResolution,
     HilbertFunction,
+    SchemeAnalysis,
     Table2Report,
+    analyze,
     fatpoint_class,
     generator_degrees,
     hilbert_I,

@@ -163,8 +163,7 @@ def _cmd_types_classify(args, out) -> int:
     return 0
 
 
-def _resolution_record(classes, mults, reduced, hf, res=None, tmax=None) -> dict:
-    top = hf.tail_from if tmax is None else max(hf.tail_from, tmax)
+def _resolution_record(mults, reduced, hf, res, top) -> dict:
     record = {
         "hilbert_I": [hf.h_ideal(t) for t in range(top + 1)],
         "hilbert_Z": [hf.h_quotient(t) for t in range(top + 1)],
@@ -182,12 +181,11 @@ def _resolution_record(classes, mults, reduced, hf, res=None, tmax=None) -> dict
 def _cmd_scheme(args, out, with_betti: bool) -> int:
     classes, t = _parse_type_arg(args.type_arg)
     mults = _parse_mults(args.mults)
-    reduced = fatpoints.proximity_reduce(mults, classes)
-    hf = fatpoints.hilbert_function(classes, mults)
-    res = fatpoints.minimal_resolution(classes, mults) if with_betti else None
+    reduced, hf, res = fatpoints.analyze(classes, mults, with_betti)
     tmax = getattr(args, "tmax", None)
+    top = hf.tail_from if tmax is None else max(hf.tail_from, tmax)
     if args.format == "json":
-        record = _resolution_record(classes, mults, reduced, hf, res, tmax)
+        record = _resolution_record(mults, reduced, hf, res, top)
         record["type"] = t.id
         record["label"] = t.label
         json.dump(record, out, indent=2)
@@ -197,13 +195,11 @@ def _cmd_scheme(args, out, with_betti: bool) -> int:
             rows = [("F0", j, m) for j, m in res.f0] + [("F1", j, m) for j, m in res.f1]
             out.write(_csv_out(("module", "shift", "mult"), rows))
         else:
-            top = hf.tail_from if tmax is None else max(hf.tail_from, tmax)
             out.write(_csv_out(
                 ("t", "h_I", "h_Z"),
                 [(deg, hf.h_ideal(deg), hf.h_quotient(deg)) for deg in range(top + 1)],
             ))
     else:
-        top = hf.tail_from if tmax is None else max(hf.tail_from, tmax)
         out.write(f"type: {t.id} ({t.label})\n")
         out.write(f"mults: {_ints(mults)}\n")
         if reduced != mults:

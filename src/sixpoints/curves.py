@@ -164,9 +164,12 @@ def is_nef(F: DivisorClass, N: NegCurveSet) -> bool:
 class ReductionResult:
     """Outcome of peeling negative curves off a class.
 
-    ``reduced + sum(subtractions)`` equals the input.  If ``effective`` the
-    reduced class is nef and carries all sections; otherwise the reduced class
-    has negative degree and the input has no sections.
+    ``reduced + sum(subtractions)`` equals the input, with one entry in
+    ``subtractions`` per copy of a curve peeled off; their order is not
+    promised.  If ``effective`` the reduced class is nef and carries all
+    sections, and it and the multiset of subtractions are determined by the
+    input.  Otherwise the input has no sections and the only promise about
+    the reduced class is that its degree is negative.
     """
 
     reduced: DivisorClass
@@ -183,7 +186,9 @@ def _step_limit(F: DivisorClass) -> int:
 
 
 def reduce_to_nef(F: DivisorClass, N: NegCurveSet) -> ReductionResult:
-    """Repeatedly subtract the first curve in N.NEG the class meets negatively.
+    """Repeatedly subtract the first curve C in N.NEG the class D meets
+    negatively, ceil(-D.C / -C^2) copies at a time: a section of D vanishes
+    on C to at least that order.
 
     Stops when the running class has negative degree (no sections) or meets
     everything nonnegatively (nef).  A step-count guard converts a corrupted
@@ -193,19 +198,22 @@ def reduce_to_nef(F: DivisorClass, N: NegCurveSet) -> ReductionResult:
     subs: list[DivisorClass] = []
     limit = _step_limit(F)
     while D[0] >= 0:
-        hit = None
-        for c in N.NEG:
-            if intersect(D, c) < 0:
-                hit = c
+        for hit in N.NEG:
+            p = intersect(D, hit)
+            if p < 0:
                 break
-        if hit is None:
+        else:
             return ReductionResult(D, tuple(subs), True)
-        if len(subs) >= limit:
+        s = -selfint(hit)
+        k = -(p // s) if s > 0 else 1  # only a corrupted NEG has C^2 >= 0
+        if hit[0] > 0:
+            k = min(k, D[0] // hit[0] + 1)  # stop at the first negative degree
+        if len(subs) + k > limit:
             raise ConsistencyError(
                 f"reduction of {F} exceeded {limit} steps; negative-curve set is broken"
             )
-        D = D - hit
-        subs.append(hit)
+        D = D - k * hit
+        subs.extend([hit] * k)
     return ReductionResult(D, tuple(subs), False)
 
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .curves import NegCurveSet, euler_characteristic, full_neg, h0, reduce_to_nef
+from .curves import euler_characteristic, full_neg, reduce_to_nef
 from .errors import ConsistencyError, ValidationError
 from .lattice import DivisorClass, L, N_POINTS
 from .typeenum import ConfigurationType, enumerate_types
@@ -150,22 +150,42 @@ class GradedResolution:
         return self._pretty(self.f1)
 
 
-def _pipeline(classes: Iterable[DivisorClass], mults: Sequence[int]):
+class SchemeAnalysis(NamedTuple):
+    """Everything computed for one fat point scheme: the normalized
+    multiplicities, the Hilbert data and, when asked for, the resolution."""
+
+    mults_reduced: Mults
+    hilbert: HilbertFunction
+    resolution: GradedResolution | None
+
+
+def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) -> SchemeAnalysis:
+    """Normalize the multiplicities, then reduce the class of every degree
+    once and derive the Hilbert function and, if ``betti``, the minimal
+    resolution from those reductions (multiplicities may be unnormalized)."""
+    classes = tuple(classes)
     m = proximity_reduce(mults, classes)
-    return full_neg(tuple(classes)), m
+    N = full_neg(classes)
+    # the nef part of each degree's class, or None where it has no sections
+    nef_parts = []
+    for t in range(sum(m) + 4):
+        r = reduce_to_nef(fatpoint_class(m, t), N)
+        nef_parts.append(r.reduced if r.effective else None)
+    hf = _hilbert(m, nef_parts)
+    res = _resolution(hf, _generators(hf, nef_parts)) if betti else None
+    return SchemeAnalysis(m, hf, res)
 
 
 def hilbert_function(classes: Iterable[DivisorClass], mults: Sequence[int]) -> HilbertFunction:
     """Hilbert data for the scheme with the given negative classes and
     multiplicities (multiplicities may be unnormalized)."""
-    N, m = _pipeline(tuple(classes), mults)
-    return _hilbert(N, m)
+    return analyze(classes, mults, betti=False).hilbert
 
 
-def _hilbert(N: NegCurveSet, m: Mults) -> HilbertFunction:
+def _hilbert(m: Mults, nef_parts: Sequence[DivisorClass | None]) -> HilbertFunction:
     deg_z = sum(v * (v + 1) // 2 for v in m)
-    t_max = sum(m) + 3
-    vals = [h0(fatpoint_class(m, t), N) for t in range(t_max + 1)]
+    t_max = len(nef_parts) - 1
+    vals = [0 if d is None else euler_characteristic(d) for d in nef_parts]
     for t in (t_max - 1, t_max):
         if vals[t] != math.comb(t + 2, 2) - deg_z:
             raise ConsistencyError(
@@ -180,25 +200,23 @@ def _hilbert(N: NegCurveSet, m: Mults) -> HilbertFunction:
 
 def generator_degrees(classes: Iterable[DivisorClass], mults: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """Degrees and counts of minimal generators of the ideal, ascending."""
-    N, m = _pipeline(tuple(classes), mults)
-    return _generators(N, m, _hilbert(N, m))
+    return minimal_resolution(classes, mults).f0
 
 
-def _generators(N: NegCurveSet, m: Mults, hf: HilbertFunction) -> tuple[tuple[int, int], ...]:
-    t_max = sum(m) + 3
+def _generators(
+    hf: HilbertFunction, nef_parts: Sequence[DivisorClass | None]
+) -> tuple[tuple[int, int], ...]:
     gens: dict[int, int] = {}
-    for t in range(-1, t_max):
+    for t in range(-1, len(nef_parts) - 1):
         h_cur = hf.h_ideal(t)
         h_next = hf.h_ideal(t + 1)
         if h_cur == 0:
             g = h_next
         else:
-            red = reduce_to_nef(fatpoint_class(m, t), N)
-            if not red.effective:
-                raise ConsistencyError("sections present but reduction says empty")
-            d = red.reduced
+            # d is nef, so d + L is nef too and both are counted by Riemann-Roch
+            d = nef_parts[t]
             h_d = euler_characteristic(d)
-            h_dl = h0(d + L, N)
+            h_dl = euler_characteristic(d + L)
             g = (h_next - h_dl) + max(0, h_dl - 3 * h_d)
         if g < 0:
             raise ConsistencyError(f"negative generator count {g} in degree {t + 1}")
@@ -209,9 +227,10 @@ def _generators(N: NegCurveSet, m: Mults, hf: HilbertFunction) -> tuple[tuple[in
 
 def minimal_resolution(classes: Iterable[DivisorClass], mults: Sequence[int]) -> GradedResolution:
     """Graded Betti data of the minimal free resolution of the ideal."""
-    N, m = _pipeline(tuple(classes), mults)
-    hf = _hilbert(N, m)
-    f0 = _generators(N, m, hf)
+    return analyze(classes, mults, betti=True).resolution
+
+
+def _resolution(hf: HilbertFunction, f0: tuple[tuple[int, int], ...]) -> GradedResolution:
     if not f0:
         raise ConsistencyError("ideal has no generators")
     syz: dict[int, int] = {}
@@ -286,9 +305,7 @@ class Table2Report:
 
 
 def _uniform_data(t: ConfigurationType, mult: int) -> UniformData:
-    mults = (mult,) * N_POINTS
-    hf = hilbert_function(t.classes, mults)
-    res = minimal_resolution(t.classes, mults)
+    _, hf, res = analyze(t.classes, (mult,) * N_POINTS, betti=True)
     return UniformData(hz=hf.quotient_values(), f0=res.f0, f1=res.f1)
 
 

@@ -16,6 +16,14 @@ from .errors import ValidationError
 N_POINTS = 6
 
 
+def _check_width(other) -> None:
+    if len(other) != N_POINTS + 1:
+        raise ValidationError(
+            f"cannot combine a class with an operand of width {len(other)}, "
+            f"expected {N_POINTS + 1}"
+        )
+
+
 class DivisorClass(tuple):
     """An integer class d*L + m1*E1 + ... + m6*E6, stored as (d, m1, ..., m6).
 
@@ -49,6 +57,7 @@ class DivisorClass(tuple):
         return tuple(self[1:])
 
     def __add__(self, other):
+        _check_width(other)
         return DivisorClass._from_vec(tuple(a + b for a, b in zip(self, other)))
 
     def __radd__(self, other):
@@ -57,6 +66,7 @@ class DivisorClass(tuple):
         return self.__add__(other)
 
     def __sub__(self, other):
+        _check_width(other)
         return DivisorClass._from_vec(tuple(a - b for a, b in zip(self, other)))
 
     def __neg__(self):

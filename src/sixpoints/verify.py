@@ -27,7 +27,7 @@ from .curves import (
     is_nef,
 )
 from .errors import ValidationError
-from .fatpoints import hilbert_function, minimal_resolution
+from .fatpoints import analyze, hilbert_function
 from .lattice import DivisorClass, E, K, L, N_POINTS, ZERO, e, intersect, selfint
 from .typeenum import (
     candidate_pool,
@@ -132,7 +132,7 @@ def _stream_seed(seed: int, N: NegCurveSet) -> int:
 
 
 def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[DivisorClass, ...]:
-    """Up to ``count`` distinct nef classes t*L - sum a_i E_i with
+    """Up to ``count`` (at least 1) distinct nef classes t*L - sum a_i E_i with
     0 <= a_i <= t <= 12, drawn from a seeded stream and filtered by is_nef.
 
     The zero class, L, the anticanonical class, and 5L - 2(E1 + ... + E6)
@@ -141,6 +141,8 @@ def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[Divisor
     inequalities that difference classes impose; without that, configurations
     with long chains would almost never pass the filter.
     """
+    if count < 1:
+        raise ValidationError(f"sample count must be at least 1, got {count}")
     rng = random.Random(_stream_seed(seed, N))
     out: list[DivisorClass] = []
     seen: set[DivisorClass] = set()
@@ -153,7 +155,7 @@ def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[Divisor
     for c in (ZERO, L, -K, FIVE_L_MINUS_2):
         offer(c)
     attempts = 0
-    cap = max(1, count) * 400
+    cap = count * 400
     while len(out) < count and attempts < cap:
         attempts += 1
         t = rng.randint(0, 12)
@@ -277,8 +279,7 @@ def _resolution_identities(rng: random.Random) -> str:
     for _ in range(12):
         t = rng.choice(enumerate_types())
         m = tuple(rng.randint(0, 3) for _ in range(N_POINTS))
-        hf = hilbert_function(t.classes, m)
-        res = minimal_resolution(t.classes, m)
+        _, hf, res = analyze(t.classes, m, betti=True)
         top = max([j for j, _ in res.f0] + [j for j, _ in res.f1])
         for deg in range(top + 6):
             assert res.dim_f0(deg) - res.dim_f1(deg) == hf.h_ideal(deg), (
@@ -324,6 +325,8 @@ def _special_class_checks() -> str:
 def run_invariant_suite(seed: int = 0, samples_per_type: int = 200) -> InvariantReport:
     """Run every cross-module invariant; returns per-check pass/fail results
     with a counterexample in the detail on failure."""
+    if samples_per_type < 1:
+        raise ValidationError(f"sample count must be at least 1, got {samples_per_type}")
     rng = random.Random(seed)
     checks = (
         _check("lattice signature", _lattice_signature),

@@ -107,6 +107,11 @@ def test_verify_quick():
     assert all(line.startswith("PASS") for line in out.splitlines())
 
 
+def test_verify_rejects_nonpositive_samples():
+    for samples in ("0", "-3"):
+        assert run(["verify", "--samples", samples]) == (1, "")
+
+
 def test_exit_code_on_bad_input():
     assert run(["hilbert", "--type", "95", "--mults", "1,1,1,1,1,1"])[0] == 1
     assert run(["types", "classify", "--neg", "0: BA"])[0] == 1

@@ -1,11 +1,13 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sixpoints import (
     AMPLE_CLASS,
+    ConsistencyError,
     DivisorClass,
     K,
     L,
@@ -24,6 +26,7 @@ from sixpoints import (
     minus_one_candidates,
     reduce_to_nef,
     selfint,
+    type_by_id,
 )
 
 coeff = st.integers(min_value=-6, max_value=6)
@@ -186,3 +189,44 @@ def test_h0_independent_of_reduction_order():
             r = reduce_to_nef(F, shuffled)
             got = (h0(F, shuffled), r.effective)
             assert got == expect
+
+
+def test_batched_peeling_stops_at_first_negative_degree():
+    # L-E_i-E_j meets (0; -1,...,-1) in -2, which asks for two copies, but the
+    # first copy already makes the degree negative (the step limit here is 1)
+    r = reduce_to_nef(DivisorClass(0, (-1,) * 6), full_neg(()))
+    assert not r.effective
+    assert r.reduced.d == -1
+
+
+def test_corrupted_curve_list_hits_the_step_guard():
+    # a class of nonnegative square in NEG can never finish a reduction
+    with pytest.raises(ConsistencyError, match="steps"):
+        reduce_to_nef(L, NegCurveSet(neg=(), NEG=(-L,)))
+
+
+def _reduce_one_curve_per_step(F, N):
+    D, subs = F, []
+    while D.d >= 0:
+        hit = next((c for c in N.NEG if intersect(D, c) < 0), None)
+        if hit is None:
+            return D, subs, True
+        D = D - hit
+        subs.append(hit)
+    return D, subs, False
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 90),
+    st.builds(DivisorClass, st.integers(-2, 150), st.tuples(*[st.integers(-80, 3)] * 6)),
+)
+def test_batched_reduction_matches_one_curve_per_step(type_id, F):
+    N = type_by_id(type_id).neg_set()
+    r = reduce_to_nef(F, N)
+    reduced, subs, effective = _reduce_one_curve_per_step(F, N)
+    assert r.effective == effective
+    assert h0(F, N) == (euler_characteristic(reduced) if effective else 0)
+    if effective:
+        assert r.reduced == reduced
+        assert Counter(r.subtractions) == Counter(subs)

@@ -70,6 +70,13 @@ def test_arithmetic():
 def test_wrong_width_rejected():
     with pytest.raises(ValidationError):
         DivisorClass(1, (0, 0, 0))
+    for bad in ((1, 2), (1,) * 8):
+        with pytest.raises(ValidationError, match="width"):
+            L + bad
+        with pytest.raises(ValidationError, match="width"):
+            bad + L
+        with pytest.raises(ValidationError, match="width"):
+            L - bad
 
 
 def test_permute_points():

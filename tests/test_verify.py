@@ -86,6 +86,15 @@ def test_sample_nef_contract():
         assert special in first
 
 
+def test_sample_nef_rejects_nonpositive_counts():
+    N = type_by_id(2).neg_set()
+    for count in (0, -3):
+        with pytest.raises(ValidationError, match="at least 1"):
+            sample_nef(N, count=count)
+        with pytest.raises(ValidationError, match="at least 1"):
+            run_invariant_suite(samples_per_type=count)
+
+
 def test_sample_nef_fills_constrained_cones():
     N = type_by_id(90).neg_set()
     got = sample_nef(N, count=200, seed=0)
