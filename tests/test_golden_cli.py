@@ -1,10 +1,14 @@
-"""Golden CLI outputs: `hilbert`, `betti` and `tables --which 2` must print
-byte-identical payloads to the ones frozen in tests/data/golden_cli.json.
+"""Golden CLI outputs: every subcommand (`types list`, `types classify`,
+`hilbert`, `betti`, `tables --which 1|2` and `verify`) in every format must
+print byte-identical payloads to the ones frozen in
+tests/data/golden_cli.json.
 
-The frozen file holds, per argument vector, the exit code and stdout.  It was
-written once, by the release that still peeled one curve per reduction step;
-a refactor that changes any byte of these payloads is a behaviour change, not
-a cleanup.
+The frozen file holds, per argument vector, the exit code and stdout.  Each
+case was written once, by the release before the change it guards: the
+`hilbert`, `betti` and `tables --which 2` cases by the release that still
+peeled one curve per reduction step, the others by the release whose CLI
+handlers still branched on the format.  A refactor that changes any byte of
+these payloads is a behaviour change, not a cleanup.
 """
 
 import io
@@ -21,13 +25,17 @@ TYPES = ("1", "48", "67", "86", "90")
 MULTS = ("0,0,0,0,0,0", "1,1,1,1,1,1", "3,3,3,3,3,3", "3,1,0,2,0,1",
          "20,45,100,63,81,37")
 FORMATS = ("text", "json", "csv")
+NEGSETS = ("", "0: AB, CD; 2: ABCDEF", "0: DE; 1: ABC")
 
 CASES = (
     [[cmd, "--type", t, "--mults", m, "--format", f]
      for cmd in ("hilbert", "betti") for t in TYPES for m in MULTS for f in FORMATS]
     + [[cmd, "--type", "86", "--mults", "200,200,200,200,200,200", "--format", f]
        for cmd in ("hilbert", "betti") for f in FORMATS]
-    + [["tables", "--which", "2", "--format", f] for f in FORMATS]
+    + [["tables", "--which", w, "--format", f] for w in ("1", "2") for f in FORMATS]
+    + [["types", "list", "--format", f] for f in FORMATS]
+    + [["types", "classify", "--neg", n, "--format", f] for n in NEGSETS for f in FORMATS]
+    + [["verify", "--seed", "0", "--samples", "2", "--format", f] for f in FORMATS]
 )
 
 
