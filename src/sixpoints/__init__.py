@@ -24,23 +24,18 @@ from .curves import (
 )
 from .errors import ConsistencyError, ValidationError
 from .fatpoints import (
-    FatPointScheme,
     GradedResolution,
     HilbertFunction,
     SchemeAnalysis,
     Table2Report,
     analyze,
     fatpoint_class,
-    generator_degrees,
-    hilbert_I,
     hilbert_function,
     minimal_resolution,
     proximity_reduce,
-    resolution,
     table2,
 )
 from .lattice import (
-    CollinearityMatrix,
     DivisorClass,
     E,
     K,
@@ -48,7 +43,6 @@ from .lattice import (
     ZERO,
     canonical_class,
     e,
-    from_collinearity_matrix,
     intersect,
     permute_points,
     selfint,
@@ -78,4 +72,4 @@ from .verify import (
     usable_point_indices,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"

@@ -35,32 +35,28 @@ def _conic(points: Iterable[int]) -> DivisorClass:
     return DivisorClass(2, m)
 
 
-def _vertical(i: int, tail: Iterable[int]) -> DivisorClass:
+def _vertical(i: int, j: int) -> DivisorClass:
     m = [0] * N_POINTS
     m[i - 1] = 1
-    for j in tail:
-        m[j - 1] = -1
+    m[j - 1] = -1
     return DivisorClass(0, m)
 
 
 @dataclass(frozen=True)
 class CandidateFamilies:
-    """All families of classes that can carry an irreducible negative curve.
+    """The families of classes that can carry an irreducible negative curve
+    when the anticanonical class is nef, and their square -2 members.
 
-    B, V, Lfam, Q cover arbitrary configurations; the primed variants are the
-    members that survive when the anticanonical class is nef; the double
-    primed ones are the square -2 members (the candidates for ``neg``).
+    Bp are the exceptional classes E_i, Vp the differences E_i - E_j (i < j,
+    all of square -2), Lp the lines through two or three points and Qp the
+    conics through five or six; Lpp and Qpp are the square -2 members of Lp
+    and Qp.  Together with Vp, they are the candidates for ``neg``.
     """
 
-    B: tuple[DivisorClass, ...]
-    V: tuple[DivisorClass, ...]
-    Lfam: tuple[DivisorClass, ...]
-    Q: tuple[DivisorClass, ...]
     Bp: tuple[DivisorClass, ...]
     Vp: tuple[DivisorClass, ...]
     Lp: tuple[DivisorClass, ...]
     Qp: tuple[DivisorClass, ...]
-    Vpp: tuple[DivisorClass, ...]
     Lpp: tuple[DivisorClass, ...]
     Qpp: tuple[DivisorClass, ...]
 
@@ -68,24 +64,12 @@ class CandidateFamilies:
 @lru_cache(maxsize=1)
 def candidate_families() -> CandidateFamilies:
     points = range(1, N_POINTS + 1)
-    B = tuple(E)
-    V = tuple(
-        _vertical(i, tail)
-        for i in points
-        for r in range(1, N_POINTS - i + 1)
-        for tail in itertools.combinations(range(i + 1, N_POINTS + 1), r)
-    )
-    Lfam = tuple(
-        _line(s)
-        for r in range(2, N_POINTS + 1)
-        for s in itertools.combinations(points, r)
-    )
-    Q = tuple(
+    Qp = tuple(
         _conic(s)
         for r in (5, 6)
         for s in itertools.combinations(points, r)
     )
-    Vp = tuple(_vertical(i, (j,)) for i, j in itertools.combinations(points, 2))
+    Vp = tuple(_vertical(i, j) for i, j in itertools.combinations(points, 2))
     Lp = tuple(
         _line(s)
         for r in (2, 3)
@@ -93,11 +77,7 @@ def candidate_families() -> CandidateFamilies:
     )
     Lpp = tuple(_line(s) for s in itertools.combinations(points, 3))
     Qpp = (_conic(points),)
-    return CandidateFamilies(
-        B=B, V=V, Lfam=Lfam, Q=Q,
-        Bp=B, Vp=Vp, Lp=Lp, Qp=Q,
-        Vpp=Vp, Lpp=Lpp, Qpp=Qpp,
-    )
+    return CandidateFamilies(Bp=tuple(E), Vp=Vp, Lp=Lp, Qp=Qp, Lpp=Lpp, Qpp=Qpp)
 
 
 @lru_cache(maxsize=1)
@@ -153,6 +133,12 @@ def full_neg(neg: Iterable[DivisorClass]) -> NegCurveSet:
         if all(intersect(c, d) >= 0 for d in neg_t)
     )
     return NegCurveSet(neg=neg_t, NEG=neg_t + extras)
+
+
+def difference_pairs(classes: Iterable[DivisorClass]) -> list[tuple[int, int]]:
+    """Index pairs (i, j) of the difference classes E_i - E_j among
+    ``classes`` (the degree 0 classes), in input order."""
+    return [(c.index(1, 1), c.index(-1, 1)) for c in classes if c[0] == 0]
 
 
 def is_nef(F: DivisorClass, N: NegCurveSet) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .curves import euler_characteristic, full_neg, reduce_to_nef
+from .curves import difference_pairs, euler_characteristic, full_neg, reduce_to_nef
 from .errors import ConsistencyError, ValidationError
 from .lattice import DivisorClass, L, N_POINTS
 from .typeenum import ConfigurationType, enumerate_types
@@ -30,20 +30,11 @@ def _check_mults(mults: Sequence[int]) -> Mults:
     m = tuple(mults)
     if len(m) != N_POINTS:
         raise ValidationError(f"expected {N_POINTS} multiplicities, got {len(m)}")
+    if any(type(v) is not int for v in m):
+        raise ValidationError(f"multiplicities must be integers, got {m}")
     if any(v < 0 for v in m):
         raise ValidationError(f"multiplicities must be nonnegative, got {m}")
     return m
-
-
-@dataclass(frozen=True)
-class FatPointScheme:
-    """A configuration type together with a multiplicity for each point."""
-
-    ctype: ConfigurationType
-    mults: Mults
-
-    def __post_init__(self):
-        object.__setattr__(self, "mults", _check_mults(self.mults))
 
 
 def fatpoint_class(mults: Sequence[int], t: int) -> DivisorClass:
@@ -52,27 +43,15 @@ def fatpoint_class(mults: Sequence[int], t: int) -> DivisorClass:
     return DivisorClass(t, tuple(-v for v in mults))
 
 
-def _difference_classes(classes: Iterable[DivisorClass]) -> list[tuple[int, int]]:
-    out = []
-    for c in classes:
-        if c.d == 0:
-            i = next(k for k in range(1, 7) if c[k] == 1)
-            j = next(k for k in range(1, 7) if c[k] == -1)
-            out.append((i, j))
-    return out
-
-
-def proximity_reduce(mults: Sequence[int], config) -> Mults:
-    """Normalize multiplicities against the difference classes of a
-    configuration without changing the ideal.
+def proximity_reduce(mults: Sequence[int], classes: Iterable[DivisorClass]) -> Mults:
+    """Normalize multiplicities against the difference classes among a
+    configuration's classes without changing the ideal.
 
     While some E_i - E_j in the configuration has m_i < m_j, replace
-    (m_i, m_j) by (m_i + 1, m_j - 1).  ``config`` may be a ConfigurationType
-    or any iterable of classes.
+    (m_i, m_j) by (m_i + 1, m_j - 1).
     """
     m = list(_check_mults(mults))
-    classes = config.classes if isinstance(config, ConfigurationType) else config
-    roots = _difference_classes(classes)
+    roots = difference_pairs(classes)
     guard = sum(k * v for k, v in enumerate(m, 1)) + 1
     for _ in range(guard):
         for i, j in roots:
@@ -134,20 +113,14 @@ class GradedResolution:
     def dim_f1(self, t: int) -> int:
         return self._dim(self.f1, t)
 
-    @staticmethod
-    def _pretty(shifts: tuple[tuple[int, int], ...]) -> str:
-        if not shifts:
-            return "0"
-        return " + ".join(
-            f"R[-{j}]" + (f"^{m}" if m > 1 else "")
-            for j, m in sorted(shifts, reverse=True)
-        )
 
-    def pretty_f0(self) -> str:
-        return self._pretty(self.f0)
-
-    def pretty_f1(self) -> str:
-        return self._pretty(self.f1)
+def format_shifts(shifts: Iterable[tuple[int, int]]) -> str:
+    """A free module given by (shift, multiplicity) pairs, written as
+    R[-j]^m terms with the largest shift first ("0" for the zero module)."""
+    shifts = sorted(shifts, reverse=True)
+    if not shifts:
+        return "0"
+    return " + ".join(f"R[-{j}]" + (f"^{m}" if m > 1 else "") for j, m in shifts)
 
 
 class SchemeAnalysis(NamedTuple):
@@ -166,10 +139,12 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
     classes = tuple(classes)
     m = proximity_reduce(mults, classes)
     N = full_neg(classes)
-    # the nef part of each degree's class, or None where it has no sections
+    neg_m = tuple(-v for v in m)
+    # the nef part of each degree's class, or None where it has no sections;
+    # m is checked, so the classes skip DivisorClass's coefficient checks
     nef_parts = []
     for t in range(sum(m) + 4):
-        r = reduce_to_nef(fatpoint_class(m, t), N)
+        r = reduce_to_nef(DivisorClass._from_vec((t, *neg_m)), N)
         nef_parts.append(r.reduced if r.effective else None)
     hf = _hilbert(m, nef_parts)
     res = _resolution(hf, _generators(hf, nef_parts)) if betti else None
@@ -196,11 +171,6 @@ def _hilbert(m: Mults, nef_parts: Sequence[DivisorClass | None]) -> HilbertFunct
         raise ConsistencyError("quotient Hilbert function is not monotone to the degree")
     tail_from = hz.index(deg_z)
     return HilbertFunction(tuple(vals[: tail_from + 1]), deg_z, tail_from)
-
-
-def generator_degrees(classes: Iterable[DivisorClass], mults: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """Degrees and counts of minimal generators of the ideal, ascending."""
-    return minimal_resolution(classes, mults).f0
 
 
 def _generators(
@@ -254,14 +224,6 @@ def _resolution(hf: HilbertFunction, f0: tuple[tuple[int, int], ...]) -> GradedR
     if f1 and min(j for j, _ in f1) < min(j for j, _ in f0) + 1:
         raise ConsistencyError("resolution is not minimal at the smallest shift")
     return GradedResolution(f0=f0, f1=f1)
-
-
-def hilbert_I(scheme: FatPointScheme) -> HilbertFunction:
-    return hilbert_function(scheme.ctype.classes, scheme.mults)
-
-
-def resolution(scheme: FatPointScheme) -> GradedResolution:
-    return minimal_resolution(scheme.ctype.classes, scheme.mults)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ integers, so arithmetic is exact at any size and wraparound cannot occur.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ValidationError
@@ -27,20 +26,23 @@ def _check_width(other) -> None:
 class DivisorClass(tuple):
     """An integer class d*L + m1*E1 + ... + m6*E6, stored as (d, m1, ..., m6).
 
-    Coefficients are literal: L - E1 - E2 is ``DivisorClass(1, (-1, -1, 0, 0, 0, 0))``.
-    Instances are immutable, hashable, and support +, -, unary minus and
-    multiplication by an integer.
+    Coefficients are literal: L - E1 - E2 is ``DivisorClass(1, (-1, -1, 0, 0, 0, 0))``,
+    and must be of type int (bool and float are rejected).  Instances are
+    immutable, hashable, and support +, -, unary minus and multiplication by
+    an integer.
     """
 
     __slots__ = ()
 
     def __new__(cls, d: int, m: Sequence[int]) -> "DivisorClass":
-        mt = tuple(m)
-        if len(mt) != N_POINTS:
+        vec = (d, *m)
+        if len(vec) != N_POINTS + 1:
             raise ValidationError(
-                f"expected {N_POINTS} exceptional coefficients, got {len(mt)}"
+                f"expected {N_POINTS} exceptional coefficients, got {len(vec) - 1}"
             )
-        return tuple.__new__(cls, (d, *mt))
+        if any(type(v) is not int for v in vec):
+            raise ValidationError(f"coefficients must be integers, got {vec}")
+        return tuple.__new__(cls, vec)
 
     @classmethod
     def _from_vec(cls, vec: tuple[int, ...]) -> "DivisorClass":
@@ -73,6 +75,8 @@ class DivisorClass(tuple):
         return DivisorClass._from_vec(tuple(-a for a in self))
 
     def __mul__(self, k):
+        if type(k) is not int:
+            raise ValidationError(f"a class can only be multiplied by an integer, got {k!r}")
         return DivisorClass._from_vec(tuple(k * a for a in self))
 
     __rmul__ = __mul__
@@ -133,39 +137,3 @@ def permute_points(c: DivisorClass, sigma: Sequence[int]) -> DivisorClass:
     for i in range(N_POINTS):
         m[sigma[i] - 1] = c[i + 1]
     return DivisorClass(c[0], m)
-
-
-@dataclass(frozen=True)
-class CollinearityMatrix:
-    """0/1 incidence rows, one per maximal collinear subset of three or more points."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __init__(self, rows):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
-
-
-def from_collinearity_matrix(matrix) -> list[DivisorClass]:
-    """Classes of the proper transforms of the lines a collinearity matrix records.
-
-    Row (b1..b6) becomes the class L - sum of E_i over the marked points,
-    i.e. (1; -b1, ..., -b6).  Output order matches row order.
-    """
-    rows = matrix.rows if isinstance(matrix, CollinearityMatrix) else tuple(
-        tuple(r) for r in matrix
-    )
-    for i, row in enumerate(rows):
-        if len(row) != N_POINTS or any(v not in (0, 1) for v in row):
-            raise ValidationError(f"row {i} is not a 0/1 vector of width {N_POINTS}")
-        if sum(row) < 3:
-            raise ValidationError(
-                f"row {i} marks only {sum(row)} points; a recorded line needs at least 3"
-            )
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            shared = sum(a * b for a, b in zip(rows[i], rows[j]))
-            if shared > 1:
-                raise ValidationError(
-                    f"rows {i} and {j} share {shared} points; two lines share at most 1"
-                )
-    return [DivisorClass(1, tuple(-b for b in row)) for row in rows]

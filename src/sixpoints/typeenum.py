@@ -36,7 +36,7 @@ def candidate_pool() -> tuple[DivisorClass, ...]:
     conic class 2L - E1 - ... - E6.  Index order within each block is
     lexicographic on the point indices."""
     fam = candidate_families()
-    return fam.Vpp + fam.Lpp + fam.Qpp
+    return fam.Vp + fam.Lpp + fam.Qpp
 
 
 @lru_cache(maxsize=1)
@@ -44,6 +44,7 @@ def _pool_index() -> dict[DivisorClass, int]:
     return {c: i for i, c in enumerate(candidate_pool())}
 
 
+@lru_cache(maxsize=1)
 def _perm_table() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """For each permutation of the point labels, where each pool class goes.
 
@@ -52,7 +53,6 @@ def _perm_table() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     set containing that class.
     """
     pool = candidate_pool()
-    index = _pool_index()
     pairs = list(itertools.combinations(range(1, N_POINTS + 1), 2))
     triples = list(itertools.combinations(range(1, N_POINTS + 1), 3))
     table = []
@@ -60,7 +60,7 @@ def _perm_table() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         row = [0] * len(pool)
         for k, (i, j) in enumerate(pairs):
             a, b = sigma[i - 1], sigma[j - 1]
-            row[k] = index[_root(a, b)] if a < b else -1
+            row[k] = pairs.index((a, b)) if a < b else -1
         for k, t in enumerate(triples):
             img = tuple(sorted(sigma[p - 1] for p in t))
             row[15 + k] = 15 + triples.index(img)
@@ -69,25 +69,13 @@ def _perm_table() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     return tuple(table)
 
 
-def _root(i: int, j: int) -> DivisorClass:
-    m = [0] * N_POINTS
-    m[i - 1] = 1
-    m[j - 1] = -1
-    return DivisorClass(0, m)
-
-
-@lru_cache(maxsize=1)
-def _perms() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    return _perm_table()
-
-
 def _canonical_indices(idxs: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Lexicographically smallest relabelled image of a pool-index set, with a
     witness permutation.  Only permutations keeping every class in the pool
     compete; the identity always does."""
     best = None
     witness = None
-    for sigma, row in _perms():
+    for sigma, row in _perm_table():
         mapped = []
         ok = True
         for i in idxs:
@@ -133,6 +121,18 @@ def _to_pool_indices(classes: Iterable[DivisorClass]) -> tuple[int, ...]:
 # integer linear algebra
 
 
+def _smallest_entry(A: list[list[int]], top: int) -> tuple[int, int] | None:
+    """Position of a nonzero entry of least absolute value in the submatrix
+    below and right of (top, top), or None if that submatrix is zero."""
+    pivot = None
+    for i in range(top, len(A)):
+        for j in range(top, len(A[0])):
+            v = A[i][j]
+            if v and (pivot is None or abs(v) < abs(A[pivot[0]][pivot[1]])):
+                pivot = (i, j)
+    return pivot
+
+
 def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith normal form, in divisibility order.
 
@@ -146,12 +146,7 @@ def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     diag: list[int] = []
     top = 0
     while top < min(m, n):
-        pivot = None
-        for i in range(top, m):
-            for j in range(top, n):
-                v = A[i][j]
-                if v and (pivot is None or abs(v) < abs(A[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+        pivot = _smallest_entry(A, top)
         if pivot is None:
             break
         while True:
@@ -176,12 +171,7 @@ def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
                     dirty = dirty or bool(A[top][j])
             if not dirty:
                 break
-            pivot = None
-            for i in range(top, m):
-                for j in range(top, n):
-                    v = A[i][j]
-                    if v and (pivot is None or abs(v) < abs(A[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
+            pivot = _smallest_entry(A, top)
         diag.append(A[top][top])
         top += 1
     for i in range(len(diag)):
@@ -253,9 +243,6 @@ class ConfigurationType:
 
     def neg_set(self) -> NegCurveSet:
         return full_neg(self.classes)
-
-    def canonical_label(self) -> str:
-        return format_negset(self.classes)
 
 
 def torsion(classes: Iterable[DivisorClass]) -> TorsionGroup:
@@ -489,8 +476,6 @@ def enumerate_types() -> tuple[ConfigurationType, ...]:
     """The 90 configuration types, enumerated and checked against the catalog."""
     return build_types(table_rows())
 
-
-all_types = enumerate_types
 
 
 @lru_cache(maxsize=1)

@@ -21,6 +21,7 @@ from .curves import (
     AMPLE_CLASS,
     NegCurveSet,
     candidate_families,
+    difference_pairs,
     full_neg,
     h0,
     h1,
@@ -87,10 +88,7 @@ def mu_stats(F: DivisorClass, N: NegCurveSet, index: int = 1) -> MuStats:
 def usable_point_indices(N: NegCurveSet) -> tuple[int, ...]:
     """Indices j such that p_j is an honest plane point (not infinitely near),
     i.e. j is never the subtracted index of a difference class in neg."""
-    near = set()
-    for c in N.neg:
-        if c.d == 0:
-            near.add(next(k for k in range(1, 7) if c[k] == -1))
+    near = {j for _, j in difference_pairs(N.neg)}
     return tuple(j for j in range(1, N_POINTS + 1) if j not in near)
 
 
@@ -131,6 +129,11 @@ def _stream_seed(seed: int, N: NegCurveSet) -> int:
     return (seed << 64) ^ int.from_bytes(digest, "big")
 
 
+def _check_count(count: int) -> None:
+    if type(count) is not int or count < 1:
+        raise ValidationError(f"sample count must be an integer of at least 1, got {count!r}")
+
+
 def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[DivisorClass, ...]:
     """Up to ``count`` (at least 1) distinct nef classes t*L - sum a_i E_i with
     0 <= a_i <= t <= 12, drawn from a seeded stream and filtered by is_nef.
@@ -141,8 +144,7 @@ def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[Divisor
     inequalities that difference classes impose; without that, configurations
     with long chains would almost never pass the filter.
     """
-    if count < 1:
-        raise ValidationError(f"sample count must be at least 1, got {count}")
+    _check_count(count)
     rng = random.Random(_stream_seed(seed, N))
     out: list[DivisorClass] = []
     seen: set[DivisorClass] = set()
@@ -160,11 +162,12 @@ def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[Divisor
         attempts += 1
         t = rng.randint(0, 12)
         a = [rng.randint(0, t) for _ in range(N_POINTS)]
+        # t and a are ints by construction: skip DivisorClass's checks
         before = len(out)
-        offer(DivisorClass(t, tuple(-v for v in a)))
+        offer(DivisorClass._from_vec((t, *(-v for v in a))))
         if len(out) == before:
             a.sort(reverse=True)
-            offer(DivisorClass(t, tuple(-v for v in a)))
+            offer(DivisorClass._from_vec((t, *(-v for v in a))))
     return tuple(out[:count])
 
 
@@ -325,8 +328,7 @@ def _special_class_checks() -> str:
 def run_invariant_suite(seed: int = 0, samples_per_type: int = 200) -> InvariantReport:
     """Run every cross-module invariant; returns per-check pass/fail results
     with a counterexample in the detail on failure."""
-    if samples_per_type < 1:
-        raise ValidationError(f"sample count must be at least 1, got {samples_per_type}")
+    _check_count(samples_per_type)
     rng = random.Random(seed)
     checks = (
         _check("lattice signature", _lattice_signature),

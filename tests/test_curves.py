@@ -38,14 +38,12 @@ CONIC = DivisorClass(2, (-1, -1, -1, -1, -1, -1))
 
 def test_family_sizes():
     fam = candidate_families()
-    assert len(fam.B) == 6
-    assert len(fam.V) == 57
-    assert len(fam.Lfam) == 57
-    assert len(fam.Q) == 7
+    assert len(fam.Bp) == 6
+    assert len(fam.Qp) == 7
     assert len(fam.Vp) == 15
     assert len(fam.Lp) == 35
-    assert len(fam.Vpp) == 15 and len(fam.Lpp) == 20 and len(fam.Qpp) == 1
-    pool = set(fam.Vpp) | set(fam.Lpp) | set(fam.Qpp)
+    assert len(fam.Lpp) == 20 and len(fam.Qpp) == 1
+    pool = set(fam.Vp) | set(fam.Lpp) | set(fam.Qpp)
     assert len(pool) == 36
     for c in pool:
         assert selfint(c) == -2

@@ -5,19 +5,15 @@ import pytest
 
 from sixpoints import (
     DivisorClass,
-    FatPointScheme,
     K,
     ValidationError,
     e,
     enumerate_types,
     fatpoint_class,
-    generator_degrees,
-    hilbert_I,
     hilbert_function,
     minimal_resolution,
     permute_points,
     proximity_reduce,
-    resolution,
     table2,
     type_by_id,
 )
@@ -26,15 +22,15 @@ from sixpoints.typeenum import candidate_pool
 
 def test_proximity_reduce_examples():
     t2 = type_by_id(2)
-    assert proximity_reduce((1, 2, 0, 0, 0, 0), t2) == (2, 1, 0, 0, 0, 0)
+    assert proximity_reduce((1, 2, 0, 0, 0, 0), t2.classes) == (2, 1, 0, 0, 0, 0)
     t1 = type_by_id(1)
-    assert proximity_reduce((3, 1, 4, 1, 5, 9), t1) == (3, 1, 4, 1, 5, 9)
-    assert proximity_reduce((0, 0, 0, 0, 0, 0), t2) == (0, 0, 0, 0, 0, 0)
+    assert proximity_reduce((3, 1, 4, 1, 5, 9), t1.classes) == (3, 1, 4, 1, 5, 9)
+    assert proximity_reduce((0, 0, 0, 0, 0, 0), t2.classes) == (0, 0, 0, 0, 0, 0)
 
 
 def test_proximity_reduce_chain():
     t90 = type_by_id(90)
-    reduced = proximity_reduce((0, 0, 0, 0, 0, 6), t90)
+    reduced = proximity_reduce((0, 0, 0, 0, 0, 6), t90.classes)
     assert sum(reduced) == 6
     roots = [(i, j) for i in range(1, 7) for j in range(1, 7)
              if e(i) - e(j) in t90.classes]
@@ -43,7 +39,7 @@ def test_proximity_reduce_chain():
 
 def test_proximity_reduce_rejects_negative():
     with pytest.raises(ValidationError):
-        proximity_reduce((1, -1, 0, 0, 0, 0), type_by_id(1))
+        proximity_reduce((1, -1, 0, 0, 0, 0), type_by_id(1).classes)
 
 
 def test_fatpoint_class():
@@ -74,15 +70,10 @@ def test_hilbert_empty_scheme():
     assert all(hf.h_ideal(k) == math.comb(k + 2, 2) for k in range(6))
 
 
-def test_generator_degrees_examples():
-    assert generator_degrees(type_by_id(1).classes, (1,) * 6) == ((3, 4),)
-    assert generator_degrees(type_by_id(4).classes, (1,) * 6) == ((2, 1), (3, 1))
-    assert generator_degrees(type_by_id(86).classes, (3,) * 6) == ((6, 1), (8, 3), (9, 3))
-
-
 def test_resolution_examples():
     res = minimal_resolution(type_by_id(1).classes, (1,) * 6)
     assert res.f0 == ((3, 4),) and res.f1 == ((4, 3),)
+    assert minimal_resolution(type_by_id(4).classes, (1,) * 6).f0 == ((2, 1), (3, 1))
     res = minimal_resolution(type_by_id(2).classes, (2,) * 6)
     assert res.f0 == ((5, 3), (6, 1)) and res.f1 == ((7, 3),)
     res = minimal_resolution(type_by_id(86).classes, (3,) * 6)
@@ -94,12 +85,13 @@ def test_empty_scheme_resolution():
     assert res.f0 == ((0, 1),) and res.f1 == ()
 
 
-def test_scheme_wrappers():
-    s = FatPointScheme(type_by_id(86), (3,) * 6)
-    assert hilbert_I(s).deg_z == 36
-    assert resolution(s).f1 == ((9, 3), (10, 3))
-    with pytest.raises(ValidationError):
-        FatPointScheme(type_by_id(1), (1, 2, 3))
+def test_bad_multiplicities_rejected():
+    classes = type_by_id(1).classes
+    with pytest.raises(ValidationError, match="expected 6"):
+        hilbert_function(classes, (1, 2, 3))
+    for bad in ((1.5,) * 6, (True,) * 6, (1, 1, 1, 1, 1, 1.0), ("1",) * 6):
+        with pytest.raises(ValidationError, match="integers"):
+            hilbert_function(classes, bad)
 
 
 def _random_cases(count, seed):
@@ -135,8 +127,8 @@ def test_resolution_identities_on_samples():
 def test_proximity_reduction_is_transparent():
     t = type_by_id(84)  # long chain of infinitely near points
     raw = (0, 1, 0, 2, 0, 3)
-    reduced = proximity_reduce(raw, t)
-    assert proximity_reduce(reduced, t) == reduced
+    reduced = proximity_reduce(raw, t.classes)
+    assert proximity_reduce(reduced, t.classes) == reduced
     assert hilbert_function(t.classes, raw) == hilbert_function(t.classes, reduced)
     assert minimal_resolution(t.classes, raw) == minimal_resolution(t.classes, reduced)
 

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sixpoints import (
-    CollinearityMatrix,
     DivisorClass,
     E,
     K,
@@ -11,7 +10,6 @@ from sixpoints import (
     ValidationError,
     canonical_class,
     e,
-    from_collinearity_matrix,
     intersect,
     permute_points,
     selfint,
@@ -79,35 +77,19 @@ def test_wrong_width_rejected():
             L - bad
 
 
+def test_non_integer_coefficients_rejected():
+    for d, m in ((3.0, (-1,) * 6), (2.5, (0,) * 6), (True, (0,) * 6),
+                 (1, (0, 0, 0, 0, 0, 1.0)), (1, (False,) * 6), ("1", (0,) * 6)):
+        with pytest.raises(ValidationError, match="integers"):
+            DivisorClass(d, m)
+    for k in (2.5, 2.0, True):
+        with pytest.raises(ValidationError, match="integer"):
+            L * k
+        with pytest.raises(ValidationError, match="integer"):
+            k * L
+
+
 def test_permute_points():
     sigma = (2, 1, 3, 4, 5, 6)
     assert permute_points(e(1) - e(2), sigma) == e(2) - e(1)
     assert permute_points(L, sigma) == L
-
-
-def test_collinearity_matrix_example():
-    m = [[1, 0, 0, 1, 1, 0], [0, 1, 1, 1, 0, 0]]
-    got = from_collinearity_matrix(m)
-    assert got == [cls(1, -1, 0, 0, -1, -1, 0), cls(1, 0, -1, -1, -1, 0, 0)]
-    assert from_collinearity_matrix(CollinearityMatrix(m)) == got
-
-
-def test_collinearity_matrix_trivial():
-    assert from_collinearity_matrix([]) == []
-    assert from_collinearity_matrix([[1] * 6]) == [cls(1, -1, -1, -1, -1, -1, -1)]
-
-
-def test_collinearity_matrix_rejects_short_row():
-    with pytest.raises(ValidationError, match="row 1"):
-        from_collinearity_matrix([[1, 1, 1, 0, 0, 0], [1, 1, 0, 0, 0, 0]])
-
-
-def test_collinearity_matrix_rejects_shared_pair():
-    with pytest.raises(ValidationError, match="rows 0 and 1"):
-        from_collinearity_matrix([[1, 1, 1, 0, 0, 0], [1, 1, 0, 1, 0, 0]])
-
-
-def test_collinearity_rows_have_expected_self_intersection():
-    rows = [[1, 1, 1, 0, 0, 0], [1, 0, 0, 1, 1, 1]]
-    for row, c in zip(rows, from_collinearity_matrix(rows)):
-        assert selfint(c) == 1 - sum(row) <= -2

@@ -88,7 +88,7 @@ def test_sample_nef_contract():
 
 def test_sample_nef_rejects_nonpositive_counts():
     N = type_by_id(2).neg_set()
-    for count in (0, -3):
+    for count in (0, -3, 2.5, 3.0, True):
         with pytest.raises(ValidationError, match="at least 1"):
             sample_nef(N, count=count)
         with pytest.raises(ValidationError, match="at least 1"):
