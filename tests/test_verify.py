@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import pytest
 
 from sixpoints import (
@@ -6,6 +9,7 @@ from sixpoints import (
     ValidationError,
     ZERO,
     check_mu_bounds,
+    enumerate_types,
     is_nef,
     mu_stats,
     run_invariant_suite,
@@ -14,6 +18,36 @@ from sixpoints import (
     usable_point_indices,
 )
 from sixpoints.verify import FIVE_L_MINUS_2
+
+# SHA-256 digests of the sampled classes and of every MuStats field of their
+# check_mu_bounds reports, frozen from the release before the verify path was
+# made faster.  A change to the sampler or to any bound changes them.
+FROZEN_SWEEP_SHA256 = "50a782c166b896017d9c16564e58ad5f953c668ef0eea85fe2cb04b6c388711d"
+FROZEN_TYPE_2_SHA256 = "9f1aee8ef56b8bdd6e46b86a6f343c974b23f70af6dfc9ed917df5fa49ca17fd"
+
+
+def _samples_and_stats_digest(pairs) -> str:
+    """Digest of [(N, samples)]: each class, then each MuStats as a tuple of
+    its fields in declaration order (classes as plain tuples)."""
+    h = hashlib.sha256()
+    for N, samples in pairs:
+        for F in samples:
+            h.update(repr(tuple(F)).encode())
+            for s in check_mu_bounds(F, N).stats:
+                row = tuple(getattr(s, f.name) for f in dataclasses.fields(s))
+                h.update(repr(tuple(tuple(v) if isinstance(v, tuple) else v for v in row)).encode())
+        h.update(b";")
+    return h.hexdigest()
+
+
+def test_samples_and_stats_match_frozen_digests():
+    sweep = []
+    for t in enumerate_types():
+        N = t.neg_set()
+        sweep.append((N, sample_nef(N, 20, seed=0)))
+    assert _samples_and_stats_digest(sweep) == FROZEN_SWEEP_SHA256
+    N = type_by_id(2).neg_set()
+    assert _samples_and_stats_digest([(N, sample_nef(N, 200, seed=11))]) == FROZEN_TYPE_2_SHA256
 
 
 def test_mu_stats_zero_class():
@@ -34,6 +68,11 @@ def test_mu_stats_line_class():
 def test_mu_stats_requires_nef():
     with pytest.raises(ValidationError):
         mu_stats(DivisorClass(1, (-1, -1, -1, 0, 0, 0)), type_by_id(1).neg_set())
+
+
+def test_check_mu_bounds_requires_nef():
+    with pytest.raises(ValidationError, match="not nef"):
+        check_mu_bounds(DivisorClass(1, (-1, -1, -1, 0, 0, 0)), type_by_id(1).neg_set())
 
 
 def test_borderline_class_behaviour():
