@@ -25,6 +25,9 @@ from .notation import format_negset, parse_negset
 from .typeenum import ConfigurationType, classify, enumerate_types, table1_text, type_by_id
 
 
+MAX_TMAX = 10_000  # `hilbert --tmax` limit: output size and memory grow with the range shown
+
+
 class _UsageError(Exception):
     def __init__(self, message: str, parser: argparse.ArgumentParser):
         super().__init__(message)
@@ -61,7 +64,7 @@ def build_parser() -> _Parser:
         p.add_argument("--mults", required=True, help="six multiplicities, e.g. 1,1,1,1,1,1")
         add_format(p)
     hil.add_argument("--tmax", type=int, default=None,
-                     help="show values up to this degree (display only)")
+                     help=f"show values up to this degree (display only, at most {MAX_TMAX})")
     hil.set_defaults(handler=_scheme, with_betti=False)
     bet.set_defaults(handler=_scheme, with_betti=True, tmax=None)
 
@@ -177,6 +180,8 @@ def _types_classify(args) -> _Output:
 
 
 def _scheme(args) -> _Output:
+    if args.tmax is not None and args.tmax > MAX_TMAX:
+        raise ValidationError(f"--tmax must be at most {MAX_TMAX}, got {args.tmax}")
     classes, t = _parse_type_arg(args.type_arg)
     mults = _parse_mults(args.mults)
     reduced, hf, res = fatpoints.analyze(classes, mults, args.with_betti)

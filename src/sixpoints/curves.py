@@ -143,7 +143,11 @@ def difference_pairs(classes: Iterable[DivisorClass]) -> list[tuple[int, int]]:
 
 def is_nef(F: DivisorClass, N: NegCurveSet) -> bool:
     """True iff F meets every negative curve nonnegatively."""
-    return all(intersect(F, c) >= 0 for c in N.NEG)
+    d, a1, a2, a3, a4, a5, a6 = F
+    for c0, c1, c2, c3, c4, c5, c6 in N.NEG:  # the pairing of lattice.intersect
+        if d * c0 - a1 * c1 - a2 * c2 - a3 * c3 - a4 * c4 - a5 * c5 - a6 * c6 < 0:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -224,9 +228,15 @@ def h2(F: DivisorClass, N: NegCurveSet) -> int:
     return h0(K - F, N)
 
 
-def h1(F: DivisorClass, N: NegCurveSet) -> int:
-    """First cohomology, as h^0 + h^2 minus the Riemann-Roch value."""
-    v = h0(F, N) + h2(F, N) - euler_characteristic(F)
+def _h0_h1(F: DivisorClass, N: NegCurveSet) -> tuple[int, int]:
+    """h^0 and h^1 of F, reducing F and its Serre dual K - F once each."""
+    a = h0(F, N)
+    v = a + h2(F, N) - euler_characteristic(F)
     if v < 0:
         raise ConsistencyError(f"negative h^1 = {v} for {F}; h^0 computation is broken")
-    return v
+    return a, v
+
+
+def h1(F: DivisorClass, N: NegCurveSet) -> int:
+    """First cohomology, as h^0 + h^2 minus the Riemann-Roch value."""
+    return _h0_h1(F, N)[1]

@@ -15,12 +15,15 @@ from .errors import ValidationError
 N_POINTS = 6
 
 
-def _check_width(other) -> None:
+def _check_operand(other) -> None:
+    """Check an operand of + or - that is not a DivisorClass: width 7, int entries."""
     if len(other) != N_POINTS + 1:
         raise ValidationError(
             f"cannot combine a class with an operand of width {len(other)}, "
             f"expected {N_POINTS + 1}"
         )
+    if any(type(v) is not int for v in other):
+        raise ValidationError(f"cannot combine a class with non-integer entries {tuple(other)}")
 
 
 class DivisorClass(tuple):
@@ -59,7 +62,8 @@ class DivisorClass(tuple):
         return tuple(self[1:])
 
     def __add__(self, other):
-        _check_width(other)
+        if type(other) is not DivisorClass:  # a DivisorClass is checked already
+            _check_operand(other)
         return DivisorClass._from_vec(tuple(a + b for a, b in zip(self, other)))
 
     def __radd__(self, other):
@@ -68,7 +72,8 @@ class DivisorClass(tuple):
         return self.__add__(other)
 
     def __sub__(self, other):
-        _check_width(other)
+        if type(other) is not DivisorClass:
+            _check_operand(other)
         return DivisorClass._from_vec(tuple(a - b for a, b in zip(self, other)))
 
     def __neg__(self):

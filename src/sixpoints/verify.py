@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from .curves import (
     AMPLE_CLASS,
     NegCurveSet,
+    _h0_h1,
     candidate_families,
     difference_pairs,
     full_neg,
     h0,
-    h1,
     is_nef,
 )
 from .errors import ValidationError
@@ -65,24 +65,33 @@ class MuStats:
     cok_pred: int
 
 
-def mu_stats(F: DivisorClass, N: NegCurveSet, index: int = 1) -> MuStats:
+def _nef_sections(F: DivisorClass, N: NegCurveSet) -> tuple[int, int]:
+    """h^0(F) and h^0(F + L) of a nef class F; these do not depend on j."""
     if not is_nef(F, N):
         raise ValidationError(f"{F} is not nef for this configuration")
+    return h0(F, N), h0(F + L, N)
+
+
+def _stats_at(F: DivisorClass, N: NegCurveSet, index: int, h0F: int, h0FL: int) -> MuStats:
     ej = e(index)
-    h0F = h0(F, N)
-    h0FL = h0(F + L, N)
+    q, qstar = _h0_h1(F - ej, N)
+    l, lstar = _h0_h1(F - (L - ej), N)
     return MuStats(
         F=F,
         index=index,
-        q=h0(F - ej, N),
-        l=h0(F - (L - ej), N),
-        qstar=h1(F - ej, N),
-        lstar=h1(F - (L - ej), N),
+        q=q,
+        l=l,
+        qstar=qstar,
+        lstar=lstar,
         h0F=h0F,
         h0FL=h0FL,
         ker_pred=max(0, 3 * h0F - h0FL),
         cok_pred=max(0, h0FL - 3 * h0F),
     )
+
+
+def mu_stats(F: DivisorClass, N: NegCurveSet, index: int = 1) -> MuStats:
+    return _stats_at(F, N, index, *_nef_sections(F, N))
 
 
 def usable_point_indices(N: NegCurveSet) -> tuple[int, ...]:
@@ -106,10 +115,11 @@ class MuBoundsReport:
 
 
 def check_mu_bounds(F: DivisorClass, N: NegCurveSet) -> MuBoundsReport:
+    h0F, h0FL = _nef_sections(F, N)
     stats = []
     bad = []
     for j in usable_point_indices(N):
-        s = mu_stats(F, N, j)
+        s = _stats_at(F, N, j, h0F, h0FL)
         stats.append(s)
         if not (s.l <= s.ker_pred <= s.q + s.l):
             bad.append(f"j={j}: kernel bound fails for {F}: l={s.l}, pred={s.ker_pred}, q+l={s.q + s.l}")
@@ -143,31 +153,41 @@ def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[Divisor
     coefficients sorted decreasingly, which lands inside the chains of
     inequalities that difference classes impose; without that, configurations
     with long chains would almost never pass the filter.
+
+    Sampling contract: a (type, seed, count) triple gives the same classes in
+    the same order from release to release.  The benchmark's output digests
+    (``perfbench/digests.json``) and the frozen ``verify`` outputs of the test
+    suite depend on it, so the draws, their order, the sorted retry and the
+    draw cap change only together with those.
     """
     _check_count(count)
     rng = random.Random(_stream_seed(seed, N))
     out: list[DivisorClass] = []
     seen: set[DivisorClass] = set()
 
-    def offer(c: DivisorClass) -> None:
-        if c not in seen and is_nef(c, N):
+    def offer(vec: tuple[int, ...]) -> bool:
+        # a plain tuple until it is kept: the draws are ints by construction,
+        # so the kept class skips DivisorClass's checks
+        if vec not in seen and is_nef(vec, N):
+            c = DivisorClass._from_vec(vec)
             seen.add(c)
             out.append(c)
+            return True
+        return False
 
     for c in (ZERO, L, -K, FIVE_L_MINUS_2):
         offer(c)
+    # randrange(t + 1) draws exactly what randint(0, t) draws, with less call overhead
+    randrange = rng.randrange
     attempts = 0
     cap = count * 400
     while len(out) < count and attempts < cap:
         attempts += 1
-        t = rng.randint(0, 12)
-        a = [rng.randint(0, t) for _ in range(N_POINTS)]
-        # t and a are ints by construction: skip DivisorClass's checks
-        before = len(out)
-        offer(DivisorClass._from_vec((t, *(-v for v in a))))
-        if len(out) == before:
-            a.sort(reverse=True)
-            offer(DivisorClass._from_vec((t, *(-v for v in a))))
+        t = randrange(13)
+        a = [-randrange(t + 1) for _ in range(N_POINTS)]
+        if not offer((t, *a)):
+            a.sort()  # the a_i in decreasing order
+            offer((t, *a))
     return tuple(out[:count])
 
 

@@ -77,6 +77,10 @@ def test_hilbert_tmax_extends_display():
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["t", "h_I", "h_Z"]
     assert len(rows) == 7  # header + t = 0..5
+    code, out = run(["hilbert", "--type", "1", "--mults", "1,1,1,1,1,1",
+                     "--tmax", "10000", "--format", "csv"])
+    assert code == 0
+    assert len(out.splitlines()) == 10002  # header + t = 0..10000, the largest accepted
 
 
 def test_tables_one_matches_embedded_file():
@@ -118,6 +122,8 @@ def test_exit_code_on_bad_input():
     assert run(["hilbert", "--type", "1", "--mults", "1,1"])[0] == 1
     assert run(["betti", "--type", "1", "--mults", "1,1,1,1,1,-1"])[0] == 1
     assert run(["hilbert", "--type", "1", "--mults", "a,b,c,d,e,f"])[0] == 1
+    for tmax in ("10001", "1000000"):
+        assert run(["hilbert", "--type", "1", "--mults", "1,1,1,1,1,1", "--tmax", tmax]) == (1, "")
 
 
 def test_exit_code_on_unknown_flags():

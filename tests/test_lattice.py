@@ -63,6 +63,8 @@ def test_arithmetic():
     assert 3 * a == cls(3, -3, -3, 0, 0, 0, 0)
     assert sum([a, a, a]) == 3 * a
     assert a.d == 1 and a.m == (-1, -1, 0, 0, 0, 0)
+    assert a + (1, 0, 0, 0, 0, 0, -1) == cls(2, -1, -1, 0, 0, 0, -1)
+    assert a - [0, 1, 0, 0, 0, 0, 0] == cls(1, -2, -1, 0, 0, 0, 0)
 
 
 def test_wrong_width_rejected():
@@ -87,6 +89,14 @@ def test_non_integer_coefficients_rejected():
             L * k
         with pytest.raises(ValidationError, match="integer"):
             k * L
+    # a plain tuple or list operand of + or - is checked at the operator
+    for bad in ((0.5,) * 7, (1, 0, 0, 0, 0, 0, 2.0), (True,) + (0,) * 6, (0,) * 6 + ("1",)):
+        with pytest.raises(ValidationError, match="non-integer"):
+            L + bad
+        with pytest.raises(ValidationError, match="non-integer"):
+            bad + L
+        with pytest.raises(ValidationError, match="non-integer"):
+            L - bad
 
 
 def test_permute_points():
