@@ -13,6 +13,7 @@ from .curves import (
     NegCurveSet,
     ReductionResult,
     candidate_families,
+    candidate_pool,
     euler_characteristic,
     full_neg,
     h0,
@@ -41,7 +42,6 @@ from .lattice import (
     K,
     L,
     ZERO,
-    canonical_class,
     e,
     intersect,
     permute_points,
@@ -52,7 +52,6 @@ from .typeenum import (
     ConfigurationType,
     DynkinGraph,
     TorsionGroup,
-    candidate_pool,
     canonicalize,
     classify,
     dynkin_graph,
@@ -72,4 +71,4 @@ from .verify import (
     usable_point_indices,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"

@@ -3,11 +3,13 @@
 When the anticanonical class is nef, every class of an irreducible curve of
 negative self-intersection comes from a short explicit list: exceptional
 classes E_i, differences E_i - E_j, line classes through two or three of the
-points, and conic classes through five or six.  The square -2 members of that
-list (the ``neg`` set) determine the rest, and testing a class against the
-full list decides nefness.  h^0 of any class is then computed by peeling off
-curves the class meets negatively until it is nef or visibly empty, and
-h^1/h^2 follow from Riemann-Roch and duality.
+points, and conic classes through five or six.  Its 36 square -2 members are
+the candidate classes, and a configuration's ``neg`` set is a set of distinct
+candidates that pairwise meet nonnegatively; this module holds both the
+candidates and that rule.  The neg set determines the rest of the list, and
+testing a class against the full list decides nefness.  h^0 of any class is
+then computed by peeling off curves the class meets negatively until it is
+nef or visibly empty, and h^1/h^2 follow from Riemann-Roch and duality.
 """
 
 from __future__ import annotations
@@ -15,31 +17,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, ValidationError
 from .lattice import DivisorClass, E, K, N_POINTS, intersect, selfint
 
 
-def _line(points: Iterable[int]) -> DivisorClass:
+def _curve(d: int, points: Iterable[int]) -> DivisorClass:
+    """The class d*L - sum of E_p over ``points`` (1-indexed)."""
     m = [0] * N_POINTS
     for p in points:
         m[p - 1] = -1
-    return DivisorClass(1, m)
-
-
-def _conic(points: Iterable[int]) -> DivisorClass:
-    m = [0] * N_POINTS
-    for p in points:
-        m[p - 1] = -1
-    return DivisorClass(2, m)
-
-
-def _vertical(i: int, j: int) -> DivisorClass:
-    m = [0] * N_POINTS
-    m[i - 1] = 1
-    m[j - 1] = -1
-    return DivisorClass(0, m)
+    return DivisorClass(d, m)
 
 
 @dataclass(frozen=True)
@@ -64,30 +53,73 @@ class CandidateFamilies:
 @lru_cache(maxsize=1)
 def candidate_families() -> CandidateFamilies:
     points = range(1, N_POINTS + 1)
-    Qp = tuple(
-        _conic(s)
-        for r in (5, 6)
-        for s in itertools.combinations(points, r)
+    Vp = tuple(E[i - 1] - E[j - 1] for i, j in itertools.combinations(points, 2))
+    Lp = tuple(_curve(1, s) for r in (2, 3) for s in itertools.combinations(points, r))
+    Qp = tuple(_curve(2, s) for r in (5, 6) for s in itertools.combinations(points, r))
+    return CandidateFamilies(
+        Bp=E,
+        Vp=Vp,
+        Lp=Lp,
+        Qp=Qp,
+        Lpp=tuple(c for c in Lp if selfint(c) == -2),
+        Qpp=tuple(c for c in Qp if selfint(c) == -2),
     )
-    Vp = tuple(_vertical(i, j) for i, j in itertools.combinations(points, 2))
-    Lp = tuple(
-        _line(s)
-        for r in (2, 3)
-        for s in itertools.combinations(points, r)
-    )
-    Lpp = tuple(_line(s) for s in itertools.combinations(points, 3))
-    Qpp = (_conic(points),)
-    return CandidateFamilies(Bp=tuple(E), Vp=Vp, Lp=Lp, Qp=Qp, Lpp=Lpp, Qpp=Qpp)
 
 
 @lru_cache(maxsize=1)
 def minus_one_candidates() -> tuple[DivisorClass, ...]:
     """The 27 square -1 candidates, in family order (E_i, two-point lines,
     five-point conics) and lexicographic index order within each family."""
-    points = range(1, N_POINTS + 1)
-    lines = tuple(_line(s) for s in itertools.combinations(points, 2))
-    conics = tuple(_conic(s) for s in itertools.combinations(points, 5))
-    return tuple(E) + lines + conics
+    fam = candidate_families()
+    return tuple(c for c in fam.Bp + fam.Lp + fam.Qp if selfint(c) == -1)
+
+
+@lru_cache(maxsize=1)
+def candidate_pool() -> tuple[DivisorClass, ...]:
+    """The 36 candidate classes a neg set is drawn from, in fixed order: 15
+    differences E_i - E_j with i < j, then 20 line classes L - E_i - E_j - E_k
+    with i < j < k, then the conic class 2L - E1 - ... - E6.  Index order
+    within each block is lexicographic on the point indices."""
+    fam = candidate_families()
+    return fam.Vp + fam.Lpp + fam.Qpp
+
+
+@lru_cache(maxsize=1)
+def _pool_index() -> dict[DivisorClass, int]:
+    return {c: i for i, c in enumerate(candidate_pool())}
+
+
+def _pool_indices(classes: Iterable[DivisorClass]) -> tuple[int, ...]:
+    """Pool indices of distinct candidate classes, in input order."""
+    index = _pool_index()
+    out: list[int] = []
+    for c in classes:
+        i = index.get(c)
+        if i is None:
+            raise ValidationError(
+                f"{c} is not one of the 36 candidate classes (E_i - E_j with i < j, "
+                "L - E_i - E_j - E_k, 2L - E1 - ... - E6; each has self-intersection -2 "
+                "and is orthogonal to the canonical class)"
+            )
+        if i in out:
+            raise ValidationError(f"duplicate class {c}")
+        out.append(i)
+    return tuple(out)
+
+
+def _neg_indices(classes: Iterable[DivisorClass]) -> tuple[int, ...]:
+    """The neg-set rule: distinct candidate classes that pairwise meet
+    nonnegatively.  Returns their pool indices, in input order."""
+    idxs = _pool_indices(classes)
+    pool = candidate_pool()
+    for i, j in itertools.combinations(idxs, 2):
+        w = intersect(pool[i], pool[j])
+        if w < 0:
+            raise ValidationError(
+                f"classes {pool[i]} and {pool[j]} meet negatively (in {w}); "
+                "a neg set must be pairwise nonnegative"
+            )
+    return idxs
 
 
 # Pairs strictly positively with every class a reduction can ever subtract
@@ -109,25 +141,12 @@ class NegCurveSet:
 def full_neg(neg: Iterable[DivisorClass]) -> NegCurveSet:
     """Reconstruct the full negative-curve list from its square -2 part.
 
-    The -1 part consists of the candidates from ``minus_one_candidates`` that
-    meet every member of ``neg`` nonnegatively.
+    ``neg`` must be a neg set: distinct classes from ``candidate_pool`` that
+    pairwise meet nonnegatively.  The -1 part consists of the candidates from
+    ``minus_one_candidates`` that meet every member of ``neg`` nonnegatively.
     """
     neg_t = tuple(neg)
-    seen = set()
-    for c in neg_t:
-        if selfint(c) != -2:
-            raise ValidationError(f"{c} has self-intersection {selfint(c)}, expected -2")
-        if intersect(c, K) != 0:
-            raise ValidationError(f"{c} is not orthogonal to the canonical class")
-        if c in seen:
-            raise ValidationError(f"duplicate class {c} in neg set")
-        seen.add(c)
-    for a, b in itertools.combinations(neg_t, 2):
-        if intersect(a, b) < 0:
-            raise ValidationError(
-                f"classes {a} and {b} meet in {intersect(a, b)} < 0; "
-                "a neg set must be pairwise nonnegative"
-            )
+    _neg_indices(neg_t)
     extras = tuple(
         c for c in minus_one_candidates()
         if all(intersect(c, d) >= 0 for d in neg_t)
@@ -141,13 +160,22 @@ def difference_pairs(classes: Iterable[DivisorClass]) -> list[tuple[int, int]]:
     return [(c.index(1, 1), c.index(-1, 1)) for c in classes if c[0] == 0]
 
 
+def _first_negative(
+    D: Sequence[int], NEG: Sequence[DivisorClass]
+) -> tuple[DivisorClass, int] | None:
+    """The first curve in NEG that D meets negatively and that pairing, or None."""
+    d, a1, a2, a3, a4, a5, a6 = D
+    for c in NEG:
+        c0, c1, c2, c3, c4, c5, c6 = c  # the pairing of lattice.intersect, inline
+        p = d * c0 - a1 * c1 - a2 * c2 - a3 * c3 - a4 * c4 - a5 * c5 - a6 * c6
+        if p < 0:
+            return c, p
+    return None
+
+
 def is_nef(F: DivisorClass, N: NegCurveSet) -> bool:
     """True iff F meets every negative curve nonnegatively."""
-    d, a1, a2, a3, a4, a5, a6 = F
-    for c0, c1, c2, c3, c4, c5, c6 in N.NEG:  # the pairing of lattice.intersect
-        if d * c0 - a1 * c1 - a2 * c2 - a3 * c3 - a4 * c4 - a5 * c5 - a6 * c6 < 0:
-            return False
-    return True
+    return _first_negative(F, N.NEG) is None
 
 
 @dataclass(frozen=True)
@@ -188,12 +216,10 @@ def reduce_to_nef(F: DivisorClass, N: NegCurveSet) -> ReductionResult:
     subs: list[DivisorClass] = []
     limit = _step_limit(F)
     while D[0] >= 0:
-        for hit in N.NEG:
-            p = intersect(D, hit)
-            if p < 0:
-                break
-        else:
+        found = _first_negative(D, N.NEG)
+        if found is None:
             return ReductionResult(D, tuple(subs), True)
+        hit, p = found
         s = -selfint(hit)
         k = -(p // s) if s > 0 else 1  # only a corrupted NEG has C^2 >= 0
         if hit[0] > 0:

@@ -137,8 +137,8 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
     once and derive the Hilbert function and, if ``betti``, the minimal
     resolution from those reductions (multiplicities may be unnormalized)."""
     classes = tuple(classes)
+    N = full_neg(classes)  # first: proximity_reduce assumes a valid neg set
     m = proximity_reduce(mults, classes)
-    N = full_neg(classes)
     neg_m = tuple(-v for v in m)
     # the nef part of each degree's class, or None where it has no sections;
     # m is checked, so the classes skip DivisorClass's coefficient checks
@@ -201,29 +201,28 @@ def minimal_resolution(classes: Iterable[DivisorClass], mults: Sequence[int]) ->
 
 
 def _resolution(hf: HilbertFunction, f0: tuple[tuple[int, int], ...]) -> GradedResolution:
+    # R[-j] contributes binom(t - j + 2, 2) in degree t, whose third difference
+    # in t is 1 at t = j and 0 elsewhere; so h_I = dim F0 - dim F1 gives
+    # syzygies s_t = g_t - (third difference of h_I at t).  Past the last
+    # generator and tail_from + 3 both terms vanish.
     if not f0:
         raise ConsistencyError("ideal has no generators")
-    syz: dict[int, int] = {}
-    horizon = max(j for j, _ in f0) + 5
-    t = 0
-    while t <= horizon:
-        want = GradedResolution._dim(f0, t) - hf.h_ideal(t)
-        have = GradedResolution._dim(tuple(syz.items()), t)
-        defect = want - have
-        if defect < 0:
+    gens = dict(f0)
+    h = hf.h_ideal
+    f1 = []
+    for t in range(max(max(gens), hf.tail_from + 3) + 1):
+        s = gens.get(t, 0) - (h(t) - 3 * h(t - 1) + 3 * h(t - 2) - h(t - 3))
+        if s < 0:
             raise ConsistencyError(
-                f"free module dimensions disagree in degree {t} (defect {defect})"
+                f"free module dimensions disagree in degree {t} (defect {s})"
             )
-        if defect > 0:
-            syz[t] = defect
-            horizon = max(horizon, t + 5)
-        t += 1
-    f1 = tuple(sorted(syz.items()))
-    if sum(g for _, g in f0) - sum(s for _, s in f1) != 1:
+        if s:
+            f1.append((t, s))
+    if sum(gens.values()) - sum(s for _, s in f1) != 1:
         raise ConsistencyError("resolution rank is not 1")
-    if f1 and min(j for j, _ in f1) < min(j for j, _ in f0) + 1:
+    if f1 and f1[0][0] < min(gens) + 1:
         raise ConsistencyError("resolution is not minimal at the smallest shift")
-    return GradedResolution(f0=f0, f1=f1)
+    return GradedResolution(f0=f0, f1=tuple(f1))
 
 
 # ---------------------------------------------------------------------------

@@ -128,12 +128,8 @@ def e(i: int) -> DivisorClass:
     return E[i - 1]
 
 
-def canonical_class() -> DivisorClass:
-    """The canonical class K = -3L + E1 + ... + E6; -K is the anticanonical class."""
-    return DivisorClass(-3, (1, 1, 1, 1, 1, 1))
-
-
-K = canonical_class()
+# The canonical class K = -3L + E1 + ... + E6; -K is the anticanonical class.
+K = DivisorClass(-3, (1, 1, 1, 1, 1, 1))
 
 
 def permute_points(c: DivisorClass, sigma: Sequence[int]) -> DivisorClass:

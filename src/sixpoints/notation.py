@@ -17,22 +17,12 @@ from __future__ import annotations
 
 import re
 
+from .curves import _curve
 from .errors import ValidationError
-from .lattice import DivisorClass, N_POINTS
+from .lattice import DivisorClass, E
 
 _LETTERS = "ABCDEF"
 _ARITY = {0: 2, 1: 3, 2: 6}
-
-
-def _term_class(degree: int, indices: list[int]) -> DivisorClass:
-    m = [0] * N_POINTS
-    if degree == 0:
-        m[indices[0] - 1] = 1
-        m[indices[1] - 1] = -1
-        return DivisorClass(0, m)
-    for i in indices:
-        m[i - 1] = -1
-    return DivisorClass(degree, m)
 
 
 def parse_negset(text: str) -> list[DivisorClass]:
@@ -84,7 +74,10 @@ def parse_negset(text: str) -> list[DivisorClass]:
                     f"term {ttext!r} at position {tpos} has {len(indices)} letters; "
                     f"degree {degree} needs exactly {_ARITY[degree]}"
                 )
-            cls = _term_class(degree, indices)
+            if degree == 0:
+                cls = E[indices[0] - 1] - E[indices[1] - 1]
+            else:
+                cls = _curve(degree, indices)
             if cls in out:
                 raise ValidationError(f"duplicate class {ttext!r} at position {tpos}")
             out.append(cls)

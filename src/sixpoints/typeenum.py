@@ -1,14 +1,14 @@
 """Enumeration and classification of the 90 configuration types.
 
 A configuration type records which degenerate positions six (possibly
-infinitely near) points occupy: a pairwise-nonnegative set of square -2
-classes orthogonal to the canonical class, drawn from a 36-element pool
-(15 differences E_i - E_j, 20 three-point line classes, one six-point conic
-class), taken up to relabelling of the points.  Enumeration grows sets one
-class at a time, keeping one canonical representative per relabelling orbit,
-and the result is matched against the shipped, human-audited table that
-fixes ids and labels.  The match is one-to-one apart from one documented
-pair of rows that the sources print twice (see DUPLICATE_CATALOG_ROWS).
+infinitely near) points occupy: a neg set, that is a pairwise-nonnegative set
+of the 36 candidate classes of ``curves.candidate_pool`` (15 differences
+E_i - E_j, 20 three-point line classes, one six-point conic class), taken up
+to relabelling of the points.  Enumeration grows sets one class at a time,
+keeping one canonical representative per relabelling orbit, and the result
+is matched against the shipped, human-audited table that fixes ids and
+labels.  The match is one-to-one apart from one documented pair of rows
+that the sources print twice (see DUPLICATE_CATALOG_ROWS).
 Each type carries its intersection graph (an ADE diagram) and the torsion of
 the quotient of the orthogonal complement of the canonical class by the
 type's span.
@@ -23,25 +23,17 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .curves import NegCurveSet, candidate_families, full_neg
+from .curves import (
+    NegCurveSet,
+    _neg_indices,
+    _pool_index,
+    _pool_indices,
+    candidate_pool,
+    full_neg,
+)
 from .errors import ConsistencyError, ValidationError
 from .lattice import DivisorClass, K, N_POINTS, intersect
 from .notation import format_negset, parse_negset
-
-
-@lru_cache(maxsize=1)
-def candidate_pool() -> tuple[DivisorClass, ...]:
-    """The 36 candidate classes, in fixed order: 15 differences E_i - E_j with
-    i < j, then 20 line classes L - E_i - E_j - E_k with i < j < k, then the
-    conic class 2L - E1 - ... - E6.  Index order within each block is
-    lexicographic on the point indices."""
-    fam = candidate_families()
-    return fam.Vp + fam.Lpp + fam.Qpp
-
-
-@lru_cache(maxsize=1)
-def _pool_index() -> dict[DivisorClass, int]:
-    return {c: i for i, c in enumerate(candidate_pool())}
 
 
 @lru_cache(maxsize=1)
@@ -98,23 +90,9 @@ def _canonical_indices(idxs: Sequence[int]) -> tuple[tuple[int, ...], tuple[int,
 def canonicalize(classes: Iterable[DivisorClass]) -> tuple[tuple[DivisorClass, ...], tuple[int, ...]]:
     """Canonical representative of a candidate set under point relabelling,
     plus one permutation achieving it."""
-    idxs = _to_pool_indices(classes)
-    canon, sigma = _canonical_indices(idxs)
+    canon, sigma = _canonical_indices(_pool_indices(classes))
     pool = candidate_pool()
     return tuple(pool[i] for i in canon), sigma
-
-
-def _to_pool_indices(classes: Iterable[DivisorClass]) -> tuple[int, ...]:
-    index = _pool_index()
-    out = []
-    for c in classes:
-        i = index.get(c)
-        if i is None:
-            raise ValidationError(f"{c} is not one of the 36 candidate classes")
-        if i in out:
-            raise ValidationError(f"duplicate class {c}")
-        out.append(i)
-    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +164,6 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(smith_invariant_factors(rows))
 
 
-_KPERP_RANK = 6
-
-
 def kperp_coordinates(c: DivisorClass) -> tuple[int, ...]:
     """Coordinates of a class orthogonal to K in the fixed basis
     E1-E2, ..., E5-E6, L-E1-E2-E3."""
@@ -220,11 +195,9 @@ class TorsionGroup:
 
 @dataclass(frozen=True)
 class DynkinGraph:
-    """Intersection graph of a type: 0/1 adjacency over its classes, the
-    multiset of ADE component labels, and the compact name string."""
+    """Intersection graph of a type, named by its ADE components (for
+    example ``A_12A_2``; the empty string for no classes)."""
 
-    adjacency: tuple[tuple[int, ...], ...]
-    components: tuple[str, ...]
     name: str
 
 
@@ -245,10 +218,15 @@ class ConfigurationType:
         return full_neg(self.classes)
 
 
+def _span_invariants(classes: Iterable[DivisorClass]) -> tuple[int, TorsionGroup]:
+    """Rank of the span of classes in K-perp and the torsion of the quotient,
+    both read off one Smith normal form."""
+    factors = smith_invariant_factors([kperp_coordinates(c) for c in classes])
+    return len(factors), TorsionGroup(tuple(f for f in factors if f > 1))
+
+
 def torsion(classes: Iterable[DivisorClass]) -> TorsionGroup:
-    rows = [kperp_coordinates(c) for c in classes]
-    factors = smith_invariant_factors(rows)
-    return TorsionGroup(tuple(f for f in factors if f > 1))
+    return _span_invariants(classes)[1]
 
 
 def _component_label(vertices: list[int], adj) -> str:
@@ -323,12 +301,7 @@ def dynkin_graph(classes: Sequence[DivisorClass]) -> DynkinGraph:
                     stack.append(w)
                     comp.append(w)
         labels.append(_component_label(comp, adj))
-    labels.sort(key=_label_key)
-    return DynkinGraph(
-        adjacency=tuple(tuple(r) for r in adj),
-        components=tuple(labels),
-        name=_graph_name(labels),
-    )
+    return DynkinGraph(_graph_name(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +390,7 @@ def build_types(rows: Sequence[TableRow]) -> tuple[ConfigurationType, ...]:
     by_canon: dict[tuple[int, ...], list[TableRow]] = {}
     for row in rows:
         classes = parse_negset(row.neg)
-        canon, _ = _canonical_indices(_to_pool_indices(classes))
+        canon, _ = _canonical_indices(_pool_indices(classes))
         by_canon.setdefault(canon, []).append(row)
     shared = {
         frozenset(r.id for r in group)
@@ -443,8 +416,8 @@ def build_types(rows: Sequence[TableRow]) -> tuple[ConfigurationType, ...]:
     for canon in orbits:
         classes = tuple(pool[i] for i in canon)
         graph = dynkin_graph(classes)
-        tor = torsion(classes)
-        if integer_rank([kperp_coordinates(c) for c in classes]) != len(classes):
+        rank, tor = _span_invariants(classes)
+        if rank != len(classes):
             raise ConsistencyError(f"classes of orbit {canon} are linearly dependent")
         for row in by_canon[canon]:
             expected_name = "" if row.id == 1 else (
@@ -463,12 +436,6 @@ def build_types(rows: Sequence[TableRow]) -> tuple[ConfigurationType, ...]:
     if [t.id for t in types] != list(range(1, len(rows) + 1)):
         raise ConsistencyError("catalog ids are not consecutive from 1")
     return tuple(types)
-
-
-def distinct_orbit_count() -> int:
-    """Number of distinct relabelling orbits behind the catalog (the catalog
-    has one more row than there are orbits; see DUPLICATE_CATALOG_ROWS)."""
-    return len({tuple(_pool_index()[c] for c in t.classes) for t in enumerate_types()})
 
 
 @lru_cache(maxsize=1)
@@ -498,14 +465,7 @@ def type_by_id(type_id: int) -> ConfigurationType:
 def classify(neg: Iterable[DivisorClass]) -> tuple[ConfigurationType, tuple[int, ...]]:
     """Match a candidate neg set to its type; also returns the relabelling
     that carries the input onto the type's canonical classes."""
-    idxs = _to_pool_indices(neg)
-    pool = candidate_pool()
-    for a, b in itertools.combinations(idxs, 2):
-        if intersect(pool[a], pool[b]) < 0:
-            raise ValidationError(
-                f"classes {pool[a]} and {pool[b]} meet negatively; not a valid neg set"
-            )
-    canon, sigma = _canonical_indices(idxs)
+    canon, sigma = _canonical_indices(_neg_indices(neg))
     t = _types_by_canon().get(canon)
     if t is None:
         raise ConsistencyError("canonical set missing from the enumerated types")

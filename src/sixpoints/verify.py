@@ -22,6 +22,7 @@ from .curves import (
     NegCurveSet,
     _h0_h1,
     candidate_families,
+    candidate_pool,
     difference_pairs,
     full_neg,
     h0,
@@ -30,12 +31,7 @@ from .curves import (
 from .errors import ValidationError
 from .fatpoints import analyze, hilbert_function
 from .lattice import DivisorClass, E, K, L, N_POINTS, ZERO, e, intersect, selfint
-from .typeenum import (
-    candidate_pool,
-    enumerate_types,
-    integer_rank,
-    kperp_coordinates,
-)
+from .typeenum import enumerate_types, integer_rank, kperp_coordinates
 
 FIVE_L_MINUS_2 = DivisorClass(5, (-2, -2, -2, -2, -2, -2))
 

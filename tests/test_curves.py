@@ -21,6 +21,7 @@ from sixpoints import (
     h0,
     h1,
     h2,
+    hilbert_function,
     intersect,
     is_nef,
     minus_one_candidates,
@@ -84,6 +85,16 @@ def test_full_neg_validation():
         full_neg((ROOT12, e(1) - e(3)))
     with pytest.raises(ValidationError, match="duplicate"):
         full_neg((ROOT12, ROOT12))
+    # square -2 and orthogonal to K, but not candidates: negated classes and
+    # a difference written the other way round
+    for root in (-(L - e(1) - e(2) - e(3)), e(2) - e(1), -CONIC):
+        with pytest.raises(ValidationError, match="candidate"):
+            full_neg((root,))
+        with pytest.raises(ValidationError, match="candidate"):
+            hilbert_function([root], (1, 2, 0, 0, 0, 3))
+    # a degree 0 class that is not a difference E_i - E_j
+    with pytest.raises(ValidationError, match="candidate"):
+        hilbert_function([DivisorClass(0, (2, -2, 0, 0, 0, 0))], (0,) * 6)
 
 
 def test_is_nef_examples():

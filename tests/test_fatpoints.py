@@ -2,11 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sixpoints import (
     DivisorClass,
     K,
     ValidationError,
+    analyze,
     e,
     enumerate_types,
     fatpoint_class,
@@ -122,6 +124,32 @@ def test_resolution_identities_on_samples():
         top = max([j for j, _ in res.f0] + [j for j, _ in res.f1])
         for k in range(top + 6):
             assert res.dim_f0(k) - res.dim_f1(k) == hf.h_ideal(k)
+
+
+def _syzygies_degree_by_degree(hf, f0):
+    # reference solver: the new syzygies of each degree are what F0 has beyond
+    # h_I and the syzygies found so far; stop 5 degrees past the last event
+    def dim(shifts, t):
+        return sum(m * math.comb(t - j + 2, 2) for j, m in shifts if t >= j)
+
+    syz = {}
+    horizon = max(j for j, _ in f0) + 5
+    t = 0
+    while t <= horizon:
+        defect = dim(f0, t) - hf.h_ideal(t) - dim(syz.items(), t)
+        assert defect >= 0
+        if defect:
+            syz[t] = defect
+            horizon = max(horizon, t + 5)
+        t += 1
+    return tuple(sorted(syz.items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 90), st.tuples(*[st.integers(0, 40)] * 6))
+def test_syzygies_match_degree_by_degree_solution(type_id, mults):
+    _, hf, res = analyze(type_by_id(type_id).classes, mults, betti=True)
+    assert res.f1 == _syzygies_degree_by_degree(hf, res.f0)
 
 
 def test_proximity_reduction_is_transparent():
