@@ -26,6 +26,10 @@ from .typeenum import ConfigurationType, classify, enumerate_types, table1_text,
 
 
 MAX_TMAX = 10_000  # `hilbert --tmax` limit: output size and memory grow with the range shown
+# `hilbert`/`betti` limit on m1 + ... + m6: the work is up to one reduction per
+# degree through that sum + 3, each longer as the multiplicities grow (README,
+# "Cost of large multiplicities", gives times measured at the limit)
+MAX_MULT_SUM = 10_000
 
 
 class _UsageError(Exception):
@@ -61,7 +65,8 @@ def build_parser() -> _Parser:
     for p in (hil, bet):
         p.add_argument("--type", required=True, dest="type_arg",
                        help="type id 1..90, or a neg set in letter notation")
-        p.add_argument("--mults", required=True, help="six multiplicities, e.g. 1,1,1,1,1,1")
+        p.add_argument("--mults", required=True,
+                       help=f"six multiplicities, e.g. 1,1,1,1,1,1 (sum at most {MAX_MULT_SUM})")
         add_format(p)
     hil.add_argument("--tmax", type=int, default=None,
                      help=f"show values up to this degree (display only, at most {MAX_TMAX})")
@@ -184,6 +189,10 @@ def _scheme(args) -> _Output:
         raise ValidationError(f"--tmax must be at most {MAX_TMAX}, got {args.tmax}")
     classes, t = _parse_type_arg(args.type_arg)
     mults = _parse_mults(args.mults)
+    if sum(mults) > MAX_MULT_SUM:
+        raise ValidationError(
+            f"multiplicities must sum to at most {MAX_MULT_SUM}, got {sum(mults)}"
+        )
     reduced, hf, res = fatpoints.analyze(classes, mults, args.with_betti)
     top = hf.tail_from if args.tmax is None else max(hf.tail_from, args.tmax)
     h_i = [hf.h_ideal(deg) for deg in range(top + 1)]

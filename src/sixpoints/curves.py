@@ -154,10 +154,27 @@ def full_neg(neg: Iterable[DivisorClass]) -> NegCurveSet:
     return NegCurveSet(neg=neg_t, NEG=neg_t + extras)
 
 
+@lru_cache(maxsize=1)
+def _difference_pair() -> dict[DivisorClass, tuple[int, int]]:
+    pairs = itertools.combinations(range(1, N_POINTS + 1), 2)
+    return dict(zip(candidate_families().Vp, pairs))
+
+
 def difference_pairs(classes: Iterable[DivisorClass]) -> list[tuple[int, int]]:
     """Index pairs (i, j) of the difference classes E_i - E_j among
-    ``classes`` (the degree 0 classes), in input order."""
-    return [(c.index(1, 1), c.index(-1, 1)) for c in classes if c[0] == 0]
+    ``classes`` (the degree 0 classes), in input order.  A degree 0 class that
+    is not E_i - E_j with i < j raises ValidationError."""
+    index = _difference_pair()
+    pairs = []
+    for c in classes:
+        if c[0] == 0:
+            pair = index.get(c)
+            if pair is None:
+                raise ValidationError(
+                    f"degree 0 class {c} is not a difference E_i - E_j with i < j"
+                )
+            pairs.append(pair)
+    return pairs
 
 
 def _first_negative(
@@ -228,7 +245,7 @@ def reduce_to_nef(F: DivisorClass, N: NegCurveSet) -> ReductionResult:
             raise ConsistencyError(
                 f"reduction of {F} exceeded {limit} steps; negative-curve set is broken"
             )
-        D = D - k * hit
+        D = DivisorClass._from_vec(tuple(a - k * c for a, c in zip(D, hit)))
         subs.extend([hit] * k)
     return ReductionResult(D, tuple(subs), False)
 

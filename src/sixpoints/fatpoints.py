@@ -6,9 +6,12 @@ its ideal has dimension h^0 of the class t*L - m1*E1 - ... - m6*E6, computed
 by negative-curve reduction.  Multiplicities are first normalized so that no
 difference class in the configuration meets the scheme class negatively
 (infinitely near points cannot carry more multiplicity than the points they
-sit over); this leaves the ideal unchanged.  Generator counts in each degree
-come from the maximal-rank behaviour of multiplication by linear forms, and
-the first syzygy module is solved degree by degree from the Hilbert function.
+sit over); this leaves the ideal unchanged.  Degrees are reduced from
+m1 + ... + m6 + 3 downwards, and the scan stops at the first degree without
+sections, since no lower degree has any.  Generator counts in each degree
+come from the maximal-rank behaviour of multiplication by linear forms, read
+off the nef parts by Riemann-Roch, and the first syzygy module follows from
+third differences of the Hilbert function.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .curves import difference_pairs, euler_characteristic, full_neg, reduce_to_nef
 from .errors import ConsistencyError, ValidationError
-from .lattice import DivisorClass, L, N_POINTS
+from .lattice import DivisorClass, N_POINTS
 from .typeenum import ConfigurationType, enumerate_types
 
 Mults = tuple[int, ...]
@@ -133,19 +136,27 @@ class SchemeAnalysis(NamedTuple):
 
 
 def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) -> SchemeAnalysis:
-    """Normalize the multiplicities, then reduce the class of every degree
-    once and derive the Hilbert function and, if ``betti``, the minimal
-    resolution from those reductions (multiplicities may be unnormalized)."""
+    """Normalize the multiplicities, then derive the Hilbert function and, if
+    ``betti``, the minimal resolution from one reduction per degree
+    (multiplicities may be unnormalized).
+
+    Degrees are reduced from m1 + ... + m6 + 3 downwards, and the scan stops at
+    the first degree whose class has no sections: every lower degree has none
+    either, so only the degrees with sections and one more are reduced.
+    """
     classes = tuple(classes)
     N = full_neg(classes)  # first: proximity_reduce assumes a valid neg set
     m = proximity_reduce(mults, classes)
     neg_m = tuple(-v for v in m)
     # the nef part of each degree's class, or None where it has no sections;
-    # m is checked, so the classes skip DivisorClass's coefficient checks
-    nef_parts = []
-    for t in range(sum(m) + 4):
+    # m is checked, so the classes skip DivisorClass's coefficient checks.
+    # L is base point free, so below a degree without sections there are none
+    nef_parts: list[DivisorClass | None] = [None] * (sum(m) + 4)
+    for t in reversed(range(len(nef_parts))):
         r = reduce_to_nef(DivisorClass._from_vec((t, *neg_m)), N)
-        nef_parts.append(r.reduced if r.effective else None)
+        if not r.effective:
+            break
+        nef_parts[t] = r.reduced
     hf = _hilbert(m, nef_parts)
     res = _resolution(hf, _generators(hf, nef_parts)) if betti else None
     return SchemeAnalysis(m, hf, res)
@@ -183,11 +194,10 @@ def _generators(
         if h_cur == 0:
             g = h_next
         else:
-            # d is nef, so d + L is nef too and both are counted by Riemann-Roch
-            d = nef_parts[t]
-            h_d = euler_characteristic(d)
-            h_dl = euler_characteristic(d + L)
-            g = (h_next - h_dl) + max(0, h_dl - 3 * h_d)
+            # d is nef, so d + L is nef too and both are counted by Riemann-Roch:
+            # h_cur = chi(d) and chi(d + L) - chi(d) = d.L + (L^2 - K.L)/2 = deg d + 2
+            h_dl = h_cur + nef_parts[t][0] + 2
+            g = (h_next - h_dl) + max(0, h_dl - 3 * h_cur)
         if g < 0:
             raise ConsistencyError(f"negative generator count {g} in degree {t + 1}")
         if g:

@@ -124,6 +124,13 @@ def test_exit_code_on_bad_input():
     assert run(["hilbert", "--type", "1", "--mults", "a,b,c,d,e,f"])[0] == 1
     for tmax in ("10001", "1000000"):
         assert run(["hilbert", "--type", "1", "--mults", "1,1,1,1,1,1", "--tmax", tmax]) == (1, "")
+    # the sum of the multiplicities is capped at 10000, checked before any reduction
+    for cmd in ("hilbert", "betti"):
+        for mults in ("10001,0,0,0,0,0", "1667,1667,1667,1667,1667,1666",
+                      "1000000000,1000000000,1000000000,1000000000,1000000000,1000000000"):
+            assert run([cmd, "--type", "90", "--mults", mults]) == (1, "")
+    code, out = run(["betti", "--type", "1", "--mults", "10000,0,0,0,0,0"])
+    assert code == 0 and "F0: R[-10000]^10001" in out
 
 
 def test_exit_code_on_unknown_flags():

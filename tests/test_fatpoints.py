@@ -2,20 +2,25 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sixpoints import (
     DivisorClass,
+    HilbertFunction,
     K,
+    L,
     ValidationError,
     analyze,
     e,
     enumerate_types,
+    euler_characteristic,
     fatpoint_class,
+    full_neg,
     hilbert_function,
     minimal_resolution,
     permute_points,
     proximity_reduce,
+    reduce_to_nef,
     table2,
     type_by_id,
 )
@@ -42,6 +47,13 @@ def test_proximity_reduce_chain():
 def test_proximity_reduce_rejects_negative():
     with pytest.raises(ValidationError):
         proximity_reduce((1, -1, 0, 0, 0, 0), type_by_id(1).classes)
+
+
+def test_proximity_reduce_rejects_non_differences():
+    # degree 0 classes that are not E_i - E_j with i < j
+    for bad in ((2, -2, 0, 0, 0, 0), (1, -1, 1, -1, 0, 0), (-1, 1, 0, 0, 0, 0)):
+        with pytest.raises(ValidationError, match="not a difference"):
+            proximity_reduce((1,) * 6, [DivisorClass(0, bad)])
 
 
 def test_fatpoint_class():
@@ -150,6 +162,48 @@ def _syzygies_degree_by_degree(hf, f0):
 def test_syzygies_match_degree_by_degree_solution(type_id, mults):
     _, hf, res = analyze(type_by_id(type_id).classes, mults, betti=True)
     assert res.f1 == _syzygies_degree_by_degree(hf, res.f0)
+
+
+def _analyze_every_degree(classes, mults):
+    # reference with no shortcut: reduce every degree t = 0..sum(m)+3, and
+    # count the generators from chi(d) and chi(d + L) of each nef part d
+    m = proximity_reduce(mults, classes)
+    N = full_neg(classes)
+    t_max = sum(m) + 3
+    nef = []
+    for t in range(t_max + 1):
+        r = reduce_to_nef(fatpoint_class(m, t), N)
+        nef.append(r.reduced if r.effective else None)
+    vals = [0 if d is None else euler_characteristic(d) for d in nef]
+    deg_z = sum(v * (v + 1) // 2 for v in m)
+    hz = [math.comb(t + 2, 2) - v for t, v in enumerate(vals)]
+    assert hz[-2] == hz[-1] == deg_z
+    tail_from = hz.index(deg_z)
+    hf = HilbertFunction(tuple(vals[: tail_from + 1]), deg_z, tail_from)
+    f0 = []
+    for t in range(-1, t_max):
+        h_next = vals[t + 1]
+        if t < 0 or nef[t] is None:
+            g = h_next
+        else:
+            h_d = euler_characteristic(nef[t])
+            h_dl = euler_characteristic(nef[t] + L)
+            g = (h_next - h_dl) + max(0, h_dl - 3 * h_d)
+        if g:
+            f0.append((t + 1, g))
+    f0 = tuple(f0)
+    return m, hf, f0, _syzygies_degree_by_degree(hf, f0)
+
+
+@settings(max_examples=200, deadline=None)
+@example(90, (40, 0, 3, 17, 0, 40))  # E6: a chain of five infinitely near points
+@example(84, (0, 1, 0, 2, 0, 3))
+@example(1, (0, 0, 0, 0, 0, 0))
+@given(st.integers(1, 90), st.tuples(*[st.integers(0, 40)] * 6))
+def test_top_down_scan_matches_every_degree_reference(type_id, mults):
+    classes = type_by_id(type_id).classes
+    m, hf, res = analyze(classes, mults, betti=True)
+    assert (m, hf, res.f0, res.f1) == _analyze_every_degree(classes, mults)
 
 
 def test_proximity_reduction_is_transparent():
