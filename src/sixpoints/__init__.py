@@ -52,7 +52,6 @@ from .typeenum import (
     ConfigurationType,
     DynkinGraph,
     TorsionGroup,
-    canonicalize,
     classify,
     dynkin_graph,
     enumerate_types,
@@ -71,4 +70,4 @@ from .verify import (
     usable_point_indices,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"

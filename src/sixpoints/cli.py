@@ -30,6 +30,9 @@ MAX_TMAX = 10_000  # `hilbert --tmax` limit: output size and memory grow with th
 # degree through that sum + 3, each longer as the multiplicities grow (README,
 # "Cost of large multiplicities", gives times measured at the limit)
 MAX_MULT_SUM = 10_000
+# `verify --samples` limit: the sampler may spend 400 draws per requested class
+# on every type (README, "Command line", gives the time at the limit)
+MAX_SAMPLES = 1_000
 
 
 class _UsageError(Exception):
@@ -81,7 +84,8 @@ def build_parser() -> _Parser:
     ver = sub.add_parser("verify", help="run the invariant suite")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--samples", type=int, default=200,
-                     help="nef classes sampled per type for the rank bound checks")
+                     help="nef classes sampled per type for the rank bound checks "
+                          f"(at most {MAX_SAMPLES})")
     ver.set_defaults(handler=_verify)
     add_format(ver)
     return parser
@@ -254,6 +258,8 @@ def _uniform_record(data) -> dict:
 
 
 def _verify(args) -> _Output:
+    if args.samples > MAX_SAMPLES:
+        raise ValidationError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     report = verify.run_invariant_suite(seed=args.seed, samples_per_type=args.samples)
     payload = {
         "seed": report.seed,

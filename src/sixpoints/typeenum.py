@@ -1,17 +1,17 @@
-"""Enumeration and classification of the 90 configuration types.
+"""Classification of the 90 configuration types.
 
 A configuration type records which degenerate positions six (possibly
 infinitely near) points occupy: a neg set, that is a pairwise-nonnegative set
 of the 36 candidate classes of ``curves.candidate_pool`` (15 differences
 E_i - E_j, 20 three-point line classes, one six-point conic class), taken up
-to relabelling of the points.  Enumeration grows sets one class at a time,
-keeping one canonical representative per relabelling orbit, and the result
-is matched against the shipped, human-audited table that fixes ids and
-labels.  The match is one-to-one apart from one documented pair of rows
-that the sources print twice (see DUPLICATE_CATALOG_ROWS).
-Each type carries its intersection graph (an ADE diagram) and the torsion of
-the quotient of the orthogonal complement of the canonical class by the
-type's span.
+to relabelling of the points.  Each type is built from a row of the shipped,
+human-audited table that fixes ids and labels, as the canonical
+representative of the row's relabelling orbit.  It carries its intersection
+graph (an ADE diagram) and the torsion of the quotient of the orthogonal
+complement of the canonical class by its span, both checked against the row.
+That the rows cover every orbit is proved apart, by ``verify``: see
+``orbit_gaps``.  Only one documented pair of rows that the sources print
+twice shares an orbit (see DUPLICATE_CATALOG_ROWS).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .curves import (
 )
 from .errors import ConsistencyError, ValidationError
 from .lattice import DivisorClass, K, N_POINTS, intersect
-from .notation import format_negset, parse_negset
+from .notation import parse_negset
 
 
 @lru_cache(maxsize=1)
@@ -85,14 +85,6 @@ def _canonical_indices(idxs: Sequence[int]) -> tuple[tuple[int, ...], tuple[int,
             witness = sigma
     assert best is not None and witness is not None
     return best, witness
-
-
-def canonicalize(classes: Iterable[DivisorClass]) -> tuple[tuple[DivisorClass, ...], tuple[int, ...]]:
-    """Canonical representative of a candidate set under point relabelling,
-    plus one permutation achieving it."""
-    canon, sigma = _canonical_indices(_pool_indices(classes))
-    pool = candidate_pool()
-    return tuple(pool[i] for i in canon), sigma
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +297,7 @@ def dynkin_graph(classes: Sequence[DivisorClass]) -> DynkinGraph:
 
 
 # ---------------------------------------------------------------------------
-# the shipped table and the enumeration that must reproduce it
+# the shipped table, and the enumeration that proves it complete
 
 
 @dataclass(frozen=True)
@@ -343,95 +335,89 @@ def table1_text() -> str:
 
 @lru_cache(maxsize=1)
 def table_rows() -> tuple[TableRow, ...]:
-    rows = []
-    lines = table1_text().splitlines()
-    for line in lines[1:]:
-        if not line:
-            continue
-        id_s, label, neg, tor = line.split("\t")
-        rows.append(TableRow(int(id_s), label, neg, tor))
-    return tuple(rows)
+    lines = table1_text().splitlines()[1:]
+    return tuple(
+        TableRow(int(id_s), label, neg, tor)
+        for id_s, label, neg, tor in (line.split("\t") for line in lines if line)
+    )
 
 
 def _enumerate_orbits() -> list[tuple[int, ...]]:
     """All pairwise-nonnegative subsets of the pool, one canonical index tuple
     per orbit, grown one class at a time for six rounds."""
     pool = candidate_pool()
-    n = len(pool)
-    compat = [
-        [intersect(pool[i], pool[j]) >= 0 for j in range(n)] for i in range(n)
-    ]
+    compat = [[intersect(a, b) >= 0 for b in pool] for a in pool]
     orbits: list[tuple[int, ...]] = [()]
     frontier: list[tuple[int, ...]] = [()]
     for _ in range(N_POINTS):
         grown = set()
         for t in frontier:
-            for c in range(n):
-                if c in t:
-                    continue
-                if all(compat[c][i] for i in t):
-                    canon, _ = _canonical_indices(t + (c,))
-                    grown.add(canon)
+            for c in range(len(pool)):
+                if c not in t and all(compat[c][i] for i in t):
+                    grown.add(_canonical_indices(t + (c,))[0])
         frontier = sorted(grown)
         orbits.extend(frontier)
     return orbits
 
 
-def build_types(rows: Sequence[TableRow]) -> tuple[ConfigurationType, ...]:
-    """Run the enumeration and match it against the catalog rows.
+def orbit_gaps(
+    types: Sequence[ConfigurationType],
+) -> tuple[tuple[tuple[DivisorClass, ...], ...], tuple[int, ...]]:
+    """Match the types against an exhaustive enumeration of the orbits.
 
-    The matching must be one-to-one apart from the documented duplicate rows,
-    every orbit must be covered, and each row's computed graph and torsion
-    must agree with its printed label and torsion column.  Any other mismatch
-    is a fatal consistency error; this is the self-test of the whole
-    classification.
+    Returns the enumerated orbits (as canonical classes) that no type covers,
+    and the ids of the types whose classes are no enumerated orbit.  Both are
+    empty exactly when the types cover every configuration and nothing else:
+    this is the proof that the catalog is the whole classification.
     """
     pool = candidate_pool()
-    by_canon: dict[tuple[int, ...], list[TableRow]] = {}
-    for row in rows:
-        classes = parse_negset(row.neg)
-        canon, _ = _canonical_indices(_pool_indices(classes))
-        by_canon.setdefault(canon, []).append(row)
-    shared = {
-        frozenset(r.id for r in group)
-        for group in by_canon.values() if len(group) > 1
-    }
-    if shared != set(DUPLICATE_CATALOG_ROWS):
-        raise ConsistencyError(
-            f"catalog rows sharing an orbit: {sorted(map(sorted, shared))}; "
-            f"expected exactly {sorted(map(sorted, DUPLICATE_CATALOG_ROWS))}"
-        )
-    orbits = _enumerate_orbits()
-    extra = [o for o in orbits if o not in by_canon]
-    if extra:
-        sample = tuple(pool[i] for i in extra[0])
-        raise ConsistencyError(
-            f"enumeration found {len(extra)} orbit(s) missing from the catalog, "
-            f"e.g. {format_negset(sample)!r}"
-        )
-    if set(by_canon) - set(orbits):
-        missing = [g[0].id for c, g in by_canon.items() if c not in set(orbits)]
-        raise ConsistencyError(f"catalog rows {missing} match no enumerated orbit")
+    orbits = [tuple(pool[i] for i in canon) for canon in _enumerate_orbits()]
+    covered = {t.classes for t in types}
+    enumerated = set(orbits)
+    missing = tuple(o for o in orbits if o not in covered)
+    stray = tuple(t.id for t in types if t.classes not in enumerated)
+    return missing, stray
+
+
+def build_types(rows: Sequence[TableRow]) -> tuple[ConfigurationType, ...]:
+    """One type per catalog row, built from the row's own notation.
+
+    Each row is reduced to the canonical classes of its orbit, which must be
+    linearly independent and whose graph and torsion must agree with the
+    row's printed label and torsion column.  Only the documented duplicate
+    rows may share an orbit, and the ids must run 1..len(rows).  Any other
+    mismatch is a fatal consistency error.  Whether the rows cover every
+    orbit is not checked here; ``orbit_gaps`` does that.
+    """
+    pool = candidate_pool()
+    ids_by_canon: dict[tuple[int, ...], list[int]] = {}
     types = []
-    for canon in orbits:
+    for row in rows:
+        canon, _ = _canonical_indices(_pool_indices(parse_negset(row.neg)))
+        ids_by_canon.setdefault(canon, []).append(row.id)
         classes = tuple(pool[i] for i in canon)
         graph = dynkin_graph(classes)
         rank, tor = _span_invariants(classes)
         if rank != len(classes):
             raise ConsistencyError(f"classes of orbit {canon} are linearly dependent")
-        for row in by_canon[canon]:
-            expected_name = "" if row.id == 1 else (
-                row.label[:-1] if row.label[-1].islower() else row.label
+        expected_name = "" if row.id == 1 else (
+            row.label[:-1] if row.label[-1].islower() else row.label
+        )
+        if graph.name != expected_name:
+            raise ConsistencyError(
+                f"type {row.id}: computed graph {graph.name!r} does not match label {row.label!r}"
             )
-            if graph.name != expected_name:
-                raise ConsistencyError(
-                    f"type {row.id}: computed graph {graph.name!r} does not match label {row.label!r}"
-                )
-            if tor.text() != row.torsion:
-                raise ConsistencyError(
-                    f"type {row.id}: computed torsion {tor.text()} does not match catalog {row.torsion}"
-                )
-            types.append(ConfigurationType(row.id, row.label, row.neg, classes, graph, tor))
+        if tor.text() != row.torsion:
+            raise ConsistencyError(
+                f"type {row.id}: computed torsion {tor.text()} does not match catalog {row.torsion}"
+            )
+        types.append(ConfigurationType(row.id, row.label, row.neg, classes, graph, tor))
+    shared = {frozenset(ids) for ids in ids_by_canon.values() if len(ids) > 1}
+    if shared != set(DUPLICATE_CATALOG_ROWS):
+        raise ConsistencyError(
+            f"catalog rows sharing an orbit: {sorted(map(sorted, shared))}; "
+            f"expected exactly {sorted(map(sorted, DUPLICATE_CATALOG_ROWS))}"
+        )
     types.sort(key=lambda t: t.id)
     if [t.id for t in types] != list(range(1, len(rows) + 1)):
         raise ConsistencyError("catalog ids are not consecutive from 1")
@@ -440,9 +426,8 @@ def build_types(rows: Sequence[TableRow]) -> tuple[ConfigurationType, ...]:
 
 @lru_cache(maxsize=1)
 def enumerate_types() -> tuple[ConfigurationType, ...]:
-    """The 90 configuration types, enumerated and checked against the catalog."""
+    """The 90 configuration types, built from the shipped catalog rows."""
     return build_types(table_rows())
-
 
 
 @lru_cache(maxsize=1)

@@ -8,7 +8,8 @@ between computable bounds: the kernel dimension lies between l(F) and
 q(F) + l(F), the cokernel is at most q*(F) + l*(F), and an exact identity
 ties the four quantities to h^0(F + L) - 3 h^0(F).  These checks run here on
 seeded samples of nef classes for every configuration type, with every usable
-base point index, alongside the structural invariants of the other modules.
+base point index, alongside the structural invariants of the other modules,
+among them the enumeration that shows the catalog names every type.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .curves import (
 from .errors import ValidationError
 from .fatpoints import analyze, hilbert_function
 from .lattice import DivisorClass, E, K, L, N_POINTS, ZERO, e, intersect, selfint
-from .typeenum import enumerate_types, integer_rank, kperp_coordinates
+from .notation import format_negset
+from .typeenum import enumerate_types, integer_rank, kperp_coordinates, orbit_gaps
 
 FIVE_L_MINUS_2 = DivisorClass(5, (-2, -2, -2, -2, -2, -2))
 
@@ -241,8 +243,12 @@ def _general_position_lines() -> str:
 
 
 def _type_count() -> str:
-    types = enumerate_types()
-    assert len(types) == 90, f"enumerated {len(types)} types"
+    missing, stray = orbit_gaps(enumerate_types())
+    assert not missing, (
+        f"enumeration found {len(missing)} orbit(s) missing from the catalog, "
+        f"e.g. {format_negset(missing[0])!r}"
+    )
+    assert not stray, f"catalog rows {list(stray)} match no enumerated orbit"
     return "enumeration matches the 90-row catalog"
 
 

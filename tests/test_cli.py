@@ -2,8 +2,10 @@ import csv
 import io
 import json
 
-from sixpoints import parse_negset, table1_text
-from sixpoints.cli import main
+import pytest
+
+from sixpoints import parse_negset, table1_text, typeenum
+from sixpoints.cli import MAX_SAMPLES, main
 
 
 def run(argv):
@@ -112,8 +114,28 @@ def test_verify_quick():
 
 
 def test_verify_rejects_nonpositive_samples():
-    for samples in ("0", "-3"):
+    for samples in ("0", "-3", str(MAX_SAMPLES + 1), "1000000"):
         assert run(["verify", "--samples", samples]) == (1, "")
+
+
+def _clear_catalog_caches():
+    for cached in (typeenum.table_rows, typeenum.enumerate_types, typeenum._types_by_canon):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def catalog_without_last_row(monkeypatch):
+    lines = table1_text().splitlines(keepends=True)
+    monkeypatch.setattr(typeenum, "table1_text", lambda: "".join(lines[:-1]))
+    _clear_catalog_caches()
+    yield
+    _clear_catalog_caches()
+
+
+def test_verify_fails_on_a_catalog_missing_an_orbit(catalog_without_last_row):
+    code, out = run(["verify", "--samples", "1"])
+    assert code == 2
+    assert "FAIL type count: enumeration found 1 orbit(s) missing from the catalog" in out
 
 
 def test_exit_code_on_bad_input():

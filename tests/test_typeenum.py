@@ -1,13 +1,13 @@
+import dataclasses
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sixpoints import (
     ConsistencyError,
     DivisorClass,
     ValidationError,
-    canonicalize,
     candidate_pool,
     classify,
     dynkin_graph,
@@ -19,12 +19,14 @@ from sixpoints import (
     torsion,
     type_by_id,
 )
+from sixpoints import typeenum
 from sixpoints.typeenum import (
     DUPLICATE_CATALOG_ROWS,
     TableRow,
     build_types,
     integer_rank,
     kperp_coordinates,
+    orbit_gaps,
     table_rows,
 )
 
@@ -38,25 +40,25 @@ def test_pool_order():
     assert pool[35] == DivisorClass(2, (-1, -1, -1, -1, -1, -1))
 
 
-def test_canonicalize_identifies_equivalent_pairs():
-    a, _ = canonicalize([e(1) - e(3), e(2) - e(4)])
-    b, _ = canonicalize([e(1) - e(2), e(3) - e(4)])
+def test_classify_identifies_equivalent_pairs():
+    a, _ = classify([e(1) - e(3), e(2) - e(4)])
+    b, _ = classify([e(1) - e(2), e(3) - e(4)])
     assert a == b
 
 
-def test_canonicalize_trivial():
-    assert canonicalize([])[0] == ()
+def test_classify_trivial():
+    assert classify([])[0].classes == ()
     for i, j in itertools.combinations(range(1, 7), 2):
-        canon, _ = canonicalize([e(i) - e(j)])
-        assert canon == (e(1) - e(2),)
+        t, _ = classify([e(i) - e(j)])
+        assert t.classes == (e(1) - e(2),)
 
 
-def test_canonicalize_witness_and_idempotence():
-    classes = parse_negset("0: DE; 1: ABC")
-    canon, sigma = canonicalize(classes)
-    assert {permute_points(c, sigma) for c in classes} == set(canon)
-    again, _ = canonicalize(canon)
-    assert again == canon
+def test_classify_witness_and_idempotence():
+    # canonical classes classify to themselves, with a witness that fixes them
+    for t in enumerate_types():
+        again, sigma = classify(t.classes)
+        assert again.classes == t.classes
+        assert {permute_points(c, sigma) for c in t.classes} == set(t.classes)
 
 
 perms = st.permutations(list(range(1, 7)))
@@ -64,13 +66,15 @@ perms = st.permutations(list(range(1, 7)))
 
 @settings(max_examples=50, deadline=None)
 @given(st.sets(st.sampled_from(candidate_pool()), max_size=4), perms)
-def test_canonicalize_is_orbit_invariant(subset, sigma):
+def test_classify_is_orbit_invariant(subset, sigma):
     classes = sorted(subset)
     image = [permute_points(c, tuple(sigma)) for c in classes]
-    pool = set(candidate_pool())
-    if not all(c in pool for c in image):
-        return
-    assert canonicalize(classes)[0] == canonicalize(image)[0]
+    try:
+        t, _ = classify(classes)
+        t_image, _ = classify(image)
+    except ValidationError:
+        assume(False)  # not a neg set, or relabelled out of the candidates
+    assert t_image == t
 
 
 def test_smith_invariant_factors():
@@ -205,6 +209,32 @@ def test_build_types_rejects_corrupted_catalog():
     bad[4] = TableRow(5, "2A_1a", "0: AB, CD", "Z2")
     with pytest.raises(ConsistencyError):
         build_types(bad)
+
+
+def test_build_types_does_not_enumerate(monkeypatch):
+    def refuse():
+        raise AssertionError("build_types ran the orbit enumeration")
+
+    monkeypatch.setattr(typeenum, "_enumerate_orbits", refuse)
+    types = build_types(table_rows())
+    assert [t.id for t in types] == list(range(1, 91))
+    assert types == enumerate_types()
+
+
+def test_orbit_gaps_reports_a_missing_row():
+    # without its last row the catalog still builds, but the orbit check
+    # finds the orbit of row 90 uncovered
+    types = build_types(table_rows()[:-1])
+    assert [t.id for t in types] == list(range(1, 90))
+    assert orbit_gaps(types) == ((type_by_id(90).classes,), ())
+
+
+def test_orbit_gaps_reports_a_stray_type():
+    # a type whose classes are not canonical is no enumerated orbit, and the
+    # orbit it should have stood for is left uncovered
+    types = list(enumerate_types())
+    types[1] = dataclasses.replace(types[1], classes=(e(2) - e(3),))
+    assert orbit_gaps(types) == ((type_by_id(2).classes,), (2,))
 
 
 def test_duplicate_rows_constant_matches_catalog():
