@@ -26,9 +26,10 @@ from .typeenum import ConfigurationType, classify, enumerate_types, table1_text,
 
 
 MAX_TMAX = 10_000  # `hilbert --tmax` limit: output size and memory grow with the range shown
-# `hilbert`/`betti` limit on m1 + ... + m6: the work is up to one reduction per
-# degree through that sum + 3, each longer as the multiplicities grow (README,
-# "Cost of large multiplicities", gives times measured at the limit)
+# `hilbert`/`betti` limit on m1 + ... + m6: the work is one reduction per
+# degree through that sum + 3, each peeling only the curves new at its degree,
+# so it grows about linearly with the sum (README, "Cost of large
+# multiplicities", gives times measured at the limit)
 MAX_MULT_SUM = 10_000
 # `verify --samples` limit: the sampler may spend 400 draws per requested class
 # on every type (README, "Command line", gives the time at the limit)
@@ -106,8 +107,7 @@ def _write_text(result: _Output, out) -> None:
 
 
 def _write_json(result: _Output, out) -> None:
-    json.dump(result.json, out, indent=2)
-    out.write("\n")
+    out.write(json.dumps(result.json, indent=2) + "\n")  # one write; json.dump makes one per token
 
 
 def _write_csv(result: _Output, out) -> None:

@@ -8,10 +8,14 @@ difference class in the configuration meets the scheme class negatively
 (infinitely near points cannot carry more multiplicity than the points they
 sit over); this leaves the ideal unchanged.  Degrees are reduced from
 m1 + ... + m6 + 3 downwards, and the scan stops at the first degree without
-sections, since no lower degree has any.  Generator counts in each degree
-come from the maximal-rank behaviour of multiplication by linear forms, read
-off the nef parts by Riemann-Roch, and the first syzygy module follows from
-third differences of the Hilbert function.
+sections, since no lower degree has any.  Only the top degree is reduced from
+scratch: each lower degree reduces the nef part of the degree above it minus
+L.  Every negative curve meets L nonnegatively, so the curves forced into a
+degree's class are forced into the class one degree lower as well, and the
+nef part and the presence of sections come out the same.  Generator counts in
+each degree come from the maximal-rank behaviour of multiplication by linear
+forms, read off the nef parts by Riemann-Roch, and the first syzygy module
+follows from third differences of the Hilbert function.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .curves import difference_pairs, euler_characteristic, full_neg, reduce_to_nef
 from .errors import ConsistencyError, ValidationError
-from .lattice import DivisorClass, N_POINTS
+from .lattice import DivisorClass, L, N_POINTS
 from .typeenum import ConfigurationType, enumerate_types
 
 Mults = tuple[int, ...]
@@ -143,20 +147,35 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
     Degrees are reduced from m1 + ... + m6 + 3 downwards, and the scan stops at
     the first degree whose class has no sections: every lower degree has none
     either, so only the degrees with sections and one more are reduced.
+
+    Only the top class D_t = t*L - m1*E1 - ... - m6*E6 is reduced from
+    scratch.  If its nef part is P_t = D_t - S (S the curves peeled off),
+    degree t - 1 reduces P_t - L in place of D_t - L, which peels only the
+    curves that are new at that degree.  The two agree:
+
+    - every curve C in N.NEG has L.C >= 0, so each copy of C that D_t is
+      forced to contain, on top of the copies S' peeled before it, is forced
+      into D_t - L too: (D_t - L - S').C <= (D_t - S').C < 0.  S is thus part
+      of the fixed part of D_t - L, and the reduction of D_t - L equals the
+      reduction of P_t - L, whichever order the curves are peeled in;
+    - both are effective exactly when D_t - L has sections, since a reduction
+      that ends at a nef class of degree >= 0 has chi >= 1 sections, and one
+      that reaches a negative degree shows there are none.
     """
     classes = tuple(classes)
     N = full_neg(classes)  # first: proximity_reduce assumes a valid neg set
     m = proximity_reduce(mults, classes)
-    neg_m = tuple(-v for v in m)
     # the nef part of each degree's class, or None where it has no sections;
-    # m is checked, so the classes skip DivisorClass's coefficient checks.
+    # m is checked, so the top class skips DivisorClass's coefficient checks.
     # L is base point free, so below a degree without sections there are none
     nef_parts: list[DivisorClass | None] = [None] * (sum(m) + 4)
+    D = DivisorClass._from_vec((len(nef_parts) - 1, *(-v for v in m)))
     for t in reversed(range(len(nef_parts))):
-        r = reduce_to_nef(DivisorClass._from_vec((t, *neg_m)), N)
+        r = reduce_to_nef(D, N)
         if not r.effective:
             break
         nef_parts[t] = r.reduced
+        D = r.reduced - L
     hf = _hilbert(m, nef_parts)
     res = _resolution(hf, _generators(hf, nef_parts)) if betti else None
     return SchemeAnalysis(m, hf, res)

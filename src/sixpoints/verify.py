@@ -29,7 +29,7 @@ from .curves import (
     h0,
     is_nef,
 )
-from .errors import ValidationError
+from .errors import ConsistencyError, ValidationError
 from .fatpoints import analyze, hilbert_function
 from .lattice import DivisorClass, E, K, L, N_POINTS, ZERO, e, intersect, selfint
 from .notation import format_negset
@@ -214,7 +214,7 @@ def _check(name, fn) -> CheckResult:
     try:
         detail = fn()
         return CheckResult(name, True, detail or "ok")
-    except AssertionError as exc:
+    except (AssertionError, ConsistencyError) as exc:
         return CheckResult(name, False, str(exc) or "assertion failed")
 
 

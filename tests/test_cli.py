@@ -138,6 +138,35 @@ def test_verify_fails_on_a_catalog_missing_an_orbit(catalog_without_last_row):
     assert "FAIL type count: enumeration found 1 orbit(s) missing from the catalog" in out
 
 
+@pytest.fixture
+def catalog_with_wrong_torsion(monkeypatch):
+    lines = table1_text().splitlines(keepends=True)
+    assert lines[5] == "5\t2A_1a\t0: AB, CD\t0\n"
+    lines[5] = "5\t2A_1a\t0: AB, CD\tZ2\n"
+    monkeypatch.setattr(typeenum, "table1_text", lambda: "".join(lines))
+    _clear_catalog_caches()
+    yield
+    _clear_catalog_caches()
+
+
+def test_verify_reports_a_catalog_that_fails_to_build(catalog_with_wrong_torsion):
+    # build_types raises ConsistencyError inside every check that loads the
+    # types; each records it as a FAIL instead of aborting the whole report
+    code, out = run(["verify", "--samples", "1"])
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 12
+    error = "type 5: computed torsion 0 does not match catalog Z2"
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert [line.split(":")[0] for line in failed] == [
+        "FAIL type count", "FAIL graph census", "FAIL graph determines torsion",
+        "FAIL linear independence", "FAIL hilbert duality", "FAIL resolution identities",
+        "FAIL multiplication rank bounds", "FAIL special classes",
+    ]
+    assert all(line.endswith(error) for line in failed)
+    assert "PASS lattice signature" in out and "PASS 27 lines" in out
+
+
 def test_exit_code_on_bad_input():
     assert run(["hilbert", "--type", "95", "--mults", "1,1,1,1,1,1"])[0] == 1
     assert run(["types", "classify", "--neg", "0: BA"])[0] == 1

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sixpoints import (
     AMPLE_CLASS,
@@ -239,3 +239,22 @@ def test_batched_reduction_matches_one_curve_per_step(type_id, F):
     if effective:
         assert r.reduced == reduced
         assert Counter(r.subtractions) == Counter(subs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 90),
+    st.builds(DivisorClass, st.integers(0, 120), st.tuples(*[st.integers(-40, 3)] * 6)),
+)
+def test_reducing_nef_part_minus_L_matches_reducing_D_minus_L(type_id, D):
+    # the step fatpoints.analyze takes from one degree to the next: every
+    # negative curve meets L nonnegatively, so the curves peeled off an
+    # effective D are forced into D - L as well
+    N = type_by_id(type_id).neg_set()
+    r = reduce_to_nef(D, N)
+    assume(r.effective)
+    direct = reduce_to_nef(D - L, N)
+    via_nef = reduce_to_nef(r.reduced - L, N)
+    assert via_nef.effective == direct.effective
+    if direct.effective:  # otherwise only the sign of the degree is promised
+        assert via_nef.reduced == direct.reduced

@@ -24,6 +24,7 @@ from sixpoints import (
     table2,
     type_by_id,
 )
+from sixpoints import curves
 from sixpoints.typeenum import candidate_pool
 
 
@@ -197,6 +198,9 @@ def _analyze_every_degree(classes, mults):
 
 @settings(max_examples=200, deadline=None)
 @example(90, (40, 0, 3, 17, 0, 40))  # E6: a chain of five infinitely near points
+@example(90, (300, 300, 0, 0, 0, 0))  # chains with larger m: many curves per degree
+@example(74, (0, 0, 0, 0, 0, 400))
+@example(88, (0, 0, 0, 0, 0, 300))
 @example(84, (0, 1, 0, 2, 0, 3))
 @example(1, (0, 0, 0, 0, 0, 0))
 @given(st.integers(1, 90), st.tuples(*[st.integers(0, 40)] * 6))
@@ -204,6 +208,24 @@ def test_top_down_scan_matches_every_degree_reference(type_id, mults):
     classes = type_by_id(type_id).classes
     m, hf, res = analyze(classes, mults, betti=True)
     assert (m, hf, res.f0, res.f1) == _analyze_every_degree(classes, mults)
+
+
+def test_scan_peels_only_the_new_curves_at_each_degree(monkeypatch):
+    # each degree reduces the nef part of the degree above minus L, so a chain
+    # type makes a few curve scans per degree, not a full reduction per degree
+    # (about 4.7 million scans here when every degree was reduced from scratch)
+    scans = 0
+    first_negative = curves._first_negative
+
+    def counted(D, NEG):
+        nonlocal scans
+        scans += 1
+        return first_negative(D, NEG)
+
+    monkeypatch.setattr(curves, "_first_negative", counted)
+    mults = (5000, 5000, 0, 0, 0, 0)
+    analyze(type_by_id(90).classes, mults, betti=True)
+    assert scans <= 4 * (sum(mults) + 4)
 
 
 def test_proximity_reduction_is_transparent():
