@@ -260,6 +260,8 @@ def euler_characteristic(F: DivisorClass) -> int:
 
 def h0(F: DivisorClass, N: NegCurveSet) -> int:
     """Dimension of the space of sections of F."""
+    if F[0] < 0:
+        return 0  # L is nef, so an effective class has degree >= 0
     r = reduce_to_nef(F, N)
     if not r.effective:
         return 0

@@ -25,8 +25,8 @@ from .curves import (
     candidate_families,
     candidate_pool,
     difference_pairs,
+    euler_characteristic,
     full_neg,
-    h0,
     is_nef,
 )
 from .errors import ConsistencyError, ValidationError
@@ -64,10 +64,15 @@ class MuStats:
 
 
 def _nef_sections(F: DivisorClass, N: NegCurveSet) -> tuple[int, int]:
-    """h^0(F) and h^0(F + L) of a nef class F; these do not depend on j."""
+    """h^0(F) and h^0(F + L) of a nef class F; these do not depend on j.
+
+    F and F + L are nef, so both are counted by Riemann-Roch:
+    h^0(F) = chi(F) and chi(F + L) - chi(F) = F.L + (L^2 - K.L)/2 = deg F + 2.
+    """
     if not is_nef(F, N):
         raise ValidationError(f"{F} is not nef for this configuration")
-    return h0(F, N), h0(F + L, N)
+    chi = euler_characteristic(F)
+    return chi, chi + F[0] + 2
 
 
 def _stats_at(F: DivisorClass, N: NegCurveSet, index: int, h0F: int, h0FL: int) -> MuStats:
@@ -142,6 +147,15 @@ def _check_count(count: int) -> None:
         raise ValidationError(f"sample count must be an integer of at least 1, got {count!r}")
 
 
+def _check_seed(seed: int) -> None:
+    if type(seed) is not int:
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
+
+
+# _BITS[t] = (t + 1).bit_length(): the width of one draw of a coefficient in 0..t
+_BITS = tuple((t + 1).bit_length() for t in range(13))
+
+
 def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[DivisorClass, ...]:
     """Up to ``count`` (at least 1) distinct nef classes t*L - sum a_i E_i with
     0 <= a_i <= t <= 12, drawn from a seeded stream and filtered by is_nef.
@@ -156,9 +170,13 @@ def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[Divisor
     the same order from release to release.  The benchmark's output digests
     (``perfbench/digests.json``) and the frozen ``verify`` outputs of the test
     suite depend on it, so the draws, their order, the sorted retry and the
-    draw cap change only together with those.
+    draw cap change only together with those.  The draws are those of
+    ``rng.randrange(13)`` for t and ``rng.randrange(t + 1)`` for each a_i,
+    made inline the way CPython 3.10 to 3.13 make ``randrange(n)``:
+    ``rng.getrandbits(n.bit_length())``, redrawn while at least n.
     """
     _check_count(count)
+    _check_seed(seed)
     rng = random.Random(_stream_seed(seed, N))
     out: list[DivisorClass] = []
     seen: set[DivisorClass] = set()
@@ -175,14 +193,20 @@ def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[Divisor
 
     for c in (ZERO, L, -K, FIVE_L_MINUS_2):
         offer(c)
-    # randrange(t + 1) draws exactly what randint(0, t) draws, with less call overhead
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     attempts = 0
     cap = count * 400
     while len(out) < count and attempts < cap:
         attempts += 1
-        t = randrange(13)
-        a = [-randrange(t + 1) for _ in range(N_POINTS)]
+        t = getrandbits(4)
+        while t > 12:
+            t = getrandbits(4)
+        k = _BITS[t]
+        a = []
+        while len(a) < N_POINTS:  # a draw above t is redrawn for the same a_i
+            r = getrandbits(k)
+            if r <= t:
+                a.append(-r)
         if not offer((t, *a)):
             a.sort()  # the a_i in decreasing order
             offer((t, *a))
@@ -351,6 +375,7 @@ def run_invariant_suite(seed: int = 0, samples_per_type: int = 200) -> Invariant
     """Run every cross-module invariant; returns per-check pass/fail results
     with a counterexample in the detail on failure."""
     _check_count(samples_per_type)
+    _check_seed(seed)
     rng = random.Random(seed)
     checks = (
         _check("lattice signature", _lattice_signature),

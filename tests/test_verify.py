@@ -1,15 +1,22 @@
 import dataclasses
 import hashlib
+import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sixpoints import (
     DivisorClass,
+    K,
     L,
     ValidationError,
     ZERO,
     check_mu_bounds,
+    curves,
+    e,
     enumerate_types,
+    h0,
+    h2,
     is_nef,
     mu_stats,
     run_invariant_suite,
@@ -17,7 +24,7 @@ from sixpoints import (
     type_by_id,
     usable_point_indices,
 )
-from sixpoints.verify import FIVE_L_MINUS_2
+from sixpoints.verify import FIVE_L_MINUS_2, _stream_seed
 
 # SHA-256 digests of the sampled classes and of every MuStats field of their
 # check_mu_bounds reports, frozen from the release before the verify path was
@@ -120,7 +127,6 @@ def test_sample_nef_contract():
     assert len(first) == 80
     assert len(set(first)) == 80
     assert all(is_nef(F, N) for F in first)
-    from sixpoints import K
     for special in (ZERO, L, -K, FIVE_L_MINUS_2):
         assert special in first
 
@@ -151,3 +157,82 @@ def test_invariant_suite_is_seeded():
     a = run_invariant_suite(seed=5, samples_per_type=5)
     b = run_invariant_suite(seed=5, samples_per_type=5)
     assert [c.detail for c in a.checks] == [c.detail for c in b.checks]
+
+
+def test_sample_nef_rejects_non_integer_seeds():
+    N = type_by_id(2).neg_set()
+    for seed in (1.5, 2.0, "3", True, None):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            sample_nef(N, 3, seed=seed)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            run_invariant_suite(seed=seed, samples_per_type=1)
+
+
+def _randrange_sampler(N, count, seed):
+    """sample_nef's loop drawn with randrange(13) and randrange(t + 1): the
+    stream the sampling contract promises."""
+    rng = random.Random(_stream_seed(seed, N))
+    out, seen = [], set()
+
+    def offer(vec):
+        if vec not in seen and is_nef(vec, N):
+            seen.add(vec)
+            out.append(DivisorClass(vec[0], vec[1:]))
+            return True
+        return False
+
+    for c in (ZERO, L, -K, FIVE_L_MINUS_2):
+        offer(tuple(c))
+    attempts = 0
+    while len(out) < count and attempts < count * 400:
+        attempts += 1
+        t = rng.randrange(13)
+        a = [-rng.randrange(t + 1) for _ in range(6)]
+        if not offer((t, *a)):
+            a.sort()
+            offer((t, *a))
+    return tuple(out[:count])
+
+
+@settings(max_examples=25, deadline=None)
+@example(2, 0, 1)
+@example(17, 11, 200)
+@example(90, 0, 200)  # E6: a chain of five infinitely near points
+@given(st.integers(1, 90), st.integers(0, 2**70), st.integers(1, 60))
+def test_sample_nef_draws_the_randrange_stream(type_id, seed, count):
+    N = type_by_id(type_id).neg_set()
+    assert sample_nef(N, count, seed=seed) == _randrange_sampler(N, count, seed)
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """The classes curves.reduce_to_nef is called on, in call order."""
+    calls = []
+    real = curves.reduce_to_nef
+
+    def counting(F, N):
+        calls.append(F)
+        return real(F, N)
+
+    monkeypatch.setattr(curves, "reduce_to_nef", counting)
+    return calls
+
+
+def test_negative_degree_classes_are_not_reduced(reductions):
+    N = type_by_id(90).neg_set()
+    assert h0(DivisorClass(-1, (-3, 0, 0, 0, 0, 0)), N) == 0
+    assert h2(L, N) == h2(FIVE_L_MINUS_2, N) == 0  # K - F has negative degree
+    assert reductions == []
+
+
+@pytest.mark.parametrize("type_id", [1, 2, 90])
+def test_check_mu_bounds_reduces_only_the_base_point_classes(reductions, type_id):
+    N = type_by_id(type_id).neg_set()
+    usable = usable_point_indices(N)
+    for F in sample_nef(N, 12, seed=4):
+        if F[0] == 0:
+            continue  # F - (L - E_j) has negative degree and is not reduced
+        reductions.clear()
+        check_mu_bounds(F, N)
+        assert reductions == [c for j in usable for c in (F - e(j), F - (L - e(j)))]
+        assert len(reductions) == 2 * len(usable)
