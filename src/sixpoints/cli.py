@@ -27,9 +27,10 @@ from .typeenum import ConfigurationType, classify, enumerate_types, table1_text,
 
 MAX_TMAX = 10_000  # `hilbert --tmax` limit: output size and memory grow with the range shown
 # `hilbert`/`betti` limit on m1 + ... + m6: the work is one reduction per
-# degree through that sum + 3, each peeling only the curves new at its degree,
-# so it grows about linearly with the sum (README, "Cost of large
-# multiplicities", gives times measured at the limit)
+# degree below the top nef run (found by bisection) of at most that sum + 3
+# degrees, each peeling only the curves new at its degree, so it grows at most
+# about linearly with the sum (README, "Cost of large multiplicities", gives
+# times measured at the limit)
 MAX_MULT_SUM = 10_000
 # `verify --samples` limit: the sampler may spend 400 draws per requested class
 # on every type (README, "Command line", gives the time at the limit)
@@ -73,7 +74,7 @@ def build_parser() -> _Parser:
                        help=f"six multiplicities, e.g. 1,1,1,1,1,1 (sum at most {MAX_MULT_SUM})")
         add_format(p)
     hil.add_argument("--tmax", type=int, default=None,
-                     help=f"show values up to this degree (display only, at most {MAX_TMAX})")
+                     help=f"show values up to this degree (display only, 0..{MAX_TMAX})")
     hil.set_defaults(handler=_scheme, with_betti=False)
     bet.set_defaults(handler=_scheme, with_betti=True, tmax=None)
 
@@ -189,8 +190,8 @@ def _types_classify(args) -> _Output:
 
 
 def _scheme(args) -> _Output:
-    if args.tmax is not None and args.tmax > MAX_TMAX:
-        raise ValidationError(f"--tmax must be at most {MAX_TMAX}, got {args.tmax}")
+    if args.tmax is not None and not 0 <= args.tmax <= MAX_TMAX:
+        raise ValidationError(f"--tmax must be in 0..{MAX_TMAX}, got {args.tmax}")
     classes, t = _parse_type_arg(args.type_arg)
     mults = _parse_mults(args.mults)
     if sum(mults) > MAX_MULT_SUM:

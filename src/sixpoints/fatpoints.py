@@ -6,11 +6,15 @@ its ideal has dimension h^0 of the class t*L - m1*E1 - ... - m6*E6, computed
 by negative-curve reduction.  Multiplicities are first normalized so that no
 difference class in the configuration meets the scheme class negatively
 (infinitely near points cannot carry more multiplicity than the points they
-sit over); this leaves the ideal unchanged.  Degrees are reduced from
+sit over); this leaves the ideal unchanged.  Degrees are scanned from
 m1 + ... + m6 + 3 downwards, and the scan stops at the first degree without
-sections, since no lower degree has any.  Only the top degree is reduced from
-scratch: each lower degree reduces the nef part of the degree above it minus
-L.  Every negative curve meets L nonnegatively, so the curves forced into a
+sections, since no lower degree has any, or below the largest multiplicity
+of a point that is not infinitely near another, where the class meets the
+nef class L - E_j negatively.  Only the top degree is reduced from scratch.
+Its nef part P stays nef after subtracting up to some k copies of L, found
+by bisection, and P - i*L is the nef part of each degree in that top run.
+Each lower degree reduces the nef part of the degree above it minus L.
+Every negative curve meets L nonnegatively, so the curves forced into a
 degree's class are forced into the class one degree lower as well, and the
 nef part and the presence of sections come out the same.  Generator counts in
 each degree come from the maximal-rank behaviour of multiplication by linear
@@ -25,9 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .curves import difference_pairs, euler_characteristic, full_neg, reduce_to_nef
+from .curves import difference_pairs, euler_characteristic, full_neg, is_nef, reduce_to_nef
 from .errors import ConsistencyError, ValidationError
-from .lattice import DivisorClass, L, N_POINTS
+from .lattice import DivisorClass, E, L, N_POINTS
 from .typeenum import ConfigurationType, enumerate_types
 
 Mults = tuple[int, ...]
@@ -139,14 +143,20 @@ class SchemeAnalysis(NamedTuple):
     resolution: GradedResolution | None
 
 
+# L - E_j: nef exactly when p_j is not infinitely near another point
+_PENCILS = tuple(L - c for c in E)
+
+
 def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) -> SchemeAnalysis:
     """Normalize the multiplicities, then derive the Hilbert function and, if
-    ``betti``, the minimal resolution from one reduction per degree
+    ``betti``, the minimal resolution from the nef part of each degree's class
     (multiplicities may be unnormalized).
 
-    Degrees are reduced from m1 + ... + m6 + 3 downwards, and the scan stops at
-    the first degree whose class has no sections: every lower degree has none
-    either, so only the degrees with sections and one more are reduced.
+    Degrees are scanned from m1 + ... + m6 + 3 downwards, and the scan stops
+    at the first degree whose class has no sections: every lower degree has
+    none either.  It never goes below t_min, the largest m_j with L - E_j
+    nef: L - E_j is nef, so D_t meets it in t - m_j < 0 for t < t_min, and a
+    class with sections meets every nef class nonnegatively.
 
     Only the top class D_t = t*L - m1*E1 - ... - m6*E6 is reduced from
     scratch.  If its nef part is P_t = D_t - S (S the curves peeled off),
@@ -161,21 +171,42 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
     - both are effective exactly when D_t - L has sections, since a reduction
       that ends at a nef class of degree >= 0 has chi >= 1 sections, and one
       that reaches a negative degree shows there are none.
+
+    The top run needs no reduction at all.  A nef class is its own nef part,
+    so while P_t - i*L is nef it is the nef part of degree t - i, and it has
+    sections because its degree is >= 0.  L is nef, so a curve that P_t - i*L
+    meets negatively meets P_t - (i+1)*L negatively too: nefness is lost at
+    most once as i grows, and the largest k <= deg P_t with P_t - k*L nef is
+    found by bisection.  The per-degree reductions resume from P_t - (k+1)*L.
     """
     classes = tuple(classes)
     N = full_neg(classes)  # first: proximity_reduce assumes a valid neg set
     m = proximity_reduce(mults, classes)
     # the nef part of each degree's class, or None where it has no sections;
-    # m is checked, so the top class skips DivisorClass's coefficient checks.
+    # m is checked, so the classes skip DivisorClass's coefficient checks.
     # L is base point free, so below a degree without sections there are none
     nef_parts: list[DivisorClass | None] = [None] * (sum(m) + 4)
-    D = DivisorClass._from_vec((len(nef_parts) - 1, *(-v for v in m)))
-    for t in reversed(range(len(nef_parts))):
-        r = reduce_to_nef(D, N)
-        if not r.effective:
-            break
-        nef_parts[t] = r.reduced
-        D = r.reduced - L
+    top = len(nef_parts) - 1
+    r = reduce_to_nef(DivisorClass._from_vec((top, *(-v for v in m))), N)
+    if r.effective:
+        d, *a = r.reduced  # P, the top degree's nef part
+        k, hi = 0, d  # P - k*L is nef; P - i*L is not for i > hi
+        while k < hi:
+            mid = (k + hi + 1) // 2
+            if is_nef(DivisorClass._from_vec((d - mid, *a)), N):
+                k = mid
+            else:
+                hi = mid - 1
+        for i in range(k + 1):
+            nef_parts[top - i] = DivisorClass._from_vec((d - i, *a))
+        t_min = max(v for v, c in zip(m, _PENCILS) if is_nef(c, N))
+        D = DivisorClass._from_vec((d - k - 1, *a))
+        for t in range(top - k - 1, t_min - 1, -1):
+            r = reduce_to_nef(D, N)
+            if not r.effective:
+                break
+            nef_parts[t] = r.reduced
+            D = r.reduced - L
     hf = _hilbert(m, nef_parts)
     res = _resolution(hf, _generators(hf, nef_parts)) if betti else None
     return SchemeAnalysis(m, hf, res)

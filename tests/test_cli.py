@@ -83,6 +83,10 @@ def test_hilbert_tmax_extends_display():
                      "--tmax", "10000", "--format", "csv"])
     assert code == 0
     assert len(out.splitlines()) == 10002  # header + t = 0..10000, the largest accepted
+    code, out = run(["hilbert", "--type", "1", "--mults", "1,1,1,1,1,1",
+                     "--tmax", "0", "--format", "csv"])
+    assert code == 0
+    assert len(out.splitlines()) == 4  # tmax 0, the smallest accepted, shows t = 0..tail_from
 
 
 def test_tables_one_matches_embedded_file():
@@ -173,7 +177,7 @@ def test_exit_code_on_bad_input():
     assert run(["hilbert", "--type", "1", "--mults", "1,1"])[0] == 1
     assert run(["betti", "--type", "1", "--mults", "1,1,1,1,1,-1"])[0] == 1
     assert run(["hilbert", "--type", "1", "--mults", "a,b,c,d,e,f"])[0] == 1
-    for tmax in ("10001", "1000000"):
+    for tmax in ("10001", "1000000", "-1", "-5"):
         assert run(["hilbert", "--type", "1", "--mults", "1,1,1,1,1,1", "--tmax", tmax]) == (1, "")
     # the sum of the multiplicities is capped at 10000, checked before any reduction
     for cmd in ("hilbert", "betti"):

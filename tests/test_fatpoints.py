@@ -17,14 +17,16 @@ from sixpoints import (
     fatpoint_class,
     full_neg,
     hilbert_function,
+    is_nef,
     minimal_resolution,
     permute_points,
     proximity_reduce,
     reduce_to_nef,
     table2,
     type_by_id,
+    usable_point_indices,
 )
-from sixpoints import curves
+from sixpoints import curves, fatpoints
 from sixpoints.typeenum import candidate_pool
 
 
@@ -203,6 +205,8 @@ def _analyze_every_degree(classes, mults):
 @example(88, (0, 0, 0, 0, 0, 300))
 @example(84, (0, 1, 0, 2, 0, 3))
 @example(1, (0, 0, 0, 0, 0, 0))
+@example(90, (200, 0, 0, 0, 0, 0))  # the scan ends at the largest plane point multiplicity
+@example(86, (60,) * 6)  # a long top run of nef degrees
 @given(st.integers(1, 90), st.tuples(*[st.integers(0, 40)] * 6))
 def test_top_down_scan_matches_every_degree_reference(type_id, mults):
     classes = type_by_id(type_id).classes
@@ -210,22 +214,57 @@ def test_top_down_scan_matches_every_degree_reference(type_id, mults):
     assert (m, hf, res.f0, res.f1) == _analyze_every_degree(classes, mults)
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_scan_peels_only_the_new_curves_at_each_degree(monkeypatch):
     # each degree reduces the nef part of the degree above minus L, so a chain
     # type makes a few curve scans per degree, not a full reduction per degree
     # (about 4.7 million scans here when every degree was reduced from scratch)
-    scans = 0
-    first_negative = curves._first_negative
-
-    def counted(D, NEG):
-        nonlocal scans
-        scans += 1
-        return first_negative(D, NEG)
-
-    monkeypatch.setattr(curves, "_first_negative", counted)
+    scans = _count_calls(monkeypatch, curves, "_first_negative")
     mults = (5000, 5000, 0, 0, 0, 0)
     analyze(type_by_id(90).classes, mults, betti=True)
-    assert scans <= 4 * (sum(mults) + 4)
+    assert scans[0] <= 4 * (sum(mults) + 4)
+
+
+def test_top_nef_run_is_filled_without_reductions(monkeypatch):
+    # the degrees where t*L - sum(m*E) reduces to a nef P - i*L are filled
+    # from the top degree's nef part P: 365 and 1,604 reductions when each
+    # of them was reduced
+    calls = _count_calls(monkeypatch, fatpoints, "reduce_to_nef")
+    analyze(type_by_id(1).classes, (100,) * 6, betti=True)
+    assert calls[0] <= 15
+    calls[0] = 0
+    analyze(type_by_id(86).classes, (400,) * 6, betti=True)
+    assert calls[0] <= 402
+
+
+def test_scan_stops_at_the_largest_plane_point_multiplicity(monkeypatch):
+    # below m1 the class meets the nef class L - E1 negatively, so no degree
+    # there is reduced (about 100,000 curve scans when the first degree
+    # without sections was reduced down to a negative degree)
+    scans = _count_calls(monkeypatch, curves, "_first_negative")
+    hf = analyze(type_by_id(90).classes, (10000, 0, 0, 0, 0, 0), betti=True).hilbert
+    assert scans[0] <= 100
+    # degree 10000 forms with a 10000-fold point at p1: forms in two variables
+    assert hf.h_ideal(9999) == 0 and hf.h_ideal(10000) == 10001
+
+
+def test_nef_pencils_are_the_plane_points():
+    # L - E_j is nef exactly when p_j is not infinitely near another point
+    for t in enumerate_types():
+        N = full_neg(t.classes)
+        nef = tuple(j for j in range(1, 7) if is_nef(L - e(j), N))
+        assert nef == usable_point_indices(N), t.id
 
 
 def test_proximity_reduction_is_transparent():
