@@ -22,6 +22,7 @@ from .curves import (
     is_nef,
     minus_one_candidates,
     reduce_to_nef,
+    usable_point_indices,
 )
 from .errors import ConsistencyError, ValidationError
 from .fatpoints import (
@@ -67,7 +68,6 @@ from .verify import (
     mu_stats,
     run_invariant_suite,
     sample_nef,
-    usable_point_indices,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"

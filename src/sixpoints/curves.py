@@ -154,27 +154,12 @@ def full_neg(neg: Iterable[DivisorClass]) -> NegCurveSet:
     return NegCurveSet(neg=neg_t, NEG=neg_t + extras)
 
 
-@lru_cache(maxsize=1)
-def _difference_pair() -> dict[DivisorClass, tuple[int, int]]:
-    pairs = itertools.combinations(range(1, N_POINTS + 1), 2)
-    return dict(zip(candidate_families().Vp, pairs))
-
-
-def difference_pairs(classes: Iterable[DivisorClass]) -> list[tuple[int, int]]:
-    """Index pairs (i, j) of the difference classes E_i - E_j among
-    ``classes`` (the degree 0 classes), in input order.  A degree 0 class that
-    is not E_i - E_j with i < j raises ValidationError."""
-    index = _difference_pair()
-    pairs = []
-    for c in classes:
-        if c[0] == 0:
-            pair = index.get(c)
-            if pair is None:
-                raise ValidationError(
-                    f"degree 0 class {c} is not a difference E_i - E_j with i < j"
-                )
-            pairs.append(pair)
-    return pairs
+def usable_point_indices(N: NegCurveSet) -> tuple[int, ...]:
+    """Indices j such that p_j is an honest plane point (not infinitely near),
+    i.e. j is never the subtracted index of a difference class E_i - E_j in
+    neg (its degree 0 classes)."""
+    near = {c.index(-1) for c in N.neg if c[0] == 0}
+    return tuple(j for j in range(1, N_POINTS + 1) if j not in near)
 
 
 def _first_negative(

@@ -3,18 +3,20 @@
 A fat point subscheme m1*p1 + ... + m6*p6 supported on one of the 90
 configurations is handled purely through lattice data: the degree-t piece of
 its ideal has dimension h^0 of the class t*L - m1*E1 - ... - m6*E6, computed
-by negative-curve reduction.  Multiplicities are first normalized so that no
-difference class in the configuration meets the scheme class negatively
-(infinitely near points cannot carry more multiplicity than the points they
-sit over); this leaves the ideal unchanged.  Degrees are scanned from
-m1 + ... + m6 + 3 downwards, and the scan stops at the first degree without
-sections, since no lower degree has any, or below the largest multiplicity
-of a point that is not infinitely near another, where the class meets the
-nef class L - E_j negatively.  Only the top degree is reduced from scratch.
-Its nef part P stays nef after subtracting up to some k copies of L, found
-by bisection, and P - i*L is the nef part of each degree in that top run.
-Each lower degree reduces the nef part of the degree above it minus L.
-Every negative curve meets L nonnegatively, so the curves forced into a
+by negative-curve reduction.  Reducing the top degree m1 + ... + m6 + 3
+normalizes the multiplicities, so that no difference class in the
+configuration meets the scheme class negatively (infinitely near points
+cannot carry more multiplicity than the points they sit over); this leaves
+the ideal unchanged.  Degrees are scanned from that top degree downwards,
+and the scan stops at the first degree without sections, since no lower
+degree has any, or below the largest multiplicity of a point that is not
+infinitely near another, where the class meets the nef class L - E_j
+negatively.  Only the top degree is reduced from scratch.  Its nef part P
+stays nef after subtracting up to k copies of L, where k is read off the
+pairings of P with the negative curves of positive degree, and P - i*L is
+the nef part of each degree in that top run.  Each lower degree reduces the
+nef part of the degree above it minus L.  Every negative curve meets L
+nonnegatively, so the curves forced into a
 degree's class are forced into the class one degree lower as well, and the
 nef part and the presence of sections come out the same.  Generator counts in
 each degree come from the maximal-rank behaviour of multiplication by linear
@@ -29,9 +31,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .curves import difference_pairs, euler_characteristic, full_neg, is_nef, reduce_to_nef
+from .curves import (
+    NegCurveSet,
+    euler_characteristic,
+    full_neg,
+    reduce_to_nef,
+    usable_point_indices,
+)
 from .errors import ConsistencyError, ValidationError
-from .lattice import DivisorClass, E, L, N_POINTS
+from .lattice import DivisorClass, L, N_POINTS, intersect
 from .typeenum import ConfigurationType, enumerate_types
 
 Mults = tuple[int, ...]
@@ -54,25 +62,35 @@ def fatpoint_class(mults: Sequence[int], t: int) -> DivisorClass:
     return DivisorClass(t, tuple(-v for v in mults))
 
 
-def proximity_reduce(mults: Sequence[int], classes: Iterable[DivisorClass]) -> Mults:
-    """Normalize multiplicities against the difference classes among a
-    configuration's classes without changing the ideal.
+def _top_nef_part(mults: Sequence[int], N: NegCurveSet) -> DivisorClass:
+    """The nef part of the top degree's class T*L - m1*E1 - ... - m6*E6,
+    T = m1 + ... + m6 + 3.  It has degree T, and minus its E coefficients are
+    the normalized multiplicities.
 
-    While some E_i - E_j in the configuration has m_i < m_j, replace
-    (m_i, m_j) by (m_i + 1, m_j - 1).
+    A class of degree T whose multiplicities are nonnegative and sum to
+    T - 3 meets each E_i nonnegatively and each line and conic class
+    positively, and peeling the differences E_i - E_j it meets negatively
+    (m_i < m_j) keeps it such a class.  So only differences are peeled, and
+    that is proximity normalization: each copy peeled is forced into every
+    section, and the nef part does not depend on the order of the peeling.
     """
-    m = list(_check_mults(mults))
-    roots = difference_pairs(classes)
-    guard = sum(k * v for k, v in enumerate(m, 1)) + 1
-    for _ in range(guard):
-        for i, j in roots:
-            if m[i - 1] < m[j - 1]:
-                m[i - 1] += 1
-                m[j - 1] -= 1
-                break
-        else:
-            return tuple(m)
-    raise ConsistencyError("proximity normalization failed to settle")
+    m = _check_mults(mults)
+    top = sum(m) + 3
+    r = reduce_to_nef(DivisorClass._from_vec((top, *(-v for v in m))), N)
+    if not r.effective or r.reduced[0] != top:
+        raise ConsistencyError(
+            f"degree {top} class of {m} reduced to {r.reduced}, not a nef class of degree {top}"
+        )
+    return r.reduced
+
+
+def proximity_reduce(mults: Sequence[int], classes: Iterable[DivisorClass]) -> Mults:
+    """Normalize multiplicities against a neg set's difference classes
+    without changing the ideal: the result has m_i >= m_j for each E_i - E_j
+    in ``classes``, the same sum, and is reached by steps that replace
+    (m_i, m_j) by (m_i + 1, m_j - 1) while m_i < m_j.
+    """
+    return tuple(-v for v in _top_nef_part(mults, full_neg(classes))[1:])
 
 
 @dataclass(frozen=True)
@@ -143,25 +161,24 @@ class SchemeAnalysis(NamedTuple):
     resolution: GradedResolution | None
 
 
-# L - E_j: nef exactly when p_j is not infinitely near another point
-_PENCILS = tuple(L - c for c in E)
-
-
 def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) -> SchemeAnalysis:
     """Normalize the multiplicities, then derive the Hilbert function and, if
     ``betti``, the minimal resolution from the nef part of each degree's class
     (multiplicities may be unnormalized).
 
-    Degrees are scanned from m1 + ... + m6 + 3 downwards, and the scan stops
-    at the first degree whose class has no sections: every lower degree has
-    none either.  It never goes below t_min, the largest m_j with L - E_j
-    nef: L - E_j is nef, so D_t meets it in t - m_j < 0 for t < t_min, and a
-    class with sections meets every nef class nonnegatively.
+    Degrees are scanned from T = m1 + ... + m6 + 3 downwards, and the scan
+    stops at the first degree whose class has no sections: every lower degree
+    has none either.  It never goes below t_min, the largest m_j with p_j a
+    plane point: L - E_j is then nef, so D_t meets it in t - m_j < 0 for
+    t < t_min, and a class with sections meets every nef class nonnegatively.
 
-    Only the top class D_t = t*L - m1*E1 - ... - m6*E6 is reduced from
-    scratch.  If its nef part is P_t = D_t - S (S the curves peeled off),
-    degree t - 1 reduces P_t - L in place of D_t - L, which peels only the
-    curves that are new at that degree.  The two agree:
+    Only the top class D_T = T*L - m1*E1 - ... - m6*E6 is reduced from
+    scratch.  That reduction peels only differences E_i - E_j, so it is the
+    proximity normalization of the multiplicities, and its nef part P has
+    degree T with the normalized multiplicities as coefficients.  If the nef
+    part of degree t is P_t = D_t - S (S the curves peeled off), degree t - 1
+    reduces P_t - L in place of D_t - L, which peels only the curves that are
+    new at that degree.  The two agree:
 
     - every curve C in N.NEG has L.C >= 0, so each copy of C that D_t is
       forced to contain, on top of the copies S' peeled before it, is forced
@@ -173,40 +190,31 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
       that reaches a negative degree shows there are none.
 
     The top run needs no reduction at all.  A nef class is its own nef part,
-    so while P_t - i*L is nef it is the nef part of degree t - i, and it has
-    sections because its degree is >= 0.  L is nef, so a curve that P_t - i*L
-    meets negatively meets P_t - (i+1)*L negatively too: nefness is lost at
-    most once as i grows, and the largest k <= deg P_t with P_t - k*L nef is
-    found by bisection.  The per-degree reductions resume from P_t - (k+1)*L.
+    so while P - i*L is nef it is the nef part of degree T - i, and it has
+    sections because its degree is >= 0.  (P - i*L).C = P.C - i*deg C, so
+    P - i*L is nef exactly for i <= k = min(deg P, floor(P.C / deg C) over
+    the curves C in N.NEG of positive degree).  The per-degree reductions
+    resume from P - (k+1)*L.
     """
-    classes = tuple(classes)
-    N = full_neg(classes)  # first: proximity_reduce assumes a valid neg set
-    m = proximity_reduce(mults, classes)
+    N = full_neg(classes)
+    P = _top_nef_part(mults, N)
+    d, *a = P
+    m = tuple(-v for v in a)
+    k = min([d] + [intersect(P, c) // c[0] for c in N.NEG if c[0] > 0])
     # the nef part of each degree's class, or None where it has no sections;
     # m is checked, so the classes skip DivisorClass's coefficient checks.
     # L is base point free, so below a degree without sections there are none
-    nef_parts: list[DivisorClass | None] = [None] * (sum(m) + 4)
-    top = len(nef_parts) - 1
-    r = reduce_to_nef(DivisorClass._from_vec((top, *(-v for v in m))), N)
-    if r.effective:
-        d, *a = r.reduced  # P, the top degree's nef part
-        k, hi = 0, d  # P - k*L is nef; P - i*L is not for i > hi
-        while k < hi:
-            mid = (k + hi + 1) // 2
-            if is_nef(DivisorClass._from_vec((d - mid, *a)), N):
-                k = mid
-            else:
-                hi = mid - 1
-        for i in range(k + 1):
-            nef_parts[top - i] = DivisorClass._from_vec((d - i, *a))
-        t_min = max(v for v, c in zip(m, _PENCILS) if is_nef(c, N))
-        D = DivisorClass._from_vec((d - k - 1, *a))
-        for t in range(top - k - 1, t_min - 1, -1):
-            r = reduce_to_nef(D, N)
-            if not r.effective:
-                break
-            nef_parts[t] = r.reduced
-            D = r.reduced - L
+    nef_parts: list[DivisorClass | None] = [None] * (d + 1)
+    for i in range(k + 1):
+        nef_parts[d - i] = DivisorClass._from_vec((d - i, *a))
+    t_min = max(m[j - 1] for j in usable_point_indices(N))
+    D = DivisorClass._from_vec((d - k - 1, *a))
+    for t in range(d - k - 1, t_min - 1, -1):
+        r = reduce_to_nef(D, N)
+        if not r.effective:
+            break
+        nef_parts[t] = r.reduced
+        D = r.reduced - L
     hf = _hilbert(m, nef_parts)
     res = _resolution(hf, _generators(hf, nef_parts)) if betti else None
     return SchemeAnalysis(m, hf, res)

@@ -123,6 +123,8 @@ ZERO = DivisorClass(0, (0, 0, 0, 0, 0, 0))
 
 def e(i: int) -> DivisorClass:
     """Exceptional class E_i, 1-indexed."""
+    if type(i) is not int:
+        raise ValidationError(f"point index must be an int, got {i!r}")
     if not 1 <= i <= N_POINTS:
         raise ValidationError(f"point index {i} out of range 1..{N_POINTS}")
     return E[i - 1]
@@ -133,7 +135,11 @@ K = DivisorClass(-3, (1, 1, 1, 1, 1, 1))
 
 
 def permute_points(c: DivisorClass, sigma: Sequence[int]) -> DivisorClass:
-    """Relabel points by sigma (1-indexed: point i becomes point sigma[i-1])."""
+    """Relabel points by sigma (1-indexed: point i becomes point sigma[i-1]),
+    a permutation of 1..6."""
+    sigma = tuple(sigma)
+    if any(type(v) is not int for v in sigma) or sorted(sigma) != list(range(1, N_POINTS + 1)):
+        raise ValidationError(f"sigma must be a permutation of 1..{N_POINTS}, got {sigma}")
     m = [0] * N_POINTS
     for i in range(N_POINTS):
         m[sigma[i] - 1] = c[i + 1]

@@ -24,10 +24,10 @@ from .curves import (
     _h0_h1,
     candidate_families,
     candidate_pool,
-    difference_pairs,
     euler_characteristic,
     full_neg,
     is_nef,
+    usable_point_indices,
 )
 from .errors import ConsistencyError, ValidationError
 from .fatpoints import analyze, hilbert_function
@@ -95,13 +95,6 @@ def _stats_at(F: DivisorClass, N: NegCurveSet, index: int, h0F: int, h0FL: int) 
 
 def mu_stats(F: DivisorClass, N: NegCurveSet, index: int = 1) -> MuStats:
     return _stats_at(F, N, index, *_nef_sections(F, N))
-
-
-def usable_point_indices(N: NegCurveSet) -> tuple[int, ...]:
-    """Indices j such that p_j is an honest plane point (not infinitely near),
-    i.e. j is never the subtracted index of a difference class in neg."""
-    near = {j for _, j in difference_pairs(N.neg)}
-    return tuple(j for j in range(1, N_POINTS + 1) if j not in near)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,22 @@ from sixpoints import curves, fatpoints
 from sixpoints.typeenum import candidate_pool
 
 
+def _proximity_one_unit(mults, classes):
+    # reference: the one-unit-at-a-time loop proximity_reduce once ran.  While
+    # some E_i - E_j among the classes has m_i < m_j, move one unit from m_j
+    # to m_i; sum(k * m_k) falls by j - i >= 1 each step, so it stops
+    m = list(mults)
+    roots = [(c.index(1), c.index(-1)) for c in classes if c[0] == 0]
+    while True:
+        for i, j in roots:
+            if m[i - 1] < m[j - 1]:
+                m[i - 1] += 1
+                m[j - 1] -= 1
+                break
+        else:
+            return tuple(m)
+
+
 def test_proximity_reduce_examples():
     t2 = type_by_id(2)
     assert proximity_reduce((1, 2, 0, 0, 0, 0), t2.classes) == (2, 1, 0, 0, 0, 0)
@@ -55,8 +71,26 @@ def test_proximity_reduce_rejects_negative():
 def test_proximity_reduce_rejects_non_differences():
     # degree 0 classes that are not E_i - E_j with i < j
     for bad in ((2, -2, 0, 0, 0, 0), (1, -1, 1, -1, 0, 0), (-1, 1, 0, 0, 0, 0)):
-        with pytest.raises(ValidationError, match="not a difference"):
+        with pytest.raises(ValidationError, match="candidate"):
             proximity_reduce((1,) * 6, [DivisorClass(0, bad)])
+
+
+def test_proximity_reduce_rejects_a_non_neg_set():
+    # E1 - E2 and E1 - E3 meet negatively; analyze rejects the same classes
+    classes = [e(1) - e(2), e(1) - e(3)]
+    for run in (proximity_reduce, lambda m, c: analyze(c, m, betti=False)):
+        with pytest.raises(ValidationError, match="meet negatively"):
+            run((0, 5, 0, 0, 0, 0), classes)
+
+
+@settings(max_examples=200, deadline=None)
+@example(90, (0, 0, 0, 0, 0, 400))
+@example(74, (0, 0, 0, 0, 0, 400))
+@example(84, (0, 1, 0, 2, 0, 3))
+@given(st.integers(1, 90), st.tuples(*[st.integers(0, 40)] * 6))
+def test_proximity_reduce_matches_one_unit_loop(type_id, mults):
+    classes = type_by_id(type_id).classes
+    assert proximity_reduce(mults, classes) == _proximity_one_unit(mults, classes)
 
 
 def test_fatpoint_class():
@@ -170,7 +204,7 @@ def test_syzygies_match_degree_by_degree_solution(type_id, mults):
 def _analyze_every_degree(classes, mults):
     # reference with no shortcut: reduce every degree t = 0..sum(m)+3, and
     # count the generators from chi(d) and chi(d + L) of each nef part d
-    m = proximity_reduce(mults, classes)
+    m = _proximity_one_unit(mults, classes)
     N = full_neg(classes)
     t_max = sum(m) + 3
     nef = []

@@ -102,3 +102,20 @@ def test_permute_points():
     sigma = (2, 1, 3, 4, 5, 6)
     assert permute_points(e(1) - e(2), sigma) == e(2) - e(1)
     assert permute_points(L, sigma) == L
+
+
+def test_point_index_must_be_an_int_in_range():
+    assert e(1) == E[0] and e(6) == E[5]
+    for bad in (0, 7, -1):
+        with pytest.raises(ValidationError, match="out of range"):
+            e(bad)
+    for bad in (1.0, True, "1", None):
+        with pytest.raises(ValidationError, match="must be an int"):
+            e(bad)
+
+
+def test_permute_points_rejects_non_permutations():
+    for bad in ((1, 1, 2, 3, 4, 5), (0, 2, 3, 4, 5, 6), (1, 2, 3), (1, 2, 3, 4, 5, 6, 7),
+                (2, 1, 3, 4, 5, 6.0), (True, 2, 3, 4, 5, 6), ("1", 2, 3, 4, 5, 6)):
+        with pytest.raises(ValidationError, match="permutation"):
+            permute_points(e(1) - e(2), bad)

@@ -77,6 +77,11 @@ def test_mu_stats_requires_nef():
         mu_stats(DivisorClass(1, (-1, -1, -1, 0, 0, 0)), type_by_id(1).neg_set())
 
 
+def test_mu_stats_rejects_a_non_int_index():
+    with pytest.raises(ValidationError, match="must be an int"):
+        mu_stats(L, type_by_id(1).neg_set(), 2.0)
+
+
 def test_check_mu_bounds_requires_nef():
     with pytest.raises(ValidationError, match="not nef"):
         check_mu_bounds(DivisorClass(1, (-1, -1, -1, 0, 0, 0)), type_by_id(1).neg_set())
