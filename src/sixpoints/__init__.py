@@ -70,4 +70,4 @@ from .verify import (
     sample_nef,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"

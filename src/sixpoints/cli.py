@@ -26,11 +26,10 @@ from .typeenum import ConfigurationType, classify, enumerate_types, table1_text,
 
 
 MAX_TMAX = 10_000  # `hilbert --tmax` limit: output size and memory grow with the range shown
-# `hilbert`/`betti` limit on m1 + ... + m6: the work is one reduction per
-# degree below the top nef run (whose end is read off the top degree's nef
-# part) of at most that sum + 3 degrees, each peeling only the curves new at
-# its degree, so it grows at most about linearly with the sum (README, "Cost
-# of large multiplicities", gives times measured at the limit)
+# `hilbert`/`betti` limit on m1 + ... + m6: below the top nef run, each of at
+# most that sum + 3 degrees makes one peel of the curves new at its degree, on
+# pairings carried from the degree above, so the work grows about linearly
+# with the sum (README, "Cost of large multiplicities", gives times at the limit)
 MAX_MULT_SUM = 10_000
 # `verify --samples` limit: the sampler may spend 400 draws per requested class
 # on every type (README, "Command line", gives the time at the limit)

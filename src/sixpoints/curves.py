@@ -9,13 +9,16 @@ candidates that pairwise meet nonnegatively; this module holds both the
 candidates and that rule.  The neg set determines the rest of the list, and
 testing a class against the full list decides nefness.  h^0 of any class is
 then computed by peeling off curves the class meets negatively until it is
-nef or visibly empty, and h^1/h^2 follow from Riemann-Roch and duality.
+nef or visibly empty, and h^1/h^2 follow from Riemann-Roch and duality.  A
+reduction carries the pairings of the running class with every curve in the
+list, and peeling k copies of a curve subtracts k times that curve's row of
+the list's Gram matrix from them, so no pairing is recomputed.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -125,17 +128,23 @@ def _neg_indices(classes: Iterable[DivisorClass]) -> tuple[int, ...]:
 # Pairs strictly positively with every class a reduction can ever subtract
 # (checked in the test suite); the degree must exceed 6+5+4 so that
 # three-point line classes still pair positively.  Drives the step bound in
-# reduce_to_nef.
+# _peel.
 AMPLE_CLASS = DivisorClass(16, (-6, -5, -4, -3, -2, -1))
 
 
 @dataclass(frozen=True)
 class NegCurveSet:
     """Classes of irreducible negative curves: the square -2 part (``neg``)
-    and the full list (``NEG``), in a fixed deterministic order."""
+    and the full list (``NEG``), in a fixed deterministic order, and their
+    Gram matrix ``gram[i][j] = NEG[i].NEG[j]``, derived from ``NEG``."""
 
     neg: tuple[DivisorClass, ...]
     NEG: tuple[DivisorClass, ...]
+    gram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        gram = tuple(tuple(_pairings(a, self.NEG)) for a in self.NEG)
+        object.__setattr__(self, "gram", gram)
 
 
 def full_neg(neg: Iterable[DivisorClass]) -> NegCurveSet:
@@ -144,14 +153,17 @@ def full_neg(neg: Iterable[DivisorClass]) -> NegCurveSet:
     ``neg`` must be a neg set: distinct classes from ``candidate_pool`` that
     pairwise meet nonnegatively.  The -1 part consists of the candidates from
     ``minus_one_candidates`` that meet every member of ``neg`` nonnegatively.
+    Memoized on the pool indices, so its members are always the pool's classes.
     """
-    neg_t = tuple(neg)
-    _neg_indices(neg_t)
-    extras = tuple(
-        c for c in minus_one_candidates()
-        if all(intersect(c, d) >= 0 for d in neg_t)
-    )
-    return NegCurveSet(neg=neg_t, NEG=neg_t + extras)
+    return _full_neg(_neg_indices(neg))
+
+
+@lru_cache(maxsize=128)  # room for the 90 types
+def _full_neg(idxs: tuple[int, ...]) -> NegCurveSet:
+    pool = candidate_pool()
+    neg = tuple(pool[i] for i in idxs)
+    extras = tuple(c for c in minus_one_candidates() if all(intersect(c, d) >= 0 for d in neg))
+    return NegCurveSet(neg=neg, NEG=neg + extras)
 
 
 def usable_point_indices(N: NegCurveSet) -> tuple[int, ...]:
@@ -162,22 +174,33 @@ def usable_point_indices(N: NegCurveSet) -> tuple[int, ...]:
     return tuple(j for j in range(1, N_POINTS + 1) if j not in near)
 
 
-def _first_negative(
-    D: Sequence[int], NEG: Sequence[DivisorClass]
-) -> tuple[DivisorClass, int] | None:
-    """The first curve in NEG that D meets negatively and that pairing, or None."""
+def _check_class(F: DivisorClass) -> None:
+    if type(F) is not DivisorClass:
+        raise ValidationError(f"expected a DivisorClass, got {F!r}")
+
+
+def _pairings(D: Sequence[int], NEG: Sequence[DivisorClass]) -> list[int]:
+    """[D.C for C in NEG], with the pairing of lattice.intersect inline."""
     d, a1, a2, a3, a4, a5, a6 = D
-    for c in NEG:
-        c0, c1, c2, c3, c4, c5, c6 = c  # the pairing of lattice.intersect, inline
-        p = d * c0 - a1 * c1 - a2 * c2 - a3 * c3 - a4 * c4 - a5 * c5 - a6 * c6
-        if p < 0:
-            return c, p
-    return None
+    return [
+        d * c0 - a1 * c1 - a2 * c2 - a3 * c3 - a4 * c4 - a5 * c5 - a6 * c6
+        for c0, c1, c2, c3, c4, c5, c6 in NEG
+    ]
+
+
+def _nef_scan(D: Sequence[int], NEG: Sequence[DivisorClass]) -> bool:
+    """is_nef for any 7-tuple D; stops at the first curve D meets negatively."""
+    d, a1, a2, a3, a4, a5, a6 = D
+    for c0, c1, c2, c3, c4, c5, c6 in NEG:  # the pairing of lattice.intersect, inline
+        if d * c0 - a1 * c1 - a2 * c2 - a3 * c3 - a4 * c4 - a5 * c5 - a6 * c6 < 0:
+            return False
+    return True
 
 
 def is_nef(F: DivisorClass, N: NegCurveSet) -> bool:
     """True iff F meets every negative curve nonnegatively."""
-    return _first_negative(F, N.NEG) is None
+    _check_class(F)
+    return _nef_scan(F, N.NEG)
 
 
 @dataclass(frozen=True)
@@ -197,42 +220,65 @@ class ReductionResult:
     effective: bool
 
 
-def _step_limit(F: DivisorClass) -> int:
+def _step_limit(F: Sequence[int]) -> int:
     # AMPLE_CLASS drops by at least 1 per subtraction, the degree never rises,
     # and the smallest exceptional coefficient never falls below its starting
     # floor, so the pairing cannot fall further than this.
-    floor = min(0, min(F.m))
+    floor = min(0, *F[1:])
     return max(1, intersect(AMPLE_CLASS, F) - 21 * floor + 1)
 
 
-def reduce_to_nef(F: DivisorClass, N: NegCurveSet) -> ReductionResult:
-    """Repeatedly subtract the first curve C in N.NEG the class D meets
-    negatively, ceil(-D.C / -C^2) copies at a time: a section of D vanishes
-    on C to at least that order.
+def _negative_index(p: Sequence[int]) -> int:
+    """Index of the first negative entry of p, or -1: one step of the peel."""
+    for i, v in enumerate(p):
+        if v < 0:
+            return i
+    return -1
 
-    Stops when the running class has negative degree (no sections) or meets
-    everything nonnegatively (nef).  A step-count guard converts a corrupted
-    curve list into a hard error instead of a hang.
+
+def _peel(D: list[int], p: list[int], N: NegCurveSet, subs: list | None = None) -> bool:
+    """Reduce the class D in place, keeping p = [D.C for C in N.NEG]: peel
+    ceil(-D.C / -C^2) copies of the first curve C in N.NEG with D.C < 0 (a
+    section of D vanishes on C to that order; a copy that makes the degree
+    negative is the last) and subtract as many rows gram[i] from p, appending
+    each copy to ``subs`` if given.  True if D ends nef, False at a negative
+    degree (no sections).  A step-count guard turns a corrupted curve list
+    into a hard error instead of a hang.
     """
-    D = F
-    subs: list[DivisorClass] = []
-    limit = _step_limit(F)
+    NEG, gram = N.NEG, N.gram
+    start = tuple(D)
+    limit = _step_limit(start)
+    steps = 0
     while D[0] >= 0:
-        found = _first_negative(D, N.NEG)
-        if found is None:
-            return ReductionResult(D, tuple(subs), True)
-        hit, p = found
-        s = -selfint(hit)
-        k = -(p // s) if s > 0 else 1  # only a corrupted NEG has C^2 >= 0
+        i = _negative_index(p)
+        if i < 0:
+            return True
+        hit, row = NEG[i], gram[i]
+        s = -row[i]
+        k = -(p[i] // s) if s > 0 else 1  # only a corrupted NEG has C^2 >= 0
         if hit[0] > 0:
             k = min(k, D[0] // hit[0] + 1)  # stop at the first negative degree
-        if len(subs) + k > limit:
+        steps += k
+        if steps > limit:
             raise ConsistencyError(
-                f"reduction of {F} exceeded {limit} steps; negative-curve set is broken"
+                f"reduction of {DivisorClass._from_vec(start)} exceeded {limit} steps; "
+                "negative-curve set is broken"
             )
-        D = DivisorClass._from_vec(tuple(a - k * c for a, c in zip(D, hit)))
-        subs.extend([hit] * k)
-    return ReductionResult(D, tuple(subs), False)
+        D[:] = [a - k * c for a, c in zip(D, hit)]
+        p[:] = [a - k * g for a, g in zip(p, row)]
+        if subs is not None:
+            subs.extend([hit] * k)
+    return False
+
+
+def reduce_to_nef(F: DivisorClass, N: NegCurveSet) -> ReductionResult:
+    """Peel negative curves off F (see ``_peel``), recording each copy peeled off."""
+    _check_class(F)
+    if F[0] >= 0 and _nef_scan(F, N.NEG):
+        return ReductionResult(F, (), True)
+    D, subs = list(F), []
+    effective = _peel(D, _pairings(F, N.NEG), N, subs)
+    return ReductionResult(DivisorClass._from_vec(tuple(D)), tuple(subs), effective)
 
 
 def euler_characteristic(F: DivisorClass) -> int:
@@ -245,6 +291,7 @@ def euler_characteristic(F: DivisorClass) -> int:
 
 def h0(F: DivisorClass, N: NegCurveSet) -> int:
     """Dimension of the space of sections of F."""
+    _check_class(F)
     if F[0] < 0:
         return 0  # L is nef, so an effective class has degree >= 0
     r = reduce_to_nef(F, N)
@@ -255,6 +302,7 @@ def h0(F: DivisorClass, N: NegCurveSet) -> int:
 
 def h2(F: DivisorClass, N: NegCurveSet) -> int:
     """Second cohomology, via duality with K - F."""
+    _check_class(F)
     return h0(K - F, N)
 
 

@@ -2,26 +2,15 @@
 
 A fat point subscheme m1*p1 + ... + m6*p6 supported on one of the 90
 configurations is handled purely through lattice data: the degree-t piece of
-its ideal has dimension h^0 of the class t*L - m1*E1 - ... - m6*E6, computed
-by negative-curve reduction.  Reducing the top degree m1 + ... + m6 + 3
-normalizes the multiplicities, so that no difference class in the
-configuration meets the scheme class negatively (infinitely near points
-cannot carry more multiplicity than the points they sit over); this leaves
-the ideal unchanged.  Degrees are scanned from that top degree downwards,
-and the scan stops at the first degree without sections, since no lower
-degree has any, or below the largest multiplicity of a point that is not
-infinitely near another, where the class meets the nef class L - E_j
-negatively.  Only the top degree is reduced from scratch.  Its nef part P
-stays nef after subtracting up to k copies of L, where k is read off the
-pairings of P with the negative curves of positive degree, and P - i*L is
-the nef part of each degree in that top run.  Each lower degree reduces the
-nef part of the degree above it minus L.  Every negative curve meets L
-nonnegatively, so the curves forced into a
-degree's class are forced into the class one degree lower as well, and the
-nef part and the presence of sections come out the same.  Generator counts in
-each degree come from the maximal-rank behaviour of multiplication by linear
-forms, read off the nef parts by Riemann-Roch, and the first syzygy module
-follows from third differences of the Hilbert function.
+its ideal has dimension h^0 of the class t*L - m1*E1 - ... - m6*E6.
+``analyze`` finds the nef part of each degree's class with one reduction
+from scratch (the top degree, which normalizes the multiplicities), a top run
+of nef degrees read off its pairings with the negative curves, and a short
+peel per lower degree, carrying those pairings from degree to degree so that
+none is recomputed.  Riemann-Roch gives h^0 of each nef part; generator
+counts come from the maximal-rank behaviour of multiplication by linear
+forms, and the first syzygy module from third differences of the Hilbert
+function.
 """
 
 from __future__ import annotations
@@ -29,23 +18,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .curves import (
     NegCurveSet,
+    _pairings,
+    _peel,
     euler_characteristic,
     full_neg,
-    reduce_to_nef,
     usable_point_indices,
 )
 from .errors import ConsistencyError, ValidationError
-from .lattice import DivisorClass, L, N_POINTS, intersect
+from .lattice import DivisorClass, L, N_POINTS
 from .typeenum import ConfigurationType, enumerate_types
 
 Mults = tuple[int, ...]
 
 
 def _check_mults(mults: Sequence[int]) -> Mults:
+    if not isinstance(mults, Iterable):
+        raise ValidationError(f"multiplicities must be a sequence, got {mults!r}")
     m = tuple(mults)
     if len(m) != N_POINTS:
         raise ValidationError(f"expected {N_POINTS} multiplicities, got {len(m)}")
@@ -62,10 +55,10 @@ def fatpoint_class(mults: Sequence[int], t: int) -> DivisorClass:
     return DivisorClass(t, tuple(-v for v in mults))
 
 
-def _top_nef_part(mults: Sequence[int], N: NegCurveSet) -> DivisorClass:
-    """The nef part of the top degree's class T*L - m1*E1 - ... - m6*E6,
-    T = m1 + ... + m6 + 3.  It has degree T, and minus its E coefficients are
-    the normalized multiplicities.
+def _top_nef_part(mults: Sequence[int], N: NegCurveSet) -> tuple[list[int], list[int]]:
+    """The nef part P of the top degree's class T*L - m1*E1 - ... - m6*E6,
+    T = m1 + ... + m6 + 3, and its pairings with N.NEG.  P has degree T, and
+    minus its E coefficients are the normalized multiplicities.
 
     A class of degree T whose multiplicities are nonnegative and sum to
     T - 3 meets each E_i nonnegatively and each line and conic class
@@ -76,12 +69,13 @@ def _top_nef_part(mults: Sequence[int], N: NegCurveSet) -> DivisorClass:
     """
     m = _check_mults(mults)
     top = sum(m) + 3
-    r = reduce_to_nef(DivisorClass._from_vec((top, *(-v for v in m))), N)
-    if not r.effective or r.reduced[0] != top:
+    P = [top, *(-v for v in m)]
+    p = _pairings(P, N.NEG)
+    if not _peel(P, p, N) or P[0] != top:
         raise ConsistencyError(
-            f"degree {top} class of {m} reduced to {r.reduced}, not a nef class of degree {top}"
+            f"degree {top} class of {m} reduced to {P}, not a nef class of degree {top}"
         )
-    return r.reduced
+    return P, p
 
 
 def proximity_reduce(mults: Sequence[int], classes: Iterable[DivisorClass]) -> Mults:
@@ -90,7 +84,7 @@ def proximity_reduce(mults: Sequence[int], classes: Iterable[DivisorClass]) -> M
     in ``classes``, the same sum, and is reached by steps that replace
     (m_i, m_j) by (m_i + 1, m_j - 1) while m_i < m_j.
     """
-    return tuple(-v for v in _top_nef_part(mults, full_neg(classes))[1:])
+    return tuple(-v for v in _top_nef_part(mults, full_neg(classes))[0][1:])
 
 
 @dataclass(frozen=True)
@@ -175,48 +169,48 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
     Only the top class D_T = T*L - m1*E1 - ... - m6*E6 is reduced from
     scratch.  That reduction peels only differences E_i - E_j, so it is the
     proximity normalization of the multiplicities, and its nef part P has
-    degree T with the normalized multiplicities as coefficients.  If the nef
-    part of degree t is P_t = D_t - S (S the curves peeled off), degree t - 1
-    reduces P_t - L in place of D_t - L, which peels only the curves that are
-    new at that degree.  The two agree:
+    degree T with the normalized multiplicities as coefficients.  A nef class
+    is its own nef part, and (P - i*L).C = P.C - i*deg C, so P - i*L is the
+    nef part of degree T - i, with sections as its degree is >= 0, for
+    i <= k = min(deg P, floor(P.C / deg C) over the curves C in N.NEG of
+    positive degree); h_I there is binom(t + 2, 2) - deg Z.
+
+    Below that run, with P_t = D_t - S the nef part of degree t (S the curves
+    peeled off), degree t - 1 peels P_t - L in place of D_t - L, carrying the
+    pairings with N.NEG from P.  The two agree:
 
     - every curve C in N.NEG has L.C >= 0, so each copy of C that D_t is
       forced to contain, on top of the copies S' peeled before it, is forced
       into D_t - L too: (D_t - L - S').C <= (D_t - S').C < 0.  S is thus part
-      of the fixed part of D_t - L, and the reduction of D_t - L equals the
-      reduction of P_t - L, whichever order the curves are peeled in;
+      of the fixed part of D_t - L, whichever order the curves are peeled in;
     - both are effective exactly when D_t - L has sections, since a reduction
       that ends at a nef class of degree >= 0 has chi >= 1 sections, and one
       that reaches a negative degree shows there are none.
-
-    The top run needs no reduction at all.  A nef class is its own nef part,
-    so while P - i*L is nef it is the nef part of degree T - i, and it has
-    sections because its degree is >= 0.  (P - i*L).C = P.C - i*deg C, so
-    P - i*L is nef exactly for i <= k = min(deg P, floor(P.C / deg C) over
-    the curves C in N.NEG of positive degree).  The per-degree reductions
-    resume from P - (k+1)*L.
     """
     N = full_neg(classes)
-    P = _top_nef_part(mults, N)
-    d, *a = P
-    m = tuple(-v for v in a)
-    k = min([d] + [intersect(P, c) // c[0] for c in N.NEG if c[0] > 0])
-    # the nef part of each degree's class, or None where it has no sections;
-    # m is checked, so the classes skip DivisorClass's coefficient checks.
-    # L is base point free, so below a degree without sections there are none
-    nef_parts: list[DivisorClass | None] = [None] * (d + 1)
-    for i in range(k + 1):
-        nef_parts[d - i] = DivisorClass._from_vec((d - i, *a))
+    D, p = _top_nef_part(mults, N)
+    P = DivisorClass._from_vec(tuple(D))
+    d, m = P[0], tuple(-v for v in P[1:])
+    deg_z = sum(v * (v + 1) // 2 for v in m)
+    degs = [c[0] for c in N.NEG]
+    k = min([d] + [v // c for v, c in zip(p, degs) if c > 0])
+    # h_I and the nef part's degree in each degree, 0 and -1 where there are
+    # no sections (L is base point free, so none below such a degree either)
+    h = [0] * (d - k) + [math.comb(t + 2, 2) - deg_z for t in range(d - k, d + 1)]
+    nef_deg = [-1] * (d - k) + list(range(d - k, d + 1))
     t_min = max(m[j - 1] for j in usable_point_indices(N))
-    D = DivisorClass._from_vec((d - k - 1, *a))
+    # D goes to P - (k+1)*L, then to each nef part minus L: (D - L).C = D.C - deg C
+    D[0] -= k + 1
+    p = [v - (k + 1) * c for v, c in zip(p, degs)]
     for t in range(d - k - 1, t_min - 1, -1):
-        r = reduce_to_nef(D, N)
-        if not r.effective:
+        if not _peel(D, p, N):
             break
-        nef_parts[t] = r.reduced
-        D = r.reduced - L
-    hf = _hilbert(m, nef_parts)
-    res = _resolution(hf, _generators(hf, nef_parts)) if betti else None
+        h[t] = euler_characteristic(D)
+        nef_deg[t] = D[0]
+        D[0] -= 1
+        p = list(map(sub, p, degs))
+    hf = _hilbert(P, deg_z, h)
+    res = _resolution(hf, h, _generators(h, nef_deg)) if betti else None
     return SchemeAnalysis(m, hf, res)
 
 
@@ -226,41 +220,35 @@ def hilbert_function(classes: Iterable[DivisorClass], mults: Sequence[int]) -> H
     return analyze(classes, mults, betti=False).hilbert
 
 
-def _hilbert(m: Mults, nef_parts: Sequence[DivisorClass | None]) -> HilbertFunction:
-    deg_z = sum(v * (v + 1) // 2 for v in m)
-    t_max = len(nef_parts) - 1
-    vals = [0 if d is None else euler_characteristic(d) for d in nef_parts]
-    for t in (t_max - 1, t_max):
-        if vals[t] != math.comb(t + 2, 2) - deg_z:
-            raise ConsistencyError(
-                f"ideal Hilbert function failed to stabilize by degree {t_max}"
-            )
-    hz = [math.comb(t + 2, 2) - vals[t] for t in range(t_max + 1)]
+def _hilbert(P: DivisorClass, deg_z: int, h: Sequence[int]) -> HilbertFunction:
+    for part in (P - L, P):  # the nef parts of the two top degrees
+        t = part[0]
+        if euler_characteristic(part) != math.comb(t + 2, 2) - deg_z:
+            raise ConsistencyError(f"ideal Hilbert function failed to stabilize by degree {P[0]}")
+    hz = [math.comb(t + 2, 2) - v for t, v in enumerate(h)]
     if any(a > b for a, b in zip(hz, hz[1:])) or hz[-1] != deg_z:
         raise ConsistencyError("quotient Hilbert function is not monotone to the degree")
     tail_from = hz.index(deg_z)
-    return HilbertFunction(tuple(vals[: tail_from + 1]), deg_z, tail_from)
+    return HilbertFunction(tuple(h[: tail_from + 1]), deg_z, tail_from)
 
 
-def _generators(
-    hf: HilbertFunction, nef_parts: Sequence[DivisorClass | None]
-) -> tuple[tuple[int, int], ...]:
-    gens: dict[int, int] = {}
-    for t in range(-1, len(nef_parts) - 1):
-        h_cur = hf.h_ideal(t)
-        h_next = hf.h_ideal(t + 1)
+def _generators(h: Sequence[int], nef_deg: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    gens = []
+    h_cur = 0  # h_I in degree -1
+    for t, h_next in enumerate(h):
         if h_cur == 0:
             g = h_next
         else:
-            # d is nef, so d + L is nef too and both are counted by Riemann-Roch:
+            # the nef part d of degree t - 1 and d + L are counted by Riemann-Roch:
             # h_cur = chi(d) and chi(d + L) - chi(d) = d.L + (L^2 - K.L)/2 = deg d + 2
-            h_dl = h_cur + nef_parts[t][0] + 2
+            h_dl = h_cur + nef_deg[t - 1] + 2
             g = (h_next - h_dl) + max(0, h_dl - 3 * h_cur)
         if g < 0:
-            raise ConsistencyError(f"negative generator count {g} in degree {t + 1}")
+            raise ConsistencyError(f"negative generator count {g} in degree {t}")
         if g:
-            gens[t + 1] = g
-    return tuple(sorted(gens.items()))
+            gens.append((t, g))
+        h_cur = h_next
+    return tuple(gens)
 
 
 def minimal_resolution(classes: Iterable[DivisorClass], mults: Sequence[int]) -> GradedResolution:
@@ -268,7 +256,9 @@ def minimal_resolution(classes: Iterable[DivisorClass], mults: Sequence[int]) ->
     return analyze(classes, mults, betti=True).resolution
 
 
-def _resolution(hf: HilbertFunction, f0: tuple[tuple[int, int], ...]) -> GradedResolution:
+def _resolution(
+    hf: HilbertFunction, h: Sequence[int], f0: tuple[tuple[int, int], ...]
+) -> GradedResolution:
     # R[-j] contributes binom(t - j + 2, 2) in degree t, whose third difference
     # in t is 1 at t = j and 0 elsewhere; so h_I = dim F0 - dim F1 gives
     # syzygies s_t = g_t - (third difference of h_I at t).  Past the last
@@ -276,10 +266,12 @@ def _resolution(hf: HilbertFunction, f0: tuple[tuple[int, int], ...]) -> GradedR
     if not f0:
         raise ConsistencyError("ideal has no generators")
     gens = dict(f0)
-    h = hf.h_ideal
+    top = max(max(gens), hf.tail_from + 3)
+    # h_I in degrees -3..top; past the degrees in h it is binom(t+2, 2) - deg_z
+    hs = [0, 0, 0, *h, *(math.comb(t + 2, 2) - hf.deg_z for t in range(len(h), top + 1))]
     f1 = []
-    for t in range(max(max(gens), hf.tail_from + 3) + 1):
-        s = gens.get(t, 0) - (h(t) - 3 * h(t - 1) + 3 * h(t - 2) - h(t - 3))
+    for t in range(top + 1):
+        s = gens.get(t, 0) - (hs[t + 3] - 3 * hs[t + 2] + 3 * hs[t + 1] - hs[t])
         if s < 0:
             raise ConsistencyError(
                 f"free module dimensions disagree in degree {t} (defect {s})"

@@ -22,6 +22,7 @@ from .curves import (
     AMPLE_CLASS,
     NegCurveSet,
     _h0_h1,
+    _nef_scan,
     candidate_families,
     candidate_pool,
     euler_characteristic,
@@ -177,7 +178,7 @@ def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[Divisor
     def offer(vec: tuple[int, ...]) -> bool:
         # a plain tuple until it is kept: the draws are ints by construction,
         # so the kept class skips DivisorClass's checks
-        if vec not in seen and is_nef(vec, N):
+        if vec not in seen and _nef_scan(vec, N.NEG):
             c = DivisorClass._from_vec(vec)
             seen.add(c)
             out.append(c)

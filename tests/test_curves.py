@@ -16,6 +16,7 @@ from sixpoints import (
     ZERO,
     candidate_families,
     e,
+    enumerate_types,
     euler_characteristic,
     full_neg,
     h0,
@@ -29,6 +30,7 @@ from sixpoints import (
     selfint,
     type_by_id,
 )
+from sixpoints import curves
 
 coeff = st.integers(min_value=-6, max_value=6)
 classes = st.builds(DivisorClass, st.integers(-4, 10), st.tuples(*[coeff] * 6))
@@ -74,6 +76,53 @@ def test_full_neg_single_root():
 def test_full_neg_conic():
     N = full_neg((CONIC,))
     assert all(not (c.d == 2 and selfint(c) == -1) for c in N.NEG if c != CONIC)
+
+
+def test_full_neg_memo_hands_out_the_pool_classes():
+    # a plain 7-tuple hashes and compares equal to the class it spells, so a
+    # memo keyed on the input would hand the first caller's tuples to later
+    # callers; it is keyed on the validated pool indices instead
+    curves._full_neg.cache_clear()
+    plain = (tuple(ROOT12), tuple(e(3) - e(4)))
+    for neg in (plain, (ROOT12, e(3) - e(4))):
+        N = full_neg(neg)
+        assert N.neg == (ROOT12, e(3) - e(4))
+        assert all(type(c) is DivisorClass for c in N.neg + N.NEG)
+
+
+def test_full_neg_rejects_an_invalid_set_on_every_call():
+    # exceptions are not memoized
+    for _ in range(3):
+        with pytest.raises(ValidationError, match="duplicate"):
+            full_neg((ROOT12, ROOT12))
+        with pytest.raises(ValidationError, match="meet"):
+            full_neg([ROOT12, e(1) - e(3)])
+
+
+def _gram_is_the_pairing(N):
+    return all(
+        N.gram[i][j] == intersect(a, b)
+        for i, a in enumerate(N.NEG) for j, b in enumerate(N.NEG)
+    ) and len(N.gram) == len(N.NEG)
+
+
+def test_gram_matrix_matches_the_pairing():
+    for t in enumerate_types():
+        assert _gram_is_the_pairing(t.neg_set()), t.id
+    rng = random.Random(8)
+    N = type_by_id(60).neg_set()
+    order = list(N.NEG)
+    rng.shuffle(order)
+    shuffled = NegCurveSet(neg=N.neg, NEG=tuple(order))
+    assert shuffled.NEG != N.NEG and _gram_is_the_pairing(shuffled)
+
+
+@pytest.mark.parametrize("entry", [reduce_to_nef, is_nef, h0, h1, h2])
+def test_non_classes_rejected_at_the_boundary(entry):
+    N = type_by_id(1).neg_set()
+    for bad in ((1, 0, 0, 0, 0, 0, 0), [0, 0, 0, 0, 0, 0, 0], "L"):
+        with pytest.raises(ValidationError, match="expected a DivisorClass"):
+            entry(bad, N)
 
 
 def test_full_neg_validation():

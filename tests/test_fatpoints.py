@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -17,6 +18,7 @@ from sixpoints import (
     fatpoint_class,
     full_neg,
     hilbert_function,
+    intersect,
     is_nef,
     minimal_resolution,
     permute_points,
@@ -140,6 +142,8 @@ def test_bad_multiplicities_rejected():
     classes = type_by_id(1).classes
     with pytest.raises(ValidationError, match="expected 6"):
         hilbert_function(classes, (1, 2, 3))
+    with pytest.raises(ValidationError, match="sequence"):
+        hilbert_function(classes, 5)
     for bad in ((1.5,) * 6, (True,) * 6, (1, 1, 1, 1, 1, 1.0), ("1",) * 6):
         with pytest.raises(ValidationError, match="integers"):
             hilbert_function(classes, bad)
@@ -248,6 +252,53 @@ def test_top_down_scan_matches_every_degree_reference(type_id, mults):
     assert (m, hf, res.f0, res.f1) == _analyze_every_degree(classes, mults)
 
 
+# SHA-256 of analyze(..., betti=True) on the seeded cases of _analyze_digest,
+# frozen from the release that reduced each degree below the top nef run with
+# reduce_to_nef, before the pairings were carried from degree to degree
+FROZEN_ANALYZE_SHA256 = "43654fcbac0ed27ea47f31625559053091c2916fcccb152686f183342e37580c"
+
+
+def _analyze_digest():
+    rng = random.Random(20121)
+    h = hashlib.sha256()
+    for _ in range(600):
+        type_id = rng.randint(1, 90)
+        top = rng.choice((2, 6, 20, 60))
+        mults = tuple(rng.randint(0, top) for _ in range(6))
+        m, hf, res = analyze(type_by_id(type_id).classes, mults, betti=True)
+        row = (type_id, mults, m, hf.ideal_values, hf.deg_z, hf.tail_from, res.f0, res.f1)
+        h.update(repr(row).encode())
+    return h.hexdigest()
+
+
+def test_analyze_matches_frozen_digest():
+    assert _analyze_digest() == FROZEN_ANALYZE_SHA256
+
+
+@settings(max_examples=150, deadline=None)
+@example(90, (300, 300, 0, 0, 0, 0))
+@example(74, (0, 0, 0, 0, 0, 200))
+@example(86, (60,) * 6)
+@given(st.integers(1, 90), st.tuples(*[st.integers(0, 40)] * 6))
+def test_carried_pairings_match_fresh_ones(type_id, mults):
+    # analyze hands each peel the pairings it carried from the degree above
+    # (or from the top degree's reduction); they must be those of the class
+    checked = [0]
+    peel = fatpoints._peel
+
+    def checked_peel(D, p, N, subs=None):
+        assert p == [intersect(D, c) for c in N.NEG]
+        effective = peel(D, p, N, subs)
+        assert p == [intersect(D, c) for c in N.NEG]
+        checked[0] += 1
+        return effective
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fatpoints, "_peel", checked_peel)
+        analyze(type_by_id(type_id).classes, mults, betti=True)
+    assert checked[0] > 0
+
+
 def _count_calls(monkeypatch, module, name):
     calls = [0]
     original = getattr(module, name)
@@ -262,33 +313,34 @@ def _count_calls(monkeypatch, module, name):
 
 def test_scan_peels_only_the_new_curves_at_each_degree(monkeypatch):
     # each degree reduces the nef part of the degree above minus L, so a chain
-    # type makes a few curve scans per degree, not a full reduction per degree
-    # (about 4.7 million scans here when every degree was reduced from scratch)
-    scans = _count_calls(monkeypatch, curves, "_first_negative")
+    # type makes a few peel steps per degree, not a full reduction per degree
+    # (about 4.7 million curve scans here when every degree was reduced from
+    # scratch)
+    steps = _count_calls(monkeypatch, curves, "_negative_index")
     mults = (5000, 5000, 0, 0, 0, 0)
     analyze(type_by_id(90).classes, mults, betti=True)
-    assert scans[0] <= 4 * (sum(mults) + 4)
+    assert 0 < steps[0] <= 4 * (sum(mults) + 4)
 
 
 def test_top_nef_run_is_filled_without_reductions(monkeypatch):
     # the degrees where t*L - sum(m*E) reduces to a nef P - i*L are filled
     # from the top degree's nef part P: 365 and 1,604 reductions when each
     # of them was reduced
-    calls = _count_calls(monkeypatch, fatpoints, "reduce_to_nef")
+    calls = _count_calls(monkeypatch, fatpoints, "_peel")
     analyze(type_by_id(1).classes, (100,) * 6, betti=True)
-    assert calls[0] <= 15
+    assert 0 < calls[0] <= 15
     calls[0] = 0
     analyze(type_by_id(86).classes, (400,) * 6, betti=True)
-    assert calls[0] <= 402
+    assert 0 < calls[0] <= 402
 
 
 def test_scan_stops_at_the_largest_plane_point_multiplicity(monkeypatch):
     # below m1 the class meets the nef class L - E1 negatively, so no degree
     # there is reduced (about 100,000 curve scans when the first degree
     # without sections was reduced down to a negative degree)
-    scans = _count_calls(monkeypatch, curves, "_first_negative")
+    steps = _count_calls(monkeypatch, curves, "_negative_index")
     hf = analyze(type_by_id(90).classes, (10000, 0, 0, 0, 0, 0), betti=True).hilbert
-    assert scans[0] <= 100
+    assert 0 < steps[0] <= 100
     # degree 10000 forms with a 10000-fold point at p1: forms in two variables
     assert hf.h_ideal(9999) == 0 and hf.h_ideal(10000) == 10001
 

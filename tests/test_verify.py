@@ -87,6 +87,12 @@ def test_check_mu_bounds_requires_nef():
         check_mu_bounds(DivisorClass(1, (-1, -1, -1, 0, 0, 0)), type_by_id(1).neg_set())
 
 
+@pytest.mark.parametrize("entry", [mu_stats, check_mu_bounds])
+def test_non_classes_rejected_at_the_boundary(entry):
+    with pytest.raises(ValidationError, match="expected a DivisorClass"):
+        entry((1, 0, 0, 0, 0, 0, 0), type_by_id(1).neg_set())
+
+
 def test_borderline_class_behaviour():
     N = type_by_id(2).neg_set()
     F = FIVE_L_MINUS_2
@@ -180,9 +186,10 @@ def _randrange_sampler(N, count, seed):
     out, seen = [], set()
 
     def offer(vec):
-        if vec not in seen and is_nef(vec, N):
-            seen.add(vec)
-            out.append(DivisorClass(vec[0], vec[1:]))
+        c = DivisorClass(vec[0], vec[1:])
+        if c not in seen and is_nef(c, N):
+            seen.add(c)
+            out.append(c)
             return True
         return False
 
