@@ -9,10 +9,8 @@ algebra is involved.
 
 from .curves import (
     AMPLE_CLASS,
-    CandidateFamilies,
     NegCurveSet,
     ReductionResult,
-    candidate_families,
     candidate_pool,
     euler_characteristic,
     full_neg,
@@ -70,4 +68,4 @@ from .verify import (
     sample_nef,
 )
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"

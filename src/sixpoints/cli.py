@@ -231,18 +231,14 @@ def _scheme(args) -> _Output:
     return _Output("".join(line + "\n" for line in lines), record, header, rows)
 
 
-_CASE_ORDER = ("1", "2a", "2b1", "2b2", "2b3")
-
-
 def _tables(args) -> _Output:
     if args.which == "1":
         rows = [(t.id, t.label, t.neg_label, t.torsion.text()) for t in enumerate_types()]
         return _Output(table1_text(), _type_records(), ("id", "label", "neg", "torsion"), rows)
     report = fatpoints.table2()
     payload, rows, text = {}, [], []
-    for name in _CASE_ORDER:
+    for name, (m1, m2) in fatpoints.CASE_PATTERNS.items():
         ids = report.cases[name]
-        m1, m2 = fatpoints.CASE_PATTERNS[name]
         payload[name] = {"types": list(ids), "m1": _uniform_record(m1), "m2": _uniform_record(m2)}
         shown = [(format_shifts(d.f0), format_shifts(d.f1), _ints(d.hz)) for d in (m1, m2)]
         rows.append((name, " ".join(map(str, ids)), *shown[0], *shown[1]))

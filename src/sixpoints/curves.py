@@ -34,47 +34,16 @@ def _curve(d: int, points: Iterable[int]) -> DivisorClass:
     return DivisorClass(d, m)
 
 
-@dataclass(frozen=True)
-class CandidateFamilies:
-    """The families of classes that can carry an irreducible negative curve
-    when the anticanonical class is nef, and their square -2 members.
-
-    Bp are the exceptional classes E_i, Vp the differences E_i - E_j (i < j,
-    all of square -2), Lp the lines through two or three points and Qp the
-    conics through five or six; Lpp and Qpp are the square -2 members of Lp
-    and Qp.  Together with Vp, they are the candidates for ``neg``.
-    """
-
-    Bp: tuple[DivisorClass, ...]
-    Vp: tuple[DivisorClass, ...]
-    Lp: tuple[DivisorClass, ...]
-    Qp: tuple[DivisorClass, ...]
-    Lpp: tuple[DivisorClass, ...]
-    Qpp: tuple[DivisorClass, ...]
-
-
-@lru_cache(maxsize=1)
-def candidate_families() -> CandidateFamilies:
-    points = range(1, N_POINTS + 1)
-    Vp = tuple(E[i - 1] - E[j - 1] for i, j in itertools.combinations(points, 2))
-    Lp = tuple(_curve(1, s) for r in (2, 3) for s in itertools.combinations(points, r))
-    Qp = tuple(_curve(2, s) for r in (5, 6) for s in itertools.combinations(points, r))
-    return CandidateFamilies(
-        Bp=E,
-        Vp=Vp,
-        Lp=Lp,
-        Qp=Qp,
-        Lpp=tuple(c for c in Lp if selfint(c) == -2),
-        Qpp=tuple(c for c in Qp if selfint(c) == -2),
-    )
-
-
 @lru_cache(maxsize=1)
 def minus_one_candidates() -> tuple[DivisorClass, ...]:
     """The 27 square -1 candidates, in family order (E_i, two-point lines,
     five-point conics) and lexicographic index order within each family."""
-    fam = candidate_families()
-    return tuple(c for c in fam.Bp + fam.Lp + fam.Qp if selfint(c) == -1)
+    points = range(1, N_POINTS + 1)
+    return (
+        E
+        + tuple(_curve(1, s) for s in itertools.combinations(points, 2))
+        + tuple(_curve(2, s) for s in itertools.combinations(points, 5))
+    )
 
 
 @lru_cache(maxsize=1)
@@ -83,8 +52,12 @@ def candidate_pool() -> tuple[DivisorClass, ...]:
     differences E_i - E_j with i < j, then 20 line classes L - E_i - E_j - E_k
     with i < j < k, then the conic class 2L - E1 - ... - E6.  Index order
     within each block is lexicographic on the point indices."""
-    fam = candidate_families()
-    return fam.Vp + fam.Lpp + fam.Qpp
+    points = range(1, N_POINTS + 1)
+    return (
+        tuple(E[i - 1] - E[j - 1] for i, j in itertools.combinations(points, 2))
+        + tuple(_curve(1, s) for s in itertools.combinations(points, 3))
+        + (_curve(2, points),)
+    )
 
 
 @lru_cache(maxsize=1)
@@ -94,6 +67,8 @@ def _pool_index() -> dict[DivisorClass, int]:
 
 def _pool_indices(classes: Iterable[DivisorClass]) -> tuple[int, ...]:
     """Pool indices of distinct candidate classes, in input order."""
+    if not isinstance(classes, Iterable):
+        raise ValidationError(f"expected a collection of candidate classes, got {classes!r}")
     index = _pool_index()
     out: list[int] = []
     for c in classes:
@@ -130,6 +105,9 @@ def _neg_indices(classes: Iterable[DivisorClass]) -> tuple[int, ...]:
 # three-point line classes still pair positively.  Drives the step bound in
 # _peel.
 AMPLE_CLASS = DivisorClass(16, (-6, -5, -4, -3, -2, -1))
+# AMPLE_CLASS.D >= _AMPLE_WEIGHT * (smallest E coefficient of D, if negative)
+# for every class D of degree >= 0
+_AMPLE_WEIGHT = -sum(AMPLE_CLASS.m)
 
 
 @dataclass(frozen=True)
@@ -170,6 +148,7 @@ def usable_point_indices(N: NegCurveSet) -> tuple[int, ...]:
     """Indices j such that p_j is an honest plane point (not infinitely near),
     i.e. j is never the subtracted index of a difference class E_i - E_j in
     neg (its degree 0 classes)."""
+    _check_curves(N)
     near = {c.index(-1) for c in N.neg if c[0] == 0}
     return tuple(j for j in range(1, N_POINTS + 1) if j not in near)
 
@@ -177,6 +156,11 @@ def usable_point_indices(N: NegCurveSet) -> tuple[int, ...]:
 def _check_class(F: DivisorClass) -> None:
     if type(F) is not DivisorClass:
         raise ValidationError(f"expected a DivisorClass, got {F!r}")
+
+
+def _check_curves(N: NegCurveSet) -> None:
+    if type(N) is not NegCurveSet:
+        raise ValidationError(f"expected a NegCurveSet (see full_neg), got {N!r}")
 
 
 def _pairings(D: Sequence[int], NEG: Sequence[DivisorClass]) -> list[int]:
@@ -200,6 +184,7 @@ def _nef_scan(D: Sequence[int], NEG: Sequence[DivisorClass]) -> bool:
 def is_nef(F: DivisorClass, N: NegCurveSet) -> bool:
     """True iff F meets every negative curve nonnegatively."""
     _check_class(F)
+    _check_curves(N)
     return _nef_scan(F, N.NEG)
 
 
@@ -225,7 +210,7 @@ def _step_limit(F: Sequence[int]) -> int:
     # and the smallest exceptional coefficient never falls below its starting
     # floor, so the pairing cannot fall further than this.
     floor = min(0, *F[1:])
-    return max(1, intersect(AMPLE_CLASS, F) - 21 * floor + 1)
+    return max(1, intersect(AMPLE_CLASS, F) - _AMPLE_WEIGHT * floor + 1)
 
 
 def _negative_index(p: Sequence[int]) -> int:
@@ -274,6 +259,7 @@ def _peel(D: list[int], p: list[int], N: NegCurveSet, subs: list | None = None) 
 def reduce_to_nef(F: DivisorClass, N: NegCurveSet) -> ReductionResult:
     """Peel negative curves off F (see ``_peel``), recording each copy peeled off."""
     _check_class(F)
+    _check_curves(N)
     if F[0] >= 0 and _nef_scan(F, N.NEG):
         return ReductionResult(F, (), True)
     D, subs = list(F), []
@@ -292,6 +278,7 @@ def euler_characteristic(F: DivisorClass) -> int:
 def h0(F: DivisorClass, N: NegCurveSet) -> int:
     """Dimension of the space of sections of F."""
     _check_class(F)
+    _check_curves(N)
     if F[0] < 0:
         return 0  # L is nef, so an effective class has degree >= 0
     r = reduce_to_nef(F, N)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -40,24 +41,21 @@ from .notation import parse_negset
 def _perm_table() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """For each permutation of the point labels, where each pool class goes.
 
-    Entry -1 marks a difference class whose image E_j - E_i with j > i left
-    the pool; such a permutation cannot witness an orbit equivalence for a
-    set containing that class.
+    Entry -1 marks a class whose image left the pool (a difference E_j - E_i
+    with j > i); such a permutation cannot witness an orbit equivalence for a
+    set containing that class.  Rows come in ``itertools.permutations``
+    order, which fixes the witness ``classify`` reports.
     """
-    pool = candidate_pool()
-    pairs = list(itertools.combinations(range(1, N_POINTS + 1), 2))
-    triples = list(itertools.combinations(range(1, N_POINTS + 1), 3))
+    pool, index = candidate_pool(), _pool_index()
+    points = range(1, N_POINTS + 1)
     table = []
-    for sigma in itertools.permutations(range(1, N_POINTS + 1)):
-        row = [0] * len(pool)
-        for k, (i, j) in enumerate(pairs):
-            a, b = sigma[i - 1], sigma[j - 1]
-            row[k] = pairs.index((a, b)) if a < b else -1
-        for k, t in enumerate(triples):
-            img = tuple(sorted(sigma[p - 1] for p in t))
-            row[15 + k] = 15 + triples.index(img)
-        row[35] = 35
-        table.append((sigma, tuple(row)))
+    for sigma in itertools.permutations(points):
+        # point i becomes point sigma[i-1], as in lattice.permute_points
+        relabel = operator.itemgetter(0, *(sigma.index(j) + 1 for j in points))
+        # the image stays a plain tuple: it hashes and compares as the class it
+        # spells, and building a DivisorClass per image would cost more than
+        # the lookup
+        table.append((sigma, tuple(index.get(relabel(c), -1) for c in pool)))
     return tuple(table)
 
 
@@ -441,6 +439,8 @@ def _types_by_canon() -> dict[tuple[int, ...], ConfigurationType]:
 
 
 def type_by_id(type_id: int) -> ConfigurationType:
+    if type(type_id) is not int:
+        raise ValidationError(f"type id must be an int, got {type_id!r}")
     types = enumerate_types()
     if not 1 <= type_id <= len(types):
         raise ValidationError(f"type id {type_id} out of range 1..{len(types)}")

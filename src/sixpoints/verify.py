@@ -21,13 +21,14 @@ from dataclasses import dataclass
 from .curves import (
     AMPLE_CLASS,
     NegCurveSet,
+    _check_curves,
     _h0_h1,
     _nef_scan,
-    candidate_families,
     candidate_pool,
     euler_characteristic,
     full_neg,
     is_nef,
+    minus_one_candidates,
     usable_point_indices,
 )
 from .errors import ConsistencyError, ValidationError
@@ -169,6 +170,7 @@ def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[Divisor
     made inline the way CPython 3.10 to 3.13 make ``randrange(n)``:
     ``rng.getrandbits(n.bit_length())``, redrawn while at least n.
     """
+    _check_curves(N)
     _check_count(count)
     _check_seed(seed)
     rng = random.Random(_stream_seed(seed, N))
@@ -289,8 +291,7 @@ def _graph_determines_torsion() -> str:
 
 
 def _ample_positivity() -> str:
-    fam = candidate_families()
-    for c in set(fam.Bp + fam.Vp + fam.Lp + fam.Qp):
+    for c in candidate_pool() + minus_one_candidates():
         assert intersect(AMPLE_CLASS, c) > 0, f"{AMPLE_CLASS} meets {c} nonpositively"
     return "reduction potential is positive on every nef-side candidate"
 

@@ -14,7 +14,9 @@ from sixpoints import (
     NegCurveSet,
     ValidationError,
     ZERO,
-    candidate_families,
+    candidate_pool,
+    check_mu_bounds,
+    classify,
     e,
     enumerate_types,
     euler_characteristic,
@@ -26,9 +28,13 @@ from sixpoints import (
     intersect,
     is_nef,
     minus_one_candidates,
+    mu_stats,
+    proximity_reduce,
     reduce_to_nef,
+    sample_nef,
     selfint,
     type_by_id,
+    usable_point_indices,
 )
 from sixpoints import curves
 
@@ -40,17 +46,18 @@ CONIC = DivisorClass(2, (-1, -1, -1, -1, -1, -1))
 
 
 def test_family_sizes():
-    fam = candidate_families()
-    assert len(fam.Bp) == 6
-    assert len(fam.Qp) == 7
-    assert len(fam.Vp) == 15
-    assert len(fam.Lp) == 35
-    assert len(fam.Lpp) == 20 and len(fam.Qpp) == 1
-    pool = set(fam.Vp) | set(fam.Lpp) | set(fam.Qpp)
-    assert len(pool) == 36
+    pool, minus_one = candidate_pool(), minus_one_candidates()
+    # the pool's blocks: 15 differences, 20 three-point lines, the six-point conic
+    assert [c.d for c in pool] == [0] * 15 + [1] * 20 + [2]
+    # the -1 list: 6 E_i, 15 two-point lines, 6 five-point conics
+    assert [c.d for c in minus_one] == [0] * 6 + [1] * 15 + [2] * 6
+    assert len(set(pool)) == 36
     for c in pool:
         assert selfint(c) == -2
         assert intersect(c, K) == 0
+    for c in minus_one:
+        assert selfint(c) == -1
+        assert intersect(c, K) == -1
 
 
 def test_minus_one_candidates():
@@ -123,6 +130,34 @@ def test_non_classes_rejected_at_the_boundary(entry):
     for bad in ((1, 0, 0, 0, 0, 0, 0), [0, 0, 0, 0, 0, 0, 0], "L"):
         with pytest.raises(ValidationError, match="expected a DivisorClass"):
             entry(bad, N)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda classes: is_nef(L, classes),
+        lambda classes: reduce_to_nef(L, classes),
+        lambda classes: h0(L, classes),
+        lambda classes: h1(L, classes),
+        lambda classes: h2(L, classes),
+        lambda classes: usable_point_indices(classes),
+        lambda classes: sample_nef(classes),
+        lambda classes: mu_stats(L, classes),
+        lambda classes: check_mu_bounds(L, classes),
+        lambda classes: classify(None),
+        lambda classes: full_neg(None),
+        lambda classes: proximity_reduce((1,) * 6, None),
+    ],
+    ids=[
+        "is_nef", "reduce_to_nef", "h0", "h1", "h2", "usable_point_indices",
+        "sample_nef", "mu_stats", "check_mu_bounds",
+        "classify-None", "full_neg-None", "proximity_reduce-None",
+    ],
+)
+def test_wrong_argument_types_rejected_at_the_boundary(call):
+    # a type's classes where its NegCurveSet belongs, or no classes at all
+    with pytest.raises(ValidationError, match="expected a"):
+        call(type_by_id(5).classes)
 
 
 def test_full_neg_validation():
@@ -223,8 +258,9 @@ def test_h0_monotone_along_curves(F, k):
 
 
 def test_ample_class_meets_all_candidates_positively():
-    fam = candidate_families()
-    for c in set(fam.Bp + fam.Vp + fam.Lp + fam.Qp):
+    candidates = candidate_pool() + minus_one_candidates()
+    assert len(set(candidates)) == 63
+    for c in candidates:
         assert intersect(AMPLE_CLASS, c) > 0
 
 

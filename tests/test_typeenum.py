@@ -40,6 +40,32 @@ def test_pool_order():
     assert pool[35] == DivisorClass(2, (-1, -1, -1, -1, -1, -1))
 
 
+def _block_offset_perm_table():
+    """The relabelling table worked out from the pool's block layout (15
+    pairs, 20 triples, the conic), kept as a reference for _perm_table."""
+    pairs = list(itertools.combinations(range(1, 7), 2))
+    triples = list(itertools.combinations(range(1, 7), 3))
+    table = []
+    for sigma in itertools.permutations(range(1, 7)):
+        row = [0] * 36
+        for k, (i, j) in enumerate(pairs):
+            a, b = sigma[i - 1], sigma[j - 1]
+            row[k] = pairs.index((a, b)) if a < b else -1
+        for k, t in enumerate(triples):
+            img = tuple(sorted(sigma[p - 1] for p in t))
+            row[15 + k] = 15 + triples.index(img)
+        row[35] = 35
+        table.append((sigma, tuple(row)))
+    return table
+
+
+def test_perm_table_matches_the_block_layout():
+    table, reference = typeenum._perm_table(), _block_offset_perm_table()
+    assert len(table) == len(reference) == 720
+    for got, want in zip(table, reference):
+        assert got == want
+
+
 def test_classify_identifies_equivalent_pairs():
     a, _ = classify([e(1) - e(3), e(2) - e(4)])
     b, _ = classify([e(1) - e(2), e(3) - e(4)])
@@ -75,6 +101,12 @@ def test_classify_is_orbit_invariant(subset, sigma):
     except ValidationError:
         assume(False)  # not a neg set, or relabelled out of the candidates
     assert t_image == t
+
+
+@pytest.mark.parametrize("bad", [True, False, "3", 3.0, None])
+def test_type_by_id_rejects_non_ints(bad):
+    with pytest.raises(ValidationError, match="type id must be an int"):
+        type_by_id(bad)
 
 
 def test_smith_invariant_factors():
