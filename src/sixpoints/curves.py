@@ -72,7 +72,10 @@ def _pool_indices(classes: Iterable[DivisorClass]) -> tuple[int, ...]:
     index = _pool_index()
     out: list[int] = []
     for c in classes:
-        i = index.get(c)
+        try:
+            i = index.get(c)
+        except TypeError:  # unhashable, so not a class
+            raise ValidationError(f"expected a candidate class, got {c!r}") from None
         if i is None:
             raise ValidationError(
                 f"{c} is not one of the 36 candidate classes (E_i - E_j with i < j, "
@@ -293,15 +296,18 @@ def h2(F: DivisorClass, N: NegCurveSet) -> int:
     return h0(K - F, N)
 
 
-def _h0_h1(F: DivisorClass, N: NegCurveSet) -> tuple[int, int]:
-    """h^0 and h^1 of F, reducing F and its Serre dual K - F once each."""
-    a = h0(F, N)
-    v = a + h2(F, N) - euler_characteristic(F)
+def _h0_h1(D: DivisorClass, p: list[int], N: NegCurveSet) -> tuple[int, int]:
+    """h^0 and h^1 of D, peeling p = [D.C for C in N.NEG] in place.  h^2(D) =
+    h^0(K - D) is 0 if deg D >= -2, since K - D then has negative degree."""
+    a = euler_characteristic(R) if D[0] >= 0 and _peel(R := list(D), p, N) else 0
+    v = a + (0 if D[0] >= -2 else h0(K - D, N)) - euler_characteristic(D)
     if v < 0:
-        raise ConsistencyError(f"negative h^1 = {v} for {F}; h^0 computation is broken")
+        raise ConsistencyError(f"negative h^1 = {v} for {D}; h^0 computation is broken")
     return a, v
 
 
 def h1(F: DivisorClass, N: NegCurveSet) -> int:
     """First cohomology, as h^0 + h^2 minus the Riemann-Roch value."""
-    return _h0_h1(F, N)[1]
+    _check_class(F)
+    _check_curves(N)
+    return _h0_h1(F, _pairings(F, N.NEG), N)[1]

@@ -8,7 +8,7 @@ integers, so arithmetic is exact at any size and wraparound cannot occur.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ValidationError
 
@@ -137,6 +137,8 @@ K = DivisorClass(-3, (1, 1, 1, 1, 1, 1))
 def permute_points(c: DivisorClass, sigma: Sequence[int]) -> DivisorClass:
     """Relabel points by sigma (1-indexed: point i becomes point sigma[i-1]),
     a permutation of 1..6."""
+    if not isinstance(sigma, Iterable):
+        raise ValidationError(f"sigma must be a permutation of 1..{N_POINTS}, got {sigma!r}")
     sigma = tuple(sigma)
     if any(type(v) is not int for v in sigma) or sorted(sigma) != list(range(1, N_POINTS + 1)):
         raise ValidationError(f"sigma must be a permutation of 1..{N_POINTS}, got {sigma}")

@@ -147,15 +147,19 @@ def test_non_classes_rejected_at_the_boundary(entry):
         lambda classes: classify(None),
         lambda classes: full_neg(None),
         lambda classes: proximity_reduce((1,) * 6, None),
+        lambda classes: classify([{}]),
+        lambda classes: full_neg([[0, 1, -1, 0, 0, 0, 0]]),
     ],
     ids=[
         "is_nef", "reduce_to_nef", "h0", "h1", "h2", "usable_point_indices",
         "sample_nef", "mu_stats", "check_mu_bounds",
         "classify-None", "full_neg-None", "proximity_reduce-None",
+        "classify-unhashable", "full_neg-unhashable",
     ],
 )
 def test_wrong_argument_types_rejected_at_the_boundary(call):
-    # a type's classes where its NegCurveSet belongs, or no classes at all
+    # a type's classes where its NegCurveSet belongs, no classes at all, or
+    # an unhashable member where a class belongs
     with pytest.raises(ValidationError, match="expected a"):
         call(type_by_id(5).classes)
 

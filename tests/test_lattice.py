@@ -119,3 +119,9 @@ def test_permute_points_rejects_non_permutations():
                 (2, 1, 3, 4, 5, 6.0), (True, 2, 3, 4, 5, 6), ("1", 2, 3, 4, 5, 6)):
         with pytest.raises(ValidationError, match="permutation"):
             permute_points(e(1) - e(2), bad)
+
+
+def test_permute_points_rejects_a_non_iterable_sigma():
+    for bad in (None, 123456, 1.5):
+        with pytest.raises(ValidationError, match="permutation"):
+            permute_points(L, bad)

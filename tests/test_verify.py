@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -9,12 +10,14 @@ from sixpoints import (
     DivisorClass,
     K,
     L,
+    MuStats,
     ValidationError,
     ZERO,
     check_mu_bounds,
     curves,
     e,
     enumerate_types,
+    euler_characteristic,
     h0,
     h2,
     is_nef,
@@ -24,7 +27,7 @@ from sixpoints import (
     type_by_id,
     usable_point_indices,
 )
-from sixpoints.verify import FIVE_L_MINUS_2, _stream_seed
+from sixpoints.verify import FIVE_L_MINUS_2, _lanes, _stream_seed
 
 # SHA-256 digests of the sampled classes and of every MuStats field of their
 # check_mu_bounds reports, frozen from the release before the verify path was
@@ -237,14 +240,81 @@ def test_negative_degree_classes_are_not_reduced(reductions):
     assert reductions == []
 
 
+@pytest.fixture
+def peeled(monkeypatch):
+    """The classes that enter the peel core curves._peel, in call order; each
+    must come with its own pairings with N.NEG."""
+    calls = []
+    real = curves._peel
+
+    def recording(D, p, N, subs=None):
+        assert p == curves._pairings(D, N.NEG)
+        calls.append(tuple(D))
+        return real(D, p, N, subs)
+
+    monkeypatch.setattr(curves, "_peel", recording)
+    return calls
+
+
 @pytest.mark.parametrize("type_id", [1, 2, 90])
-def test_check_mu_bounds_reduces_only_the_base_point_classes(reductions, type_id):
+def test_check_mu_bounds_reduces_only_the_base_point_classes(peeled, type_id):
     N = type_by_id(type_id).neg_set()
     usable = usable_point_indices(N)
     for F in sample_nef(N, 12, seed=4):
         if F[0] == 0:
             continue  # F - (L - E_j) has negative degree and is not reduced
-        reductions.clear()
+        peeled.clear()
         check_mu_bounds(F, N)
-        assert reductions == [c for j in usable for c in (F - e(j), F - (L - e(j)))]
-        assert len(reductions) == 2 * len(usable)
+        assert peeled == [c for j in usable for c in (F - e(j), F - (L - e(j)))]
+        assert len(peeled) == 2 * len(usable)
+
+
+def _reference_stats(F, N, j):
+    """MuStats by the earlier path: each class a checked DivisorClass whose
+    h^0 and h^2 come from h0 (a reduction from scratch), h^1 by Riemann-Roch."""
+
+    def h0_h1(D):
+        a = h0(D, N)
+        return a, a + h2(D, N) - euler_characteristic(D)
+
+    q, qstar = h0_h1(F - e(j))
+    l, lstar = h0_h1(F - (L - e(j)))
+    h0F, h0FL = h0(F, N), h0(F + L, N)
+    return MuStats(F, j, q, l, qstar, lstar, h0F, h0FL,
+                   max(0, 3 * h0F - h0FL), max(0, h0FL - 3 * h0F))
+
+
+@settings(max_examples=40, deadline=None)
+@example(1, 0, 0, 1, 0)
+@example(74, 3, 5, 3, 2)  # a chain of infinitely near points
+@example(90, 0, 7, 4, 11)  # E6: every point but p_1 infinitely near
+@given(st.integers(1, 90), st.integers(0, 2**32), st.integers(0, 29), st.integers(1, 4),
+       st.integers(0, 29))
+def test_mu_bounds_match_the_reference(type_id, seed, i, k, j):
+    # k*G + H is nef for nef G and H, and reaches degree 60
+    N = type_by_id(type_id).neg_set()
+    samples = sample_nef(N, 30, seed)
+    F = k * samples[i % len(samples)] + samples[j % len(samples)]
+    report = check_mu_bounds(F, N)
+    assert report.stats == tuple(_reference_stats(F, N, u) for u in usable_point_indices(N))
+    assert report.passed, report.violations
+    for index in range(1, 7):  # every index, usable or not
+        assert mu_stats(F, N, index) == _reference_stats(F, N, index)
+
+
+def test_lane_test_matches_the_curve_scan():
+    # every class of sample_nef's box with t <= 2, its corners at t = 12 and
+    # the four fixed classes, on every type; on the corners and fixed classes,
+    # which meet curves in -48..24, every lane must read 128 + D.C exactly
+    small = [(t, *m) for t in range(3) for m in itertools.product(range(-t, 1), repeat=6)]
+    corners = [(12, *m) for m in itertools.product((0, -12), repeat=6)]
+    corners += [tuple(c) for c in (ZERO, L, -K, FIVE_L_MINUS_2)]
+    for t in enumerate_types():
+        NEG = t.neg_set().NEG
+        high, rows = _lanes(NEG)
+        packed = {D: high + sum(row[abs(v)] for row, v in zip(rows, D)) for D in small + corners}
+        for D, v in packed.items():
+            assert (v & high == high) == curves._nef_scan(D, NEG), (t.id, D)
+        for D in corners:
+            lanes = [packed[D] >> 8 * k & 255 for k in range(len(NEG))]
+            assert lanes == [128 + x for x in curves._pairings(D, NEG)], (t.id, D)
