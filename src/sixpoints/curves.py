@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, ValidationError
-from .lattice import DivisorClass, E, K, N_POINTS, intersect, selfint
+from .lattice import DivisorClass, E, K, N_POINTS, intersect
 
 
 def _curve(d: int, points: Iterable[int]) -> DivisorClass:
@@ -116,16 +116,19 @@ _AMPLE_WEIGHT = -sum(AMPLE_CLASS.m)
 @dataclass(frozen=True)
 class NegCurveSet:
     """Classes of irreducible negative curves: the square -2 part (``neg``)
-    and the full list (``NEG``), in a fixed deterministic order, and their
-    Gram matrix ``gram[i][j] = NEG[i].NEG[j]``, derived from ``NEG``."""
+    and the full list (``NEG``), in a fixed deterministic order, their Gram
+    matrix ``gram[i][j] = NEG[i].NEG[j]`` and their columns
+    ``cols[k] = [C[k] for C in NEG]``, both derived from ``NEG``."""
 
     neg: tuple[DivisorClass, ...]
     NEG: tuple[DivisorClass, ...]
     gram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    cols: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gram = tuple(tuple(_pairings(a, self.NEG)) for a in self.NEG)
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "cols", tuple(zip(*self.NEG)) or ((),) * (N_POINTS + 1))
 
 
 def full_neg(neg: Iterable[DivisorClass]) -> NegCurveSet:
@@ -234,13 +237,14 @@ def _peel(D: list[int], p: list[int], N: NegCurveSet, subs: list | None = None) 
     into a hard error instead of a hang.
     """
     NEG, gram = N.NEG, N.gram
-    start = tuple(D)
-    limit = _step_limit(start)
     steps = 0
     while D[0] >= 0:
         i = _negative_index(p)
         if i < 0:
             return True
+        if not steps:  # the guard is set at the first step; a nef D takes none
+            start = tuple(D)
+            limit = _step_limit(start)
         hit, row = NEG[i], gram[i]
         s = -row[i]
         k = -(p[i] // s) if s > 0 else 1  # only a corrupted NEG has C^2 >= 0
@@ -270,12 +274,13 @@ def reduce_to_nef(F: DivisorClass, N: NegCurveSet) -> ReductionResult:
     return ReductionResult(DivisorClass._from_vec(tuple(D)), tuple(subs), effective)
 
 
-def euler_characteristic(F: DivisorClass) -> int:
-    """Riemann-Roch value (F^2 - K.F)/2 + 1."""
-    n = selfint(F) - intersect(K, F)
-    if n % 2:
-        raise ConsistencyError(f"parity failure: F^2 - K.F = {n} is odd for {F}")
-    return n // 2 + 1
+def euler_characteristic(F: Sequence[int]) -> int:
+    """Riemann-Roch value (F^2 - K.F)/2 + 1 of F = d*L + m1*E1 + ... + m6*E6
+    (any 7-sequence), in closed form: binom(d + 2, 2) - sum m_i(m_i - 1)/2.
+    F^2 - K.F = d(d + 3) - sum m_i(m_i - 1), a sum of even terms."""
+    d, m1, m2, m3, m4, m5, m6 = F
+    return ((d + 1) * (d + 2) - m1 * (m1 - 1) - m2 * (m2 - 1) - m3 * (m3 - 1)
+            - m4 * (m4 - 1) - m5 * (m5 - 1) - m6 * (m6 - 1)) // 2
 
 
 def h0(F: DivisorClass, N: NegCurveSet) -> int:
@@ -296,18 +301,16 @@ def h2(F: DivisorClass, N: NegCurveSet) -> int:
     return h0(K - F, N)
 
 
-def _h0_h1(D: DivisorClass, p: list[int], N: NegCurveSet) -> tuple[int, int]:
-    """h^0 and h^1 of D, peeling p = [D.C for C in N.NEG] in place.  h^2(D) =
-    h^0(K - D) is 0 if deg D >= -2, since K - D then has negative degree."""
-    a = euler_characteristic(R) if D[0] >= 0 and _peel(R := list(D), p, N) else 0
-    v = a + (0 if D[0] >= -2 else h0(K - D, N)) - euler_characteristic(D)
+def _check_h1(v: int, D: DivisorClass) -> int:
     if v < 0:
         raise ConsistencyError(f"negative h^1 = {v} for {D}; h^0 computation is broken")
-    return a, v
+    return v
 
 
 def h1(F: DivisorClass, N: NegCurveSet) -> int:
-    """First cohomology, as h^0 + h^2 minus the Riemann-Roch value."""
+    """First cohomology, as h^0 + h^2 minus the Riemann-Roch value.  h^2(F) =
+    h^0(K - F) is 0 if deg F >= -2, since K - F then has negative degree."""
     _check_class(F)
     _check_curves(N)
-    return _h0_h1(F, _pairings(F, N.NEG), N)[1]
+    a = euler_characteristic(R) if F[0] >= 0 and _peel(R := list(F), _pairings(F, N.NEG), N) else 0
+    return _check_h1(a + (0 if F[0] >= -2 else h0(K - F, N)) - euler_characteristic(F), F)

@@ -8,7 +8,7 @@ integers, so arithmetic is exact at any size and wraparound cannot occur.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Sized
 
 from .errors import ValidationError
 
@@ -17,6 +17,10 @@ N_POINTS = 6
 
 def _check_operand(other) -> None:
     """Check an operand of + or - that is not a DivisorClass: width 7, int entries."""
+    if not isinstance(other, Sized):
+        raise ValidationError(
+            f"cannot combine a class with {other!r}, expected a class or {N_POINTS + 1} integers"
+        )
     if len(other) != N_POINTS + 1:
         raise ValidationError(
             f"cannot combine a class with an operand of width {len(other)}, "
@@ -38,6 +42,8 @@ class DivisorClass(tuple):
     __slots__ = ()
 
     def __new__(cls, d: int, m: Sequence[int]) -> "DivisorClass":
+        if not isinstance(m, Iterable):
+            raise ValidationError(f"expected {N_POINTS} exceptional coefficients, got {m!r}")
         vec = (d, *m)
         if len(vec) != N_POINTS + 1:
             raise ValidationError(
@@ -67,7 +73,7 @@ class DivisorClass(tuple):
         return DivisorClass._from_vec(tuple(a + b for a, b in zip(self, other)))
 
     def __radd__(self, other):
-        if other == 0:  # lets sum() work on lists of classes
+        if type(other) is int and other == 0:  # lets sum() work on lists of classes
             return self
         return self.__add__(other)
 

@@ -10,8 +10,8 @@ ties the four quantities to h^0(F + L) - 3 h^0(F).  These checks run here on
 seeded samples of nef classes for every configuration type, with every usable
 base point index, alongside the structural invariants of the other modules,
 among them the enumeration that shows the catalog names every type.  The
-bounds are computed on carried pairing vectors: F - E_j and F - (L - E_j)
-meet a negative curve C in F.C + C_j and F.C - deg C - C_j, with C_j the E_j
+bounds are computed on plain integer lists: F - E_j and F - (L - E_j) meet
+a negative curve C in F.C + C_j and F.C - deg C - C_j, with C_j the E_j
 coefficient of C, so both are peeled starting from F's pairings.
 """
 
@@ -20,14 +20,18 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from operator import add, sub
+from typing import NamedTuple
 
 from .curves import (
     AMPLE_CLASS,
     NegCurveSet,
+    _check_class,
     _check_curves,
-    _h0_h1,
+    _check_h1,
     _nef_scan,
     _pairings,
+    _peel,
     candidate_pool,
     euler_characteristic,
     full_neg,
@@ -50,12 +54,14 @@ KNOWN_GRAPHS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class MuStats:
-    """Section counts controlling the rank of multiplication by linear forms,
-    computed at base point index j: q = h^0(F - E_j), l = h^0(F - (L - E_j)),
-    starred variants are the corresponding h^1, and ker/cok are the maximal
-    rank predictions."""
+class MuStats(NamedTuple):
+    """Section counts controlling the rank of multiplication by linear forms
+    on the nef class F, computed at base point index j (``index``): q =
+    h^0(F - E_j) and l = h^0(F - (L - E_j)); qstar and lstar are the
+    corresponding h^1; h0F = h^0(F) and h0FL = h^0(F + L); ker_pred and
+    cok_pred are the kernel and cokernel dimensions that maximal rank
+    predicts, max(0, +-(3 h0F - h0FL)).  An immutable tuple of these fields,
+    in this order."""
 
     F: DivisorClass
     index: int
@@ -69,38 +75,51 @@ class MuStats:
     cok_pred: int
 
 
-def _nef_sections(F: DivisorClass, N: NegCurveSet) -> tuple[list[int], int, int]:
-    """The pairings of a nef class F with N.NEG, then h^0(F) and h^0(F + L).
+def _nef_sections(F: DivisorClass, N: NegCurveSet) -> tuple[list[int], list[int], int, int]:
+    """The pairings of a nef class F and of F - L with N.NEG, then h^0(F) and
+    h^0(F + L).
 
     F and F + L are nef, so both are counted by Riemann-Roch:
     h^0(F) = chi(F) and chi(F + L) - chi(F) = F.L + (L^2 - K.L)/2 = deg F + 2.
     """
-    if not is_nef(F, N):
+    _check_class(F)
+    _check_curves(N)
+    p = _pairings(F, N.NEG)
+    if min(p, default=0) < 0:
         raise ValidationError(f"{F} is not nef for this configuration")
     chi = euler_characteristic(F)
-    return _pairings(F, N.NEG), chi, chi + F[0] + 2
+    return p, list(map(sub, p, N.cols[0])), chi, chi + F[0] + 2
 
 
-def _stats_at(F: DivisorClass, N: NegCurveSet, index: int, p: list[int], h0F: int, h0FL: int) -> MuStats:
-    ej, NEG = e(index), N.NEG
-    q, qstar = _h0_h1(F - ej, [v + c[index] for v, c in zip(p, NEG)], N)
-    l, lstar = _h0_h1(F - (L - ej), [v - c[0] - c[index] for v, c in zip(p, NEG)], N)
-    return MuStats(
-        F=F,
-        index=index,
-        q=q,
-        l=l,
-        qstar=qstar,
-        lstar=lstar,
-        h0F=h0F,
-        h0FL=h0FL,
-        ker_pred=max(0, 3 * h0F - h0FL),
-        cok_pred=max(0, h0FL - 3 * h0F),
-    )
+def _stats_at(F: DivisorClass, N: NegCurveSet, j: int, p: list[int], pL: list[int],
+              h0F: int, h0FL: int) -> MuStats:
+    """MuStats at index j, on plain lists: F - E_j and F - (L - E_j) meet a
+    curve C in F.C + C_j and (F - L).C - C_j.  Both have degree >= -1, so
+    h^2 = 0 and h^1 = h^0 - chi, with chi(F - E_j) = chi(F) - a_j - 1 and
+    chi(F - L + E_j) = chi(F) - d + a_j - 1 for F = d*L - sum a_i E_i."""
+    d, aj, col = F[0], -F[j], N.cols[j]
+    Q = list(F)
+    Q[j] -= 1
+    q = euler_characteristic(Q) if _peel(Q, list(map(add, p, col)), N) else 0
+    l = 0  # F - (L - E_j) has no sections at degree -1
+    if d > 0:
+        D = list(F)
+        D[0] -= 1
+        D[j] += 1
+        if _peel(D, list(map(sub, pL, col)), N):
+            l = euler_characteristic(D)
+    qstar, lstar = q - h0F + aj + 1, l - h0F + d - aj + 1
+    if qstar < 0 or lstar < 0:
+        _check_h1(qstar, F - E[j - 1])
+        _check_h1(lstar, F - (L - E[j - 1]))
+    return MuStats(F, j, q, l, qstar, lstar, h0F, h0FL,
+                   max(0, 3 * h0F - h0FL), max(0, h0FL - 3 * h0F))
 
 
 def mu_stats(F: DivisorClass, N: NegCurveSet, index: int = 1) -> MuStats:
-    return _stats_at(F, N, index, *_nef_sections(F, N))
+    sections = _nef_sections(F, N)
+    e(index)  # validates the index
+    return _stats_at(F, N, index, *sections)
 
 
 @dataclass(frozen=True)

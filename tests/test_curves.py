@@ -226,6 +226,19 @@ def test_euler_characteristic():
     assert euler_characteristic(L) == 3
 
 
+big = st.integers(-10**6, 10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(classes, st.builds(DivisorClass, big, st.tuples(*[big] * 6))))
+def test_closed_form_chi_is_riemann_roch(F):
+    # binom(d + 2, 2) - sum m_i(m_i - 1)/2 against (F^2 - K.F)/2 + 1 by the pairing,
+    # also on a plain list
+    n = intersect(F, F) - intersect(K, F)
+    assert n % 2 == 0
+    assert euler_characteristic(F) == euler_characteristic(list(F)) == n // 2 + 1
+
+
 def test_h2_examples():
     N = full_neg(())
     assert h2(ZERO, N) == 0
@@ -301,6 +314,22 @@ def test_corrupted_curve_list_hits_the_step_guard():
     # a class of nonnegative square in NEG can never finish a reduction
     with pytest.raises(ConsistencyError, match="steps"):
         reduce_to_nef(L, NegCurveSet(neg=(), NEG=(-L,)))
+
+
+def test_peel_on_a_nef_class_sets_no_step_guard(monkeypatch):
+    def no_guard(F):
+        raise AssertionError(f"_step_limit called on {F}")
+
+    monkeypatch.setattr(curves, "_step_limit", no_guard)
+    for t in (1, 2, 74, 90):
+        N = type_by_id(t).neg_set()
+        for F in sample_nef(N, 30, seed=2) + tuple(L - e(j) for j in usable_point_indices(N)):
+            D, p = list(F), curves._pairings(F, N.NEG)
+            assert curves._peel(D, p, N)
+            assert D == list(F) and p == curves._pairings(F, N.NEG)
+    # the first step of a peel sets it
+    with pytest.raises(AssertionError, match="_step_limit called"):
+        h0(L - e(1) - e(2), full_neg((ROOT12,)))
 
 
 def _reduce_one_curve_per_step(F, N):

@@ -76,6 +76,17 @@ def test_wrong_width_rejected():
             bad + L
         with pytest.raises(ValidationError, match="width"):
             L - bad
+    # an operand without a width, or coefficients that are not a sequence
+    for bad in (5, None, 2.5, 0.0, False):
+        with pytest.raises(ValidationError, match="cannot combine"):
+            L + bad
+        with pytest.raises(ValidationError, match="cannot combine"):
+            bad + L
+        with pytest.raises(ValidationError, match="cannot combine"):
+            L - bad
+        with pytest.raises(ValidationError, match="exceptional coefficients"):
+            DivisorClass(1, bad)
+    assert sum([L, L]) == 2 * L and sum([], L) == L
 
 
 def test_non_integer_coefficients_rejected():
@@ -96,6 +107,12 @@ def test_non_integer_coefficients_rejected():
             bad + L
         with pytest.raises(ValidationError, match="non-integer"):
             L - bad
+    # a width-7 sequence of non-integers, whatever its container
+    for bad in ("1234567", [None] * 7):
+        with pytest.raises(ValidationError, match="non-integer"):
+            L + bad
+        with pytest.raises(ValidationError, match="integers"):
+            DivisorClass(bad[0], bad[1:])
 
 
 def test_permute_points():

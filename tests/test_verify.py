@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -7,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sixpoints import (
+    ConsistencyError,
     DivisorClass,
     K,
     L,
     MuStats,
+    NegCurveSet,
     ValidationError,
     ZERO,
     check_mu_bounds,
@@ -27,6 +28,7 @@ from sixpoints import (
     type_by_id,
     usable_point_indices,
 )
+from sixpoints import verify
 from sixpoints.verify import FIVE_L_MINUS_2, _lanes, _stream_seed
 
 # SHA-256 digests of the sampled classes and of every MuStats field of their
@@ -44,7 +46,7 @@ def _samples_and_stats_digest(pairs) -> str:
         for F in samples:
             h.update(repr(tuple(F)).encode())
             for s in check_mu_bounds(F, N).stats:
-                row = tuple(getattr(s, f.name) for f in dataclasses.fields(s))
+                row = tuple(s)
                 h.update(repr(tuple(tuple(v) if isinstance(v, tuple) else v for v in row)).encode())
         h.update(b";")
     return h.hexdigest()
@@ -88,6 +90,11 @@ def test_mu_stats_rejects_a_non_int_index():
 def test_check_mu_bounds_requires_nef():
     with pytest.raises(ValidationError, match="not nef"):
         check_mu_bounds(DivisorClass(1, (-1, -1, -1, 0, 0, 0)), type_by_id(1).neg_set())
+
+
+def test_an_empty_curve_list_counts_by_riemann_roch():
+    s = mu_stats(L, NegCurveSet(neg=(), NEG=()))
+    assert (s.q, s.l, s.qstar, s.lstar, s.h0F, s.h0FL) == (2, 1, 0, 0, 3, 6)
 
 
 @pytest.mark.parametrize("entry", [mu_stats, check_mu_bounds])
@@ -242,8 +249,8 @@ def test_negative_degree_classes_are_not_reduced(reductions):
 
 @pytest.fixture
 def peeled(monkeypatch):
-    """The classes that enter the peel core curves._peel, in call order; each
-    must come with its own pairings with N.NEG."""
+    """The classes that enter the peel core curves._peel from verify, in call
+    order; each must come with its own pairings with N.NEG."""
     calls = []
     real = curves._peel
 
@@ -252,7 +259,7 @@ def peeled(monkeypatch):
         calls.append(tuple(D))
         return real(D, p, N, subs)
 
-    monkeypatch.setattr(curves, "_peel", recording)
+    monkeypatch.setattr(verify, "_peel", recording)  # the name check_mu_bounds calls
     return calls
 
 
@@ -267,6 +274,19 @@ def test_check_mu_bounds_reduces_only_the_base_point_classes(peeled, type_id):
         check_mu_bounds(F, N)
         assert peeled == [c for j in usable for c in (F - e(j), F - (L - e(j)))]
         assert len(peeled) == 2 * len(usable)
+
+
+def test_a_broken_h0_is_a_consistency_error(monkeypatch):
+    # a peel that never ends nef leaves h^0 = 0 below chi, so h^1 would be negative
+    N = type_by_id(1).neg_set()
+    monkeypatch.setattr(verify, "_peel", lambda D, p, N, subs=None: False)
+    monkeypatch.setattr(curves, "_peel", lambda D, p, N, subs=None: False)
+    with pytest.raises(ConsistencyError, match=r"negative h\^1 = -2 for L-E1"):
+        mu_stats(L, N)
+    with pytest.raises(ConsistencyError, match=r"negative h\^1"):
+        check_mu_bounds(2 * L, N)
+    with pytest.raises(ConsistencyError, match=r"negative h\^1 = -3 for L;"):
+        curves.h1(L, N)
 
 
 def _reference_stats(F, N, j):
@@ -285,7 +305,10 @@ def _reference_stats(F, N, j):
 
 
 @settings(max_examples=40, deadline=None)
-@example(1, 0, 0, 1, 0)
+@example(1, 0, 0, 1, 0)  # F = 0, of degree 0: l = 0 without a peel
+@example(90, 5, 0, 3, 0)  # F = 0 again, on E6
+@example(1, 0, 1, 1, 0)  # F = L: every F - E_j is nef, so its peel takes no step
+@example(90, 0, 1, 2, 1)  # F = 3L on E6: F - E_1 is nef
 @example(74, 3, 5, 3, 2)  # a chain of infinitely near points
 @example(90, 0, 7, 4, 11)  # E6: every point but p_1 infinitely near
 @given(st.integers(1, 90), st.integers(0, 2**32), st.integers(0, 29), st.integers(1, 4),
