@@ -7,12 +7,12 @@ points, and conic classes through five or six.  Its 36 square -2 members are
 the candidate classes, and a configuration's ``neg`` set is a set of distinct
 candidates that pairwise meet nonnegatively; this module holds both the
 candidates and that rule.  The neg set determines the rest of the list, and
-testing a class against the full list decides nefness.  h^0 of any class is
-then computed by peeling off curves the class meets negatively until it is
-nef or visibly empty, and h^1/h^2 follow from Riemann-Roch and duality.  A
-reduction carries the pairings of the running class with every curve in the
-list, and peeling k copies of a curve subtracts k times that curve's row of
-the list's Gram matrix from them, so no pairing is recomputed.
+a class is nef iff its pairing vector with the list has no negative entry.
+The one sections count, ``_h0``, peels off curves the class meets negatively
+until it is nef or visibly empty and takes the Riemann-Roch value of the nef
+part; h^1/h^2 follow from Riemann-Roch and duality.  A reduction carries the
+pairings of the running class with every curve in the list, and peeling k
+copies of a curve subtracts k times that curve's row of the Gram matrix.
 """
 
 from __future__ import annotations
@@ -116,19 +116,23 @@ _AMPLE_WEIGHT = -sum(AMPLE_CLASS.m)
 @dataclass(frozen=True)
 class NegCurveSet:
     """Classes of irreducible negative curves: the square -2 part (``neg``)
-    and the full list (``NEG``), in a fixed deterministic order, their Gram
-    matrix ``gram[i][j] = NEG[i].NEG[j]`` and their columns
-    ``cols[k] = [C[k] for C in NEG]``, both derived from ``NEG``."""
+    and the full list (``NEG``), in a fixed deterministic order.  Derived
+    once, at construction: the Gram matrix ``gram[i][j] = NEG[i].NEG[j]`` and
+    the columns ``cols[k] = [C[k] for C in NEG]`` from ``NEG``, and the plane
+    point indices ``usable`` (see ``usable_point_indices``) from ``neg``."""
 
     neg: tuple[DivisorClass, ...]
     NEG: tuple[DivisorClass, ...]
     gram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     cols: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    usable: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gram = tuple(tuple(_pairings(a, self.NEG)) for a in self.NEG)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "cols", tuple(zip(*self.NEG)) or ((),) * (N_POINTS + 1))
+        near = {c.index(-1) for c in self.neg if c[0] == 0}
+        object.__setattr__(self, "usable", tuple(j for j in range(1, N_POINTS + 1) if j not in near))
 
 
 def full_neg(neg: Iterable[DivisorClass]) -> NegCurveSet:
@@ -153,10 +157,9 @@ def _full_neg(idxs: tuple[int, ...]) -> NegCurveSet:
 def usable_point_indices(N: NegCurveSet) -> tuple[int, ...]:
     """Indices j such that p_j is an honest plane point (not infinitely near),
     i.e. j is never the subtracted index of a difference class E_i - E_j in
-    neg (its degree 0 classes)."""
+    neg (its degree 0 classes): ``N.usable``, derived when N was built."""
     _check_curves(N)
-    near = {c.index(-1) for c in N.neg if c[0] == 0}
-    return tuple(j for j in range(1, N_POINTS + 1) if j not in near)
+    return N.usable
 
 
 def _check_class(F: DivisorClass) -> None:
@@ -178,20 +181,21 @@ def _pairings(D: Sequence[int], NEG: Sequence[DivisorClass]) -> list[int]:
     ]
 
 
-def _nef_scan(D: Sequence[int], NEG: Sequence[DivisorClass]) -> bool:
-    """is_nef for any 7-tuple D; stops at the first curve D meets negatively."""
-    d, a1, a2, a3, a4, a5, a6 = D
-    for c0, c1, c2, c3, c4, c5, c6 in NEG:  # the pairing of lattice.intersect, inline
-        if d * c0 - a1 * c1 - a2 * c2 - a3 * c3 - a4 * c4 - a5 * c5 - a6 * c6 < 0:
-            return False
-    return True
+def _negative_index(p: Sequence[int]) -> int:
+    """Index of the first negative entry of p, or -1: the nef test on a
+    pairing vector, and one step of the peel."""
+    for i, v in enumerate(p):
+        if v < 0:
+            return i
+    return -1
 
 
 def is_nef(F: DivisorClass, N: NegCurveSet) -> bool:
-    """True iff F meets every negative curve nonnegatively."""
+    """True iff F meets every negative curve nonnegatively, i.e. its pairing
+    vector with N.NEG has no negative entry."""
     _check_class(F)
     _check_curves(N)
-    return _nef_scan(F, N.NEG)
+    return _negative_index(_pairings(F, N.NEG)) < 0
 
 
 @dataclass(frozen=True)
@@ -217,14 +221,6 @@ def _step_limit(F: Sequence[int]) -> int:
     # floor, so the pairing cannot fall further than this.
     floor = min(0, *F[1:])
     return max(1, intersect(AMPLE_CLASS, F) - _AMPLE_WEIGHT * floor + 1)
-
-
-def _negative_index(p: Sequence[int]) -> int:
-    """Index of the first negative entry of p, or -1: one step of the peel."""
-    for i, v in enumerate(p):
-        if v < 0:
-            return i
-    return -1
 
 
 def _peel(D: list[int], p: list[int], N: NegCurveSet, subs: list | None = None) -> bool:
@@ -264,35 +260,45 @@ def _peel(D: list[int], p: list[int], N: NegCurveSet, subs: list | None = None) 
 
 
 def reduce_to_nef(F: DivisorClass, N: NegCurveSet) -> ReductionResult:
-    """Peel negative curves off F (see ``_peel``), recording each copy peeled off."""
+    """Peel negative curves off F (see ``_peel``), recording each copy peeled
+    off; a nef F comes back unchanged, with no subtractions."""
     _check_class(F)
     _check_curves(N)
-    if F[0] >= 0 and _nef_scan(F, N.NEG):
-        return ReductionResult(F, (), True)
     D, subs = list(F), []
     effective = _peel(D, _pairings(F, N.NEG), N, subs)
     return ReductionResult(DivisorClass._from_vec(tuple(D)), tuple(subs), effective)
 
 
-def euler_characteristic(F: Sequence[int]) -> int:
-    """Riemann-Roch value (F^2 - K.F)/2 + 1 of F = d*L + m1*E1 + ... + m6*E6
-    (any 7-sequence), in closed form: binom(d + 2, 2) - sum m_i(m_i - 1)/2.
-    F^2 - K.F = d(d + 3) - sum m_i(m_i - 1), a sum of even terms."""
+def _chi(F: Sequence[int]) -> int:
+    """euler_characteristic without its argument check, for vectors built here."""
     d, m1, m2, m3, m4, m5, m6 = F
     return ((d + 1) * (d + 2) - m1 * (m1 - 1) - m2 * (m2 - 1) - m3 * (m3 - 1)
             - m4 * (m4 - 1) - m5 * (m5 - 1) - m6 * (m6 - 1)) // 2
 
 
+def euler_characteristic(F: Sequence[int]) -> int:
+    """Riemann-Roch value (F^2 - K.F)/2 + 1 of F = d*L + m1*E1 + ... + m6*E6
+    (a class or any sequence of 7 ints), in closed form: binom(d + 2, 2) -
+    sum m_i(m_i - 1)/2.  F^2 - K.F = d(d + 3) - sum m_i(m_i - 1), a sum of
+    even terms."""
+    if not (isinstance(F, Sequence) and len(F) == N_POINTS + 1 and all(type(v) is int for v in F)):
+        raise ValidationError(f"expected a class or {N_POINTS + 1} integers d, m1..m6, got {F!r}")
+    return _chi(F)
+
+
+def _h0(D: list[int], p: list[int], N: NegCurveSet) -> int:
+    """h^0 of the class D, given p = [D.C for C in N.NEG]: the Riemann-Roch
+    value of its nef part, or 0 at a negative degree (where ``_peel`` returns
+    at once) or where the peel reaches one.  Peels D and p in place."""
+    return _chi(D) if _peel(D, p, N) else 0
+
+
 def h0(F: DivisorClass, N: NegCurveSet) -> int:
-    """Dimension of the space of sections of F."""
+    """Dimension of the space of sections of F (see ``_h0``); at a negative
+    degree, 0 without building F's pairings."""
     _check_class(F)
     _check_curves(N)
-    if F[0] < 0:
-        return 0  # L is nef, so an effective class has degree >= 0
-    r = reduce_to_nef(F, N)
-    if not r.effective:
-        return 0
-    return euler_characteristic(r.reduced)
+    return _h0(list(F), _pairings(F, N.NEG), N) if F[0] >= 0 else 0
 
 
 def h2(F: DivisorClass, N: NegCurveSet) -> int:
@@ -308,9 +314,5 @@ def _check_h1(v: int, D: DivisorClass) -> int:
 
 
 def h1(F: DivisorClass, N: NegCurveSet) -> int:
-    """First cohomology, as h^0 + h^2 minus the Riemann-Roch value.  h^2(F) =
-    h^0(K - F) is 0 if deg F >= -2, since K - F then has negative degree."""
-    _check_class(F)
-    _check_curves(N)
-    a = euler_characteristic(R) if F[0] >= 0 and _peel(R := list(F), _pairings(F, N.NEG), N) else 0
-    return _check_h1(a + (0 if F[0] >= -2 else h0(K - F, N)) - euler_characteristic(F), F)
+    """First cohomology, h^0 + h^2 minus the Riemann-Roch value."""
+    return _check_h1(h0(F, N) + h2(F, N) - _chi(F), F)

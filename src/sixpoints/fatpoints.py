@@ -23,11 +23,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .curves import (
     NegCurveSet,
+    _chi,
     _pairings,
     _peel,
-    euler_characteristic,
     full_neg,
-    usable_point_indices,
 )
 from .errors import ConsistencyError, ValidationError
 from .lattice import DivisorClass, L, N_POINTS
@@ -192,23 +191,22 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
     P = DivisorClass._from_vec(tuple(D))
     d, m = P[0], tuple(-v for v in P[1:])
     deg_z = sum(v * (v + 1) // 2 for v in m)
-    degs = [c[0] for c in N.NEG]
-    k = min([d] + [v // c for v, c in zip(p, degs) if c > 0])
+    k = min([d] + [v // c for v, c in zip(p, N.cols[0]) if c > 0])
     # h_I and the nef part's degree in each degree, 0 and -1 where there are
     # no sections (L is base point free, so none below such a degree either)
     h = [0] * (d - k) + [math.comb(t + 2, 2) - deg_z for t in range(d - k, d + 1)]
     nef_deg = [-1] * (d - k) + list(range(d - k, d + 1))
-    t_min = max(m[j - 1] for j in usable_point_indices(N))
+    t_min = max(m[j - 1] for j in N.usable)
     # D goes to P - (k+1)*L, then to each nef part minus L: (D - L).C = D.C - deg C
     D[0] -= k + 1
-    p = [v - (k + 1) * c for v, c in zip(p, degs)]
+    p = [v - (k + 1) * c for v, c in zip(p, N.cols[0])]
     for t in range(d - k - 1, t_min - 1, -1):
         if not _peel(D, p, N):
             break
-        h[t] = euler_characteristic(D)
+        h[t] = _chi(D)
         nef_deg[t] = D[0]
         D[0] -= 1
-        p = list(map(sub, p, degs))
+        p = list(map(sub, p, N.cols[0]))
     hf = _hilbert(P, deg_z, h)
     res = _resolution(hf, h, _generators(h, nef_deg)) if betti else None
     return SchemeAnalysis(m, hf, res)
@@ -223,7 +221,7 @@ def hilbert_function(classes: Iterable[DivisorClass], mults: Sequence[int]) -> H
 def _hilbert(P: DivisorClass, deg_z: int, h: Sequence[int]) -> HilbertFunction:
     for part in (P - L, P):  # the nef parts of the two top degrees
         t = part[0]
-        if euler_characteristic(part) != math.comb(t + 2, 2) - deg_z:
+        if _chi(part) != math.comb(t + 2, 2) - deg_z:
             raise ConsistencyError(f"ideal Hilbert function failed to stabilize by degree {P[0]}")
     hz = [math.comb(t + 2, 2) - v for t, v in enumerate(h)]
     if any(a > b for a, b in zip(hz, hz[1:])) or hz[-1] != deg_z:

@@ -15,8 +15,6 @@ exactly three (L - E_x - E_y - E_z), degree 2 exactly six.
 
 from __future__ import annotations
 
-import re
-
 from .curves import _curve
 from .errors import ValidationError
 from .lattice import DivisorClass, E
@@ -28,14 +26,16 @@ _ARITY = {0: 2, 1: 3, 2: 6}
 def parse_negset(text: str) -> list[DivisorClass]:
     """Parse letter notation into divisor classes, in written order.
 
-    Raises ValidationError with a character position for syntax errors,
-    arity mismatches, out-of-order letters, and duplicate classes.
+    Raises ValidationError with a character position for syntax errors, empty
+    groups or terms, arity mismatches, out-of-order letters and duplicate classes.
     """
     out: list[DivisorClass] = []
     if not text.strip():
         return out
-    for group in re.finditer(r"[^;]+", text):
-        gtext, gpos = group.group(), group.start()
+    gpos = 0
+    for gtext in text.split(";"):
+        if not gtext.strip():
+            raise ValidationError(f"syntax error at position {gpos}: empty group")
         colon = gtext.find(":")
         if colon < 0:
             raise ValidationError(
@@ -52,10 +52,11 @@ def parse_negset(text: str) -> list[DivisorClass]:
             raise ValidationError(
                 f"syntax error at position {gpos + colon + 1}: degree {degree} group has no terms"
             )
-        for term in re.finditer(r"[^,]+", body):
-            raw = term.group()
+        start = gpos + colon + 1
+        for raw in body.split(","):
             ttext = raw.strip()
-            tpos = gpos + colon + 1 + term.start() + (len(raw) - len(raw.lstrip()))
+            tpos = start + len(raw) - len(raw.lstrip())
+            start += len(raw) + 1
             if not ttext:
                 raise ValidationError(f"syntax error at position {tpos}: empty term")
             indices = []
@@ -81,6 +82,7 @@ def parse_negset(text: str) -> list[DivisorClass]:
             if cls in out:
                 raise ValidationError(f"duplicate class {ttext!r} at position {tpos}")
             out.append(cls)
+        gpos += len(gtext) + 1
     return out
 
 

@@ -12,7 +12,8 @@ base point index, alongside the structural invariants of the other modules,
 among them the enumeration that shows the catalog names every type.  The
 bounds are computed on plain integer lists: F - E_j and F - (L - E_j) meet
 a negative curve C in F.C + C_j and F.C - deg C - C_j, with C_j the E_j
-coefficient of C, so both are peeled starting from F's pairings.
+coefficient of C, so ``curves._h0`` counts both from F's pairings, and F's
+own nef check is ``is_nef``'s test on those pairings.
 """
 
 from __future__ import annotations
@@ -29,15 +30,14 @@ from .curves import (
     _check_class,
     _check_curves,
     _check_h1,
-    _nef_scan,
+    _chi,
+    _h0,
+    _negative_index,
     _pairings,
-    _peel,
     candidate_pool,
-    euler_characteristic,
     full_neg,
     is_nef,
     minus_one_candidates,
-    usable_point_indices,
 )
 from .errors import ConsistencyError, ValidationError
 from .fatpoints import analyze, hilbert_function
@@ -85,29 +85,26 @@ def _nef_sections(F: DivisorClass, N: NegCurveSet) -> tuple[list[int], list[int]
     _check_class(F)
     _check_curves(N)
     p = _pairings(F, N.NEG)
-    if min(p, default=0) < 0:
+    if _negative_index(p) >= 0:
         raise ValidationError(f"{F} is not nef for this configuration")
-    chi = euler_characteristic(F)
+    chi = _chi(F)
     return p, list(map(sub, p, N.cols[0])), chi, chi + F[0] + 2
 
 
 def _stats_at(F: DivisorClass, N: NegCurveSet, j: int, p: list[int], pL: list[int],
               h0F: int, h0FL: int) -> MuStats:
-    """MuStats at index j, on plain lists: F - E_j and F - (L - E_j) meet a
-    curve C in F.C + C_j and (F - L).C - C_j.  Both have degree >= -1, so
-    h^2 = 0 and h^1 = h^0 - chi, with chi(F - E_j) = chi(F) - a_j - 1 and
-    chi(F - L + E_j) = chi(F) - d + a_j - 1 for F = d*L - sum a_i E_i."""
+    """MuStats at index j, on plain lists: ``_h0`` counts F - E_j and F - (L -
+    E_j) from their pairings F.C + C_j and (F - L).C - C_j.  Both have degree
+    >= -1, so h^2 = 0 and h^1 = h^0 - chi, with chi(F - E_j) = chi(F) - a_j - 1
+    and chi(F - L + E_j) = chi(F) - d + a_j - 1 for F = d*L - sum a_i E_i."""
     d, aj, col = F[0], -F[j], N.cols[j]
     Q = list(F)
     Q[j] -= 1
-    q = euler_characteristic(Q) if _peel(Q, list(map(add, p, col)), N) else 0
-    l = 0  # F - (L - E_j) has no sections at degree -1
-    if d > 0:
-        D = list(F)
-        D[0] -= 1
-        D[j] += 1
-        if _peel(D, list(map(sub, pL, col)), N):
-            l = euler_characteristic(D)
+    q = _h0(Q, list(map(add, p, col)), N)
+    D = list(F)
+    D[0] -= 1
+    D[j] += 1
+    l = _h0(D, list(map(sub, pL, col)), N)
     qstar, lstar = q - h0F + aj + 1, l - h0F + d - aj + 1
     if qstar < 0 or lstar < 0:
         _check_h1(qstar, F - E[j - 1])
@@ -139,7 +136,7 @@ def check_mu_bounds(F: DivisorClass, N: NegCurveSet) -> MuBoundsReport:
     sections = _nef_sections(F, N)
     stats = []
     bad = []
-    for j in usable_point_indices(N):
+    for j in N.usable:
         s = _stats_at(F, N, j, *sections)
         stats.append(s)
         if not (s.l <= s.ker_pred <= s.q + s.l):
@@ -207,7 +204,7 @@ def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[Divisor
     _check_count(count)
     _check_seed(seed)
     high, (w0, w1, w2, w3, w4, w5, w6) = _lanes(N.NEG)
-    out = [c for c in (ZERO, L, -K, FIVE_L_MINUS_2) if _nef_scan(c, N.NEG)]
+    out = [c for c in (ZERO, L, -K, FIVE_L_MINUS_2) if is_nef(c, N)]
     seen = set(out)
     getrandbits = random.Random(_stream_seed(seed, N)).getrandbits
     for _ in range(count * 400):

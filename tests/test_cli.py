@@ -174,6 +174,7 @@ def test_verify_reports_a_catalog_that_fails_to_build(catalog_with_wrong_torsion
 def test_exit_code_on_bad_input():
     assert run(["hilbert", "--type", "95", "--mults", "1,1,1,1,1,1"])[0] == 1
     assert run(["types", "classify", "--neg", "0: BA"])[0] == 1
+    assert run(["types", "classify", "--neg", ";"])[0] == 1
     assert run(["hilbert", "--type", "1", "--mults", "1,1"])[0] == 1
     assert run(["betti", "--type", "1", "--mults", "1,1,1,1,1,-1"])[0] == 1
     assert run(["hilbert", "--type", "1", "--mults", "a,b,c,d,e,f"])[0] == 1

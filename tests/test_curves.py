@@ -149,12 +149,15 @@ def test_non_classes_rejected_at_the_boundary(entry):
         lambda classes: proximity_reduce((1,) * 6, None),
         lambda classes: classify([{}]),
         lambda classes: full_neg([[0, 1, -1, 0, 0, 0, 0]]),
+        lambda classes: euler_characteristic((0.5,) * 7),
+        lambda classes: euler_characteristic((1, 2)),
     ],
     ids=[
         "is_nef", "reduce_to_nef", "h0", "h1", "h2", "usable_point_indices",
         "sample_nef", "mu_stats", "check_mu_bounds",
         "classify-None", "full_neg-None", "proximity_reduce-None",
         "classify-unhashable", "full_neg-unhashable",
+        "euler_characteristic-float", "euler_characteristic-width",
     ],
 )
 def test_wrong_argument_types_rejected_at_the_boundary(call):
@@ -252,6 +255,10 @@ def test_h1_examples():
     assert h1(-(ROOT12), N) == 0
     for F in (ZERO, L, -K, 2 * L - e(1) - e(2)):
         assert h1(F, N) == 0  # nef classes have no first cohomology
+    # Serre duality, also where h^2 > 0 (K, 2K - L) or h^1 > 0 (L - 3E1)
+    assert h1(K, N) == 0 and h1(L - 3 * e(1), N) == 3
+    for F in (K, 2 * K - L, L - 3 * e(1), -(ROOT12), 3 * L - 4 * e(2)):
+        assert h1(F, N) == h1(K - F, N)
 
 
 @settings(max_examples=60, deadline=None)
@@ -352,6 +359,7 @@ def test_batched_reduction_matches_one_curve_per_step(type_id, F):
     N = type_by_id(type_id).neg_set()
     r = reduce_to_nef(F, N)
     reduced, subs, effective = _reduce_one_curve_per_step(F, N)
+    assert is_nef(F, N) == all(intersect(F, c) >= 0 for c in N.NEG)
     assert r.effective == effective
     assert h0(F, N) == (euler_characteristic(reduced) if effective else 0)
     if effective:

@@ -45,6 +45,10 @@ def test_parse_ignores_whitespace():
     ("2: ABCDE", "degree 2 needs exactly 6"),
     ("0: AB, AB", "duplicate class"),
     ("0:", "no terms"),
+    (";", "position 0: empty group"),
+    ("0: AB;", "position 6: empty group"),
+    ("0: AB,,CD", "position 6: empty term"),
+    ("0: AB,", "position 6: empty term"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ValidationError, match=fragment):

@@ -88,8 +88,13 @@ def test_mu_stats_rejects_a_non_int_index():
 
 
 def test_check_mu_bounds_requires_nef():
+    N = type_by_id(1).neg_set()
     with pytest.raises(ValidationError, match="not nef"):
-        check_mu_bounds(DivisorClass(1, (-1, -1, -1, 0, 0, 0)), type_by_id(1).neg_set())
+        check_mu_bounds(DivisorClass(1, (-1, -1, -1, 0, 0, 0)), N)
+    # L + E1 meets only the first curve of N.NEG, E1, negatively
+    assert N.NEG[0] == e(1)
+    with pytest.raises(ValidationError, match="not nef"):
+        check_mu_bounds(L + e(1), N)
 
 
 def test_an_empty_curve_list_counts_by_riemann_roch():
@@ -228,15 +233,15 @@ def test_sample_nef_draws_the_randrange_stream(type_id, seed, count):
 
 @pytest.fixture
 def reductions(monkeypatch):
-    """The classes curves.reduce_to_nef is called on, in call order."""
+    """The classes that enter the peel core curves._peel, in call order."""
     calls = []
-    real = curves.reduce_to_nef
+    real = curves._peel
 
-    def counting(F, N):
-        calls.append(F)
-        return real(F, N)
+    def counting(D, p, N, subs=None):
+        calls.append(tuple(D))
+        return real(D, p, N, subs)
 
-    monkeypatch.setattr(curves, "reduce_to_nef", counting)
+    monkeypatch.setattr(curves, "_peel", counting)
     return calls
 
 
@@ -259,7 +264,7 @@ def peeled(monkeypatch):
         calls.append(tuple(D))
         return real(D, p, N, subs)
 
-    monkeypatch.setattr(verify, "_peel", recording)  # the name check_mu_bounds calls
+    monkeypatch.setattr(curves, "_peel", recording)  # the name _h0 calls
     return calls
 
 
@@ -279,7 +284,6 @@ def test_check_mu_bounds_reduces_only_the_base_point_classes(peeled, type_id):
 def test_a_broken_h0_is_a_consistency_error(monkeypatch):
     # a peel that never ends nef leaves h^0 = 0 below chi, so h^1 would be negative
     N = type_by_id(1).neg_set()
-    monkeypatch.setattr(verify, "_peel", lambda D, p, N, subs=None: False)
     monkeypatch.setattr(curves, "_peel", lambda D, p, N, subs=None: False)
     with pytest.raises(ConsistencyError, match=r"negative h\^1 = -2 for L-E1"):
         mu_stats(L, N)
@@ -337,7 +341,8 @@ def test_lane_test_matches_the_curve_scan():
         high, rows = _lanes(NEG)
         packed = {D: high + sum(row[abs(v)] for row, v in zip(rows, D)) for D in small + corners}
         for D, v in packed.items():
-            assert (v & high == high) == curves._nef_scan(D, NEG), (t.id, D)
+            nef = curves._negative_index(curves._pairings(D, NEG)) < 0
+            assert (v & high == high) == nef, (t.id, D)
         for D in corners:
             lanes = [packed[D] >> 8 * k & 255 for k in range(len(NEG))]
             assert lanes == [128 + x for x in curves._pairings(D, NEG)], (t.id, D)
