@@ -68,4 +68,4 @@ from .verify import (
     sample_nef,
 )
 
-__version__ = "7.3.0"
+__version__ = "7.4.0"

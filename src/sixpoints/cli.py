@@ -28,7 +28,8 @@ from .typeenum import ConfigurationType, classify, enumerate_types, table1_text,
 MAX_TMAX = 10_000  # `hilbert --tmax` limit: output size and memory grow with the range shown
 # `hilbert`/`betti` limit on m1 + ... + m6: below the top nef run, each of at
 # most that sum + 3 degrees makes one peel of the curves new at its degree, on
-# pairings carried from the degree above, so the work grows about linearly
+# pairings carried from the degree above in one integer of about 27 lanes
+# whose width grows with the log of the sum, so the work grows about linearly
 # with the sum (README, "Cost of large multiplicities", gives times at the limit)
 MAX_MULT_SUM = 10_000
 # `verify --samples` limit: the sampler may spend 400 draws per requested class

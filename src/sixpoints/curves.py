@@ -11,8 +11,9 @@ a class is nef iff its pairing vector with the list has no negative entry.
 The one sections count, ``_h0``, peels off curves the class meets negatively
 until it is nef or visibly empty and takes the Riemann-Roch value of the nef
 part; h^1/h^2 follow from Riemann-Roch and duality.  A reduction carries the
-pairings of the running class with every curve in the list, and peeling k
-copies of a curve subtracts k times that curve's row of the Gram matrix.
+pairings of the running class with every curve in the list as one integer,
+a lane of W bits per curve, and peeling k copies of a curve subtracts k
+times that curve's packed row of the Gram matrix.
 """
 
 from __future__ import annotations
@@ -113,26 +114,46 @@ AMPLE_CLASS = DivisorClass(16, (-6, -5, -4, -3, -2, -1))
 _AMPLE_WEIGHT = -sum(AMPLE_CLASS.m)
 
 
+@lru_cache(maxsize=1)
+def _curve_classes() -> frozenset[DivisorClass]:
+    return frozenset(candidate_pool() + minus_one_candidates())
+
+
 @dataclass(frozen=True)
 class NegCurveSet:
     """Classes of irreducible negative curves: the square -2 part (``neg``)
-    and the full list (``NEG``), in a fixed deterministic order.  Derived
+    and the full list (``NEG``), in a fixed deterministic order.  Every class
+    of ``NEG`` must be a candidate class (``candidate_pool`` or
+    ``minus_one_candidates``): the reductions rest on their shapes.  Derived
     once, at construction: the Gram matrix ``gram[i][j] = NEG[i].NEG[j]`` and
     the columns ``cols[k] = [C[k] for C in NEG]`` from ``NEG``, and the plane
-    point indices ``usable`` (see ``usable_point_indices``) from ``neg``."""
+    point indices ``usable`` (see ``usable_point_indices``) from ``neg``.  The
+    packed tables of ``_packing`` are kept in ``packings``, one entry per lane
+    width, built on first use."""
 
     neg: tuple[DivisorClass, ...]
     NEG: tuple[DivisorClass, ...]
     gram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     cols: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     usable: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    packings: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
+        curves = _curve_classes()
+        for c in self.NEG:
+            if type(c) is not DivisorClass or c not in curves:
+                raise ValidationError(
+                    f"{c!r} is not a candidate curve class (one of candidate_pool or "
+                    "minus_one_candidates); full_neg builds the curve list of a neg set"
+                )
         gram = tuple(tuple(_pairings(a, self.NEG)) for a in self.NEG)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "cols", tuple(zip(*self.NEG)) or ((),) * (N_POINTS + 1))
         near = {c.index(-1) for c in self.neg if c[0] == 0}
         object.__setattr__(self, "usable", tuple(j for j in range(1, N_POINTS + 1) if j not in near))
+        object.__setattr__(self, "packings", {})
 
 
 def full_neg(neg: Iterable[DivisorClass]) -> NegCurveSet:
@@ -181,21 +202,68 @@ def _pairings(D: Sequence[int], NEG: Sequence[DivisorClass]) -> list[int]:
     ]
 
 
-def _negative_index(p: Sequence[int]) -> int:
-    """Index of the first negative entry of p, or -1: the nef test on a
-    pairing vector, and one step of the peel."""
-    for i, v in enumerate(p):
-        if v < 0:
-            return i
-    return -1
+def _packing(N: NegCurveSet, W: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Tables for W-bit lanes, lane k holding curve k of N.NEG: ``high``, with
+    2^(W-1) in every lane, the packed Gram rows sum_k gram[i][k] 2^(Wk) and
+    the packed columns sum_k C_k[j] 2^(Wk), j = 0..6.  If every |D.C_k| <
+    2^(W-1), then p = high + d*cols[0] - a_1*cols[1] - ... - a_6*cols[6] for
+    D = d*L + a_1*E1 + ... + a_6*E6 has the digits 2^(W-1) + D.C_k in base
+    2^W: D.C_k >= 0 iff the top bit of lane k is set, and p - k*rows[i] is
+    the packed pairings of D - k*C_i.  Built once per (N, W), kept on N."""
+    try:
+        return N.packings[W]
+    except KeyError:
+        pass
+    high = sum(1 << W - 1 << W * k for k in range(len(N.NEG)))
+    rows = tuple(sum(v << W * k for k, v in enumerate(row)) for row in N.gram)
+    cols = tuple(sum(v << W * k for k, v in enumerate(col)) for col in N.cols)
+    return N.packings.setdefault(W, (high, rows, cols))
+
+
+def _lane_width(D: Sequence[int]) -> int:
+    # A lane must hold D'.C for every curve C of N.NEG (candidate classes, as
+    # NegCurveSet checks) and every class D' of a reduction of D, or of
+    # analyze's scan down from D, whose degree steps subtract L.  Along
+    # either:
+    # - the degree never rises, and stays >= -2: a copy of a curve (of degree
+    #   <= 2) that makes it negative is the last;
+    # - each E coefficient stays at or above the starting floor min(0, a_1,
+    #   ..., a_6): E_i is peeled down to a_i = 0, E_i - E_j down to a_i >=
+    #   a_j, and line and conic classes raise the coefficients;
+    # - AMPLE_CLASS.D' = 16d' + sum w_i a'_i never rises (weights w_i in 1..6,
+    #   summing to _AMPLE_WEIGHT = 21).
+    # So the positive parts of the a'_i sum to at most AMPLE_CLASS.D + 32 -
+    # 21*floor and their negative parts to at most -6*floor, and a curve, of
+    # degree <= 2 with E coefficients in -1..1, meets D' in at most 2|d'| +
+    # sum |a'_i| in absolute value; sum |a_i| covers D itself, which takes no
+    # step at a negative degree.  The floor is taken one lower so that the
+    # bound also holds from D - E_j and D - (L - E_j), which verify reduces
+    # on D's lanes.  W is the least multiple of 8 with 2^(W-1) > bound
+    # (multiples of 8, so that a configuration keeps few tables).
+    d, *a = D
+    floor = min(0, *a) - 1
+    bound = 2 * max(abs(d), 2) + max(
+        sum(map(abs, a)), intersect(AMPLE_CLASS, D) + 32 - (_AMPLE_WEIGHT + N_POINTS) * floor
+    )
+    return bound.bit_length() // 8 * 8 + 8
+
+
+def _pack(D: Sequence[int], N: NegCurveSet) -> tuple[int, int]:
+    """The lane width W of D (see ``_lane_width``) and D's pairings with
+    N.NEG packed into W-bit lanes (see ``_packing``)."""
+    W = _lane_width(D)
+    high, _, (c0, c1, c2, c3, c4, c5, c6) = _packing(N, W)
+    d, a1, a2, a3, a4, a5, a6 = D
+    return W, high + d * c0 - a1 * c1 - a2 * c2 - a3 * c3 - a4 * c4 - a5 * c5 - a6 * c6
 
 
 def is_nef(F: DivisorClass, N: NegCurveSet) -> bool:
-    """True iff F meets every negative curve nonnegatively, i.e. its pairing
-    vector with N.NEG has no negative entry."""
+    """True iff F meets every negative curve nonnegatively, i.e. the top bit
+    of every lane of its packed pairings with N.NEG is set."""
     _check_class(F)
     _check_curves(N)
-    return _negative_index(_pairings(F, N.NEG)) < 0
+    W, p = _pack(F, N)
+    return not ~p & _packing(N, W)[0]
 
 
 @dataclass(frozen=True)
@@ -223,27 +291,34 @@ def _step_limit(F: Sequence[int]) -> int:
     return max(1, intersect(AMPLE_CLASS, F) - _AMPLE_WEIGHT * floor + 1)
 
 
-def _peel(D: list[int], p: list[int], N: NegCurveSet, subs: list | None = None) -> bool:
-    """Reduce the class D in place, keeping p = [D.C for C in N.NEG]: peel
+def _peel(D: list[int], p: int, N: NegCurveSet, W: int, subs: list | None = None) -> int:
+    """Reduce the class D in place and return its packed pairings, given p,
+    those of D with N.NEG in W-bit lanes (see ``_packing``): peel
     ceil(-D.C / -C^2) copies of the first curve C in N.NEG with D.C < 0 (a
     section of D vanishes on C to that order; a copy that makes the degree
-    negative is the last) and subtract as many rows gram[i] from p, appending
-    each copy to ``subs`` if given.  True if D ends nef, False at a negative
-    degree (no sections).  A step-count guard turns a corrupted curve list
-    into a hard error instead of a hang.
+    negative is the last) and subtract as many packed Gram rows of C from p,
+    appending each copy to ``subs`` if given.  D ends nef, or at a negative
+    degree (no sections).  The first such C is the lowest lane whose top bit
+    is clear.  A step-count guard turns a broken peel (pairings that do not
+    follow the class, a curve list corrupted after construction) into a hard
+    error instead of a hang.
     """
     NEG, gram = N.NEG, N.gram
+    high, rows, _ = _packing(N, W)
+    mask, off = (1 << W) - 1, 1 << W - 1
     steps = 0
     while D[0] >= 0:
-        i = _negative_index(p)
-        if i < 0:
-            return True
+        neg = ~p & high  # the top bits of the lanes that read D.C < 0
+        if not neg:
+            return p
+        at = (neg & -neg).bit_length() - W  # the lowest such lane starts here
+        i = at // W
         if not steps:  # the guard is set at the first step; a nef D takes none
             start = tuple(D)
             limit = _step_limit(start)
-        hit, row = NEG[i], gram[i]
-        s = -row[i]
-        k = -(p[i] // s) if s > 0 else 1  # only a corrupted NEG has C^2 >= 0
+        hit = NEG[i]
+        s = -gram[i][i]
+        k = -(((p >> at & mask) - off) // s) if s > 0 else 1  # only a corrupted NEG has C^2 >= 0
         if hit[0] > 0:
             k = min(k, D[0] // hit[0] + 1)  # stop at the first negative degree
         steps += k
@@ -253,10 +328,10 @@ def _peel(D: list[int], p: list[int], N: NegCurveSet, subs: list | None = None) 
                 "negative-curve set is broken"
             )
         D[:] = [a - k * c for a, c in zip(D, hit)]
-        p[:] = [a - k * g for a, g in zip(p, row)]
+        p -= k * rows[i]
         if subs is not None:
             subs.extend([hit] * k)
-    return False
+    return p
 
 
 def reduce_to_nef(F: DivisorClass, N: NegCurveSet) -> ReductionResult:
@@ -265,8 +340,9 @@ def reduce_to_nef(F: DivisorClass, N: NegCurveSet) -> ReductionResult:
     _check_class(F)
     _check_curves(N)
     D, subs = list(F), []
-    effective = _peel(D, _pairings(F, N.NEG), N, subs)
-    return ReductionResult(DivisorClass._from_vec(tuple(D)), tuple(subs), effective)
+    W, p = _pack(F, N)
+    _peel(D, p, N, W, subs)
+    return ReductionResult(DivisorClass._from_vec(tuple(D)), tuple(subs), D[0] >= 0)
 
 
 def _chi(F: Sequence[int]) -> int:
@@ -286,11 +362,13 @@ def euler_characteristic(F: Sequence[int]) -> int:
     return _chi(F)
 
 
-def _h0(D: list[int], p: list[int], N: NegCurveSet) -> int:
-    """h^0 of the class D, given p = [D.C for C in N.NEG]: the Riemann-Roch
-    value of its nef part, or 0 at a negative degree (where ``_peel`` returns
-    at once) or where the peel reaches one.  Peels D and p in place."""
-    return _chi(D) if _peel(D, p, N) else 0
+def _h0(D: list[int], p: int, N: NegCurveSet, W: int) -> int:
+    """h^0 of the class D, given p, its pairings with N.NEG in W-bit lanes:
+    the Riemann-Roch value of its nef part, or 0 at a negative degree (where
+    ``_peel`` returns at once) or where the peel reaches one.  Peels D in
+    place."""
+    _peel(D, p, N, W)
+    return _chi(D) if D[0] >= 0 else 0
 
 
 def h0(F: DivisorClass, N: NegCurveSet) -> int:
@@ -298,7 +376,10 @@ def h0(F: DivisorClass, N: NegCurveSet) -> int:
     degree, 0 without building F's pairings."""
     _check_class(F)
     _check_curves(N)
-    return _h0(list(F), _pairings(F, N.NEG), N) if F[0] >= 0 else 0
+    if F[0] < 0:
+        return 0
+    W, p = _pack(F, N)
+    return _h0(list(F), p, N, W)
 
 
 def h2(F: DivisorClass, N: NegCurveSet) -> int:

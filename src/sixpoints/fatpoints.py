@@ -6,11 +6,13 @@ its ideal has dimension h^0 of the class t*L - m1*E1 - ... - m6*E6.
 ``analyze`` finds the nef part of each degree's class with one reduction
 from scratch (the top degree, which normalizes the multiplicities), a top run
 of nef degrees read off its pairings with the negative curves, and a short
-peel per lower degree, carrying those pairings from degree to degree so that
-none is recomputed.  Riemann-Roch gives h^0 of each nef part; generator
-counts come from the maximal-rank behaviour of multiplication by linear
-forms, and the first syzygy module from third differences of the Hilbert
-function.
+peel per lower degree, carrying those pairings, packed into one integer with
+a lane per curve, from degree to degree so that none is recomputed.
+Riemann-Roch gives h^0 of each nef part; generator counts come from the
+maximal-rank behaviour of multiplication by linear forms, and the first
+syzygy module from third differences of the Hilbert function.  Inside the
+top run every value is closed-form, and none is listed past the last degree
+that can carry a generator.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .curves import (
     NegCurveSet,
     _chi,
+    _pack,
+    _packing,
     _pairings,
     _peel,
     full_neg,
@@ -54,10 +57,12 @@ def fatpoint_class(mults: Sequence[int], t: int) -> DivisorClass:
     return DivisorClass(t, tuple(-v for v in mults))
 
 
-def _top_nef_part(mults: Sequence[int], N: NegCurveSet) -> tuple[list[int], list[int]]:
+def _top_nef_part(mults: Sequence[int], N: NegCurveSet) -> tuple[list[int], int, int]:
     """The nef part P of the top degree's class T*L - m1*E1 - ... - m6*E6,
-    T = m1 + ... + m6 + 3, and its pairings with N.NEG.  P has degree T, and
-    minus its E coefficients are the normalized multiplicities.
+    T = m1 + ... + m6 + 3, its pairings with N.NEG packed into lanes and
+    their width W, which holds every pairing of a scan down from that class
+    (see ``curves._lane_width``).  P has degree T, and minus its E
+    coefficients are the normalized multiplicities.
 
     A class of degree T whose multiplicities are nonnegative and sum to
     T - 3 meets each E_i nonnegatively and each line and conic class
@@ -69,12 +74,13 @@ def _top_nef_part(mults: Sequence[int], N: NegCurveSet) -> tuple[list[int], list
     m = _check_mults(mults)
     top = sum(m) + 3
     P = [top, *(-v for v in m)]
-    p = _pairings(P, N.NEG)
-    if not _peel(P, p, N) or P[0] != top:
+    W, p = _pack(P, N)
+    p = _peel(P, p, N, W)
+    if P[0] != top:
         raise ConsistencyError(
             f"degree {top} class of {m} reduced to {P}, not a nef class of degree {top}"
         )
-    return P, p
+    return P, p, W
 
 
 def proximity_reduce(mults: Sequence[int], classes: Iterable[DivisorClass]) -> Mults:
@@ -161,9 +167,12 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
 
     Degrees are scanned from T = m1 + ... + m6 + 3 downwards, and the scan
     stops at the first degree whose class has no sections: every lower degree
-    has none either.  It never goes below t_min, the largest m_j with p_j a
-    plane point: L - E_j is then nef, so D_t meets it in t - m_j < 0 for
-    t < t_min, and a class with sections meets every nef class nonnegatively.
+    has none either.  It never goes below t_min, the largest normalized
+    multiplicity.  That is the multiplicity m_j of a plane point p_j, since
+    normalized multiplicities do not increase along a chain of infinitely
+    near points and every chain starts at a plane point; L - E_j is then nef,
+    so D_t meets it in t - m_j < 0 for t < t_min, and a class with sections
+    meets every nef class nonnegatively.
 
     Only the top class D_T = T*L - m1*E1 - ... - m6*E6 is reduced from
     scratch.  That reduction peels only differences E_i - E_j, so it is the
@@ -174,9 +183,21 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
     i <= k = min(deg P, floor(P.C / deg C) over the curves C in N.NEG of
     positive degree); h_I there is binom(t + 2, 2) - deg Z.
 
+    In that top run r = T - k, ..., T the values are listed only up to the
+    last degree that can carry a generator, max(r, isqrt(2 deg Z)) (or T);
+    ``_resolution`` extends h_I in closed form past the list, and no
+    generator is lost:
+
+    - for t > r the nef part of degree t - 1 has degree t - 1, so
+      ``_generators`` has h_dl = h_{t-1} + (t - 1) + 2 = h_t and counts
+      g_t = max(0, h_t - 3 h_{t-1});
+    - h_t - h_{t-1} = t + 1 and 2 h_{t-1} = t(t + 1) - 2 deg Z, so
+      h_t > 3 h_{t-1} iff t^2 - 1 < 2 deg Z iff t <= isqrt(2 deg Z): no
+      generator lies above that degree.
+
     Below that run, with P_t = D_t - S the nef part of degree t (S the curves
     peeled off), degree t - 1 peels P_t - L in place of D_t - L, carrying the
-    pairings with N.NEG from P.  The two agree:
+    packed pairings with N.NEG from P.  The two agree:
 
     - every curve C in N.NEG has L.C >= 0, so each copy of C that D_t is
       forced to contain, on top of the copies S' peeled before it, is forced
@@ -187,26 +208,30 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
       that reaches a negative degree shows there are none.
     """
     N = full_neg(classes)
-    D, p = _top_nef_part(mults, N)
+    D, p, W = _top_nef_part(mults, N)
     P = DivisorClass._from_vec(tuple(D))
     d, m = P[0], tuple(-v for v in P[1:])
     deg_z = sum(v * (v + 1) // 2 for v in m)
-    k = min([d] + [v // c for v, c in zip(p, N.cols[0]) if c > 0])
+    k = min([d] + [v // c for v, c in zip(_pairings(P, N.NEG), N.cols[0]) if c > 0])
+    r = d - k
+    end = min(d, max(r, math.isqrt(2 * deg_z)))  # the last degree with a possible generator
     # h_I and the nef part's degree in each degree, 0 and -1 where there are
     # no sections (L is base point free, so none below such a degree either)
-    h = [0] * (d - k) + [math.comb(t + 2, 2) - deg_z for t in range(d - k, d + 1)]
-    nef_deg = [-1] * (d - k) + list(range(d - k, d + 1))
-    t_min = max(m[j - 1] for j in N.usable)
+    h = [0] * r + [math.comb(t + 2, 2) - deg_z for t in range(r, end + 1)]
+    nef_deg = [-1] * r + list(range(r, end + 1))
+    t_min = max(m)
     # D goes to P - (k+1)*L, then to each nef part minus L: (D - L).C = D.C - deg C
+    degs = _packing(N, W)[2][0]
     D[0] -= k + 1
-    p = [v - (k + 1) * c for v, c in zip(p, N.cols[0])]
-    for t in range(d - k - 1, t_min - 1, -1):
-        if not _peel(D, p, N):
+    p -= (k + 1) * degs
+    for t in range(r - 1, t_min - 1, -1):
+        p = _peel(D, p, N, W)
+        if D[0] < 0:
             break
         h[t] = _chi(D)
         nef_deg[t] = D[0]
         D[0] -= 1
-        p = list(map(sub, p, N.cols[0]))
+        p -= degs
     hf = _hilbert(P, deg_z, h)
     res = _resolution(hf, h, _generators(h, nef_deg)) if betti else None
     return SchemeAnalysis(m, hf, res)

@@ -10,10 +10,12 @@ ties the four quantities to h^0(F + L) - 3 h^0(F).  These checks run here on
 seeded samples of nef classes for every configuration type, with every usable
 base point index, alongside the structural invariants of the other modules,
 among them the enumeration that shows the catalog names every type.  The
-bounds are computed on plain integer lists: F - E_j and F - (L - E_j) meet
-a negative curve C in F.C + C_j and F.C - deg C - C_j, with C_j the E_j
-coefficient of C, so ``curves._h0`` counts both from F's pairings, and F's
-own nef check is ``is_nef``'s test on those pairings.
+bounds are computed on packed pairings: F's pairings with the negative
+curves are packed into one integer, a lane per curve (``curves._pack``),
+and F - E_j and F - (L - E_j) meet a negative curve C in F.C + C_j and
+F.C - deg C - C_j, with C_j the E_j coefficient of C, so one add or subtract
+of the packed column j gives their pairings, from which ``curves._h0``
+counts both; F's own nef check is ``is_nef``'s test on F's lanes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from operator import add, sub
 from typing import NamedTuple
 
 from .curves import (
@@ -32,8 +33,8 @@ from .curves import (
     _check_h1,
     _chi,
     _h0,
-    _negative_index,
-    _pairings,
+    _pack,
+    _packing,
     candidate_pool,
     full_neg,
     is_nef,
@@ -75,36 +76,39 @@ class MuStats(NamedTuple):
     cok_pred: int
 
 
-def _nef_sections(F: DivisorClass, N: NegCurveSet) -> tuple[list[int], list[int], int, int]:
-    """The pairings of a nef class F and of F - L with N.NEG, then h^0(F) and
-    h^0(F + L).
+def _nef_sections(F: DivisorClass, N: NegCurveSet) -> tuple[int, int, int, int, int]:
+    """The lane width W of a nef class F, the pairings of F and of F - L with
+    N.NEG packed into W-bit lanes, then h^0(F) and h^0(F + L).
 
     F and F + L are nef, so both are counted by Riemann-Roch:
     h^0(F) = chi(F) and chi(F + L) - chi(F) = F.L + (L^2 - K.L)/2 = deg F + 2.
     """
     _check_class(F)
     _check_curves(N)
-    p = _pairings(F, N.NEG)
-    if _negative_index(p) >= 0:
+    W, p = _pack(F, N)
+    high, _, cols = _packing(N, W)
+    if ~p & high:
         raise ValidationError(f"{F} is not nef for this configuration")
     chi = _chi(F)
-    return p, list(map(sub, p, N.cols[0])), chi, chi + F[0] + 2
+    return W, p, p - cols[0], chi, chi + F[0] + 2
 
 
-def _stats_at(F: DivisorClass, N: NegCurveSet, j: int, p: list[int], pL: list[int],
+def _stats_at(F: DivisorClass, N: NegCurveSet, j: int, W: int, p: int, pL: int,
               h0F: int, h0FL: int) -> MuStats:
-    """MuStats at index j, on plain lists: ``_h0`` counts F - E_j and F - (L -
-    E_j) from their pairings F.C + C_j and (F - L).C - C_j.  Both have degree
-    >= -1, so h^2 = 0 and h^1 = h^0 - chi, with chi(F - E_j) = chi(F) - a_j - 1
-    and chi(F - L + E_j) = chi(F) - d + a_j - 1 for F = d*L - sum a_i E_i."""
-    d, aj, col = F[0], -F[j], N.cols[j]
+    """MuStats at index j, on packed pairings: ``_h0`` counts F - E_j and F -
+    (L - E_j) from their pairings F.C + C_j and (F - L).C - C_j, one add or
+    subtract of the packed column j (the lane width W of F also holds every
+    pairing of their reductions, see ``curves._lane_width``).  Both have
+    degree >= -1, so h^2 = 0 and h^1 = h^0 - chi, with chi(F - E_j) = chi(F) -
+    a_j - 1 and chi(F - L + E_j) = chi(F) - d + a_j - 1 for F = d*L - sum a_i E_i."""
+    d, aj, col = F[0], -F[j], _packing(N, W)[2][j]
     Q = list(F)
     Q[j] -= 1
-    q = _h0(Q, list(map(add, p, col)), N)
+    q = _h0(Q, p + col, N, W)
     D = list(F)
     D[0] -= 1
     D[j] += 1
-    l = _h0(D, list(map(sub, pL, col)), N)
+    l = _h0(D, pL - col, N, W)
     qstar, lstar = q - h0F + aj + 1, l - h0F + d - aj + 1
     if qstar < 0 or lstar < 0:
         _check_h1(qstar, F - E[j - 1])
@@ -171,12 +175,14 @@ def _check_seed(seed: int) -> None:
 _BITS = tuple((t + 1).bit_length() for t in range(13))
 
 
-def _lanes(NEG) -> tuple[int, list[list[int]]]:
-    """high (128 in each 8-bit lane) and rows [v * W_i for v in 0..12], with W
-    the sum of 2^(8k) C_k over the curves C_k of NEG.  If all |D.C_k| <= 127,
-    high + D.W has digits 128 + D.C_k in base 256, so D is nef iff bit 7 of each is set."""
-    W = [sum(c[i] << 8 * k for k, c in enumerate(NEG)) for i in range(N_POINTS + 1)]
-    return sum(128 << 8 * k for k in range(len(NEG))), [[v * w for v in range(13)] for w in W]
+def _lanes(N: NegCurveSet) -> tuple[int, list[list[int]]]:
+    """high and rows [v * C_i for v in 0..12], i = 0..6, from the 8-bit
+    packing of N.NEG (``curves._packing``) and its packed columns C_i.  If all
+    |D.C_k| <= 127, high + t*C_0 + a_1*C_1 + ... + a_6*C_6 has the digits
+    128 + D.C_k in base 256 for D = t*L - sum a_i E_i, so D is nef iff bit 7
+    of each is set."""
+    high, _, cols = _packing(N, 8)
+    return high, [[v * w for v in range(13)] for w in cols]
 
 
 def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[DivisorClass, ...]:
@@ -188,8 +194,9 @@ def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[Divisor
     coefficients sorted decreasingly, which lands inside the chains of
     inequalities that difference classes impose; without that, configurations
     with long chains would almost never pass the filter.  The filter is the
-    lane test of ``_lanes``, by table lookup: a curve of N.NEG has degree 0..2
-    and E_i coefficients in -1..1, so each drawn class meets it in -96..96.
+    lane test of ``_lanes``, by table lookup on 8-bit lanes from the packing
+    helper the peel uses: a curve of N.NEG has degree 0..2 and E_i
+    coefficients in -1..1, so each drawn class meets it in -96..96.
 
     Sampling contract: a (type, seed, count) triple gives the same classes in
     the same order from release to release.  The benchmark's output digests
@@ -203,7 +210,7 @@ def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[Divisor
     _check_curves(N)
     _check_count(count)
     _check_seed(seed)
-    high, (w0, w1, w2, w3, w4, w5, w6) = _lanes(N.NEG)
+    high, (w0, w1, w2, w3, w4, w5, w6) = _lanes(N)
     out = [c for c in (ZERO, L, -K, FIVE_L_MINUS_2) if is_nef(c, N)]
     seen = set(out)
     getrandbits = random.Random(_stream_seed(seed, N)).getrandbits

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sixpoints import (
     AMPLE_CLASS,
@@ -318,9 +318,26 @@ def test_batched_peeling_stops_at_first_negative_degree():
 
 
 def test_corrupted_curve_list_hits_the_step_guard():
-    # a class of nonnegative square in NEG can never finish a reduction
+    # a curve list whose packed Gram rows read zero never updates the
+    # pairings in a peel: E1 - E2 stays the first curve met negatively, and
+    # peeling it leaves the degree as it is, so only the guard ends the
+    # reduction
+    base = full_neg((ROOT12,))
+    N = NegCurveSet(neg=base.neg, NEG=base.NEG)
+    F = L - e(2)
+    W = curves._lane_width(F)
+    high, rows, cols = curves._packing(N, W)
+    N.packings[W] = (high, (0,) * len(rows), cols)
     with pytest.raises(ConsistencyError, match="steps"):
-        reduce_to_nef(L, NegCurveSet(neg=(), NEG=(-L,)))
+        reduce_to_nef(F, N)
+
+
+def test_curve_list_must_hold_candidate_classes():
+    # the peel's lane width is derived for the candidates' shapes; -L, of
+    # nonnegative square, could never finish a reduction
+    for bad in ((-L,), (L - 100 * e(1),), (e(1) + e(2),), ((0, 1, -1, 0, 0, 0, 0),)):
+        with pytest.raises(ValidationError, match="not a candidate curve class"):
+            NegCurveSet(neg=(), NEG=bad)
 
 
 def test_peel_on_a_nef_class_sets_no_step_guard(monkeypatch):
@@ -331,9 +348,9 @@ def test_peel_on_a_nef_class_sets_no_step_guard(monkeypatch):
     for t in (1, 2, 74, 90):
         N = type_by_id(t).neg_set()
         for F in sample_nef(N, 30, seed=2) + tuple(L - e(j) for j in usable_point_indices(N)):
-            D, p = list(F), curves._pairings(F, N.NEG)
-            assert curves._peel(D, p, N)
-            assert D == list(F) and p == curves._pairings(F, N.NEG)
+            D, (W, p) = list(F), curves._pack(F, N)
+            assert curves._peel(D, p, N, W) == p
+            assert D == list(F)
     # the first step of a peel sets it
     with pytest.raises(AssertionError, match="_step_limit called"):
         h0(L - e(1) - e(2), full_neg((ROOT12,)))
@@ -348,6 +365,58 @@ def _reduce_one_curve_per_step(F, N):
         D = D - hit
         subs.append(hit)
     return D, subs, False
+
+
+def _list_peel(F, N):
+    """The batched peel on a plain list of pairings, as it ran before the
+    pairings were packed into lanes: (reduced, copies, effective)."""
+    D, p, copies = list(F), [intersect(F, c) for c in N.NEG], []
+    while D[0] >= 0:
+        i = next((i for i, v in enumerate(p) if v < 0), None)
+        if i is None:
+            return DivisorClass._from_vec(tuple(D)), copies, True
+        hit, row = N.NEG[i], N.gram[i]
+        k = -(p[i] // -row[i])
+        if hit[0] > 0:
+            k = min(k, D[0] // hit[0] + 1)
+        D = [a - k * c for a, c in zip(D, hit)]
+        p = [a - k * g for a, g in zip(p, row)]
+        copies += [hit] * k
+    return DivisorClass._from_vec(tuple(D)), copies, False
+
+
+@st.composite
+def _wide_classes(draw):
+    """A type and a class n*G + (a few multiples of its negative curves), G
+    one of the type's sampled nef classes: coefficients up to about 1.2
+    million, while the fixed part, and so the list of copies to compare,
+    stays small."""
+    type_id = draw(st.integers(1, 90))
+    N = type_by_id(type_id).neg_set()
+    F = draw(st.integers(0, 10**5)) * draw(st.sampled_from(sample_nef(N, 30, seed=5)))
+    curve = st.sampled_from(N.NEG)
+    for C, c in draw(st.lists(st.tuples(curve, st.integers(0, 40)), max_size=6)):
+        F = F + c * C
+    return type_id, F
+
+
+@settings(max_examples=200, deadline=None)
+@example((90, DivisorClass(9999, (-10000, 0, 0, 0, 0, 0))))  # ~100,000 copies, 1 or 2 a batch
+@example((74, DivisorClass(6000, (0, 0, 0, 0, -5000, -5000))))
+@example((1, 10**15 * (L - e(1)) + 40 * (L - e(1) - e(2))))  # pairings up to 10^15
+@given(_wide_classes())
+def test_wide_lanes_match_the_list_peel(case):
+    # pairings of this size need lanes of up to 32 bits (56 in the last
+    # example), whose width comes from a bound: a lane too narrow would carry
+    # into the next one
+    type_id, F = case
+    N = type_by_id(type_id).neg_set()
+    reduced, copies, effective = _list_peel(F, N)
+    r = reduce_to_nef(F, N)
+    assert (r.reduced, r.effective) == (reduced, effective)
+    assert Counter(r.subtractions) == Counter(copies)
+    assert h0(F, N) == (euler_characteristic(reduced) if effective else 0)
+    assert is_nef(F, N) == all(intersect(F, c) >= 0 for c in N.NEG)
 
 
 @settings(max_examples=400, deadline=None)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 
@@ -28,7 +29,7 @@ from sixpoints import (
     type_by_id,
     usable_point_indices,
 )
-from sixpoints import curves, fatpoints
+from sixpoints import fatpoints
 from sixpoints.typeenum import candidate_pool
 
 
@@ -93,6 +94,19 @@ def test_proximity_reduce_rejects_a_non_neg_set():
 def test_proximity_reduce_matches_one_unit_loop(type_id, mults):
     classes = type_by_id(type_id).classes
     assert proximity_reduce(mults, classes) == _proximity_one_unit(mults, classes)
+
+
+@settings(max_examples=200, deadline=None)
+@example(90, (0, 0, 0, 0, 0, 400))
+@example(74, (0, 0, 0, 0, 0, 10))
+@given(st.integers(1, 90), st.tuples(*[st.integers(0, 40)] * 6))
+def test_normalized_maximum_is_at_a_plane_point(type_id, mults):
+    # why analyze may stop its scan at max(m) of the normalized multiplicities:
+    # the largest is the multiplicity of a point that is not infinitely near
+    # another, where L - E_j is nef
+    classes = type_by_id(type_id).classes
+    m = proximity_reduce(mults, classes)
+    assert max(m[j - 1] for j in usable_point_indices(full_neg(classes))) == max(m)
 
 
 def test_fatpoint_class():
@@ -281,22 +295,48 @@ def test_analyze_matches_frozen_digest():
 @example(86, (60,) * 6)
 @given(st.integers(1, 90), st.tuples(*[st.integers(0, 40)] * 6))
 def test_carried_pairings_match_fresh_ones(type_id, mults):
-    # analyze hands each peel the pairings it carried from the degree above
-    # (or from the top degree's reduction); they must be those of the class
+    # analyze hands each peel the packed pairings it carried from the degree
+    # above (or from the top degree's reduction); unpacked, they must be
+    # those of the class, and so must the ones the peel hands back
     checked = [0]
     peel = fatpoints._peel
 
-    def checked_peel(D, p, N, subs=None):
-        assert p == [intersect(D, c) for c in N.NEG]
-        effective = peel(D, p, N, subs)
-        assert p == [intersect(D, c) for c in N.NEG]
+    def checked_peel(D, p, N, W, subs=None):
+        assert _lanes_of(p, W, len(N.NEG)) == [intersect(D, c) for c in N.NEG]
+        p = peel(D, p, N, W, subs)
+        assert _lanes_of(p, W, len(N.NEG)) == [intersect(D, c) for c in N.NEG]
         checked[0] += 1
-        return effective
+        return p
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fatpoints, "_peel", checked_peel)
         analyze(type_by_id(type_id).classes, mults, betti=True)
     assert checked[0] > 0
+
+
+def _lanes_of(p, W, n):
+    """The n signed W-bit lanes of packed pairings p, lowest first."""
+    return [(p >> W * k & (1 << W) - 1) - (1 << W - 1) for k in range(n)]
+
+
+def _count_peel_steps(monkeypatch):
+    # the curve scans of analyze's peels: one per batch of copies peeled, plus
+    # the last, which finds the class nef.  Consecutive batches of one peel
+    # take different curves, so the batches are the runs of equal curves in
+    # its record of copies.
+    steps = [0]
+    real = fatpoints._peel
+
+    def counted(D, p, N, W, subs=None):
+        copies = []
+        p = real(D, p, N, W, copies)
+        steps[0] += sum(1 for _ in itertools.groupby(copies)) + (D[0] >= 0)
+        if subs is not None:
+            subs.extend(copies)
+        return p
+
+    monkeypatch.setattr(fatpoints, "_peel", counted)
+    return steps
 
 
 def _count_calls(monkeypatch, module, name):
@@ -316,7 +356,7 @@ def test_scan_peels_only_the_new_curves_at_each_degree(monkeypatch):
     # type makes a few peel steps per degree, not a full reduction per degree
     # (about 4.7 million curve scans here when every degree was reduced from
     # scratch)
-    steps = _count_calls(monkeypatch, curves, "_negative_index")
+    steps = _count_peel_steps(monkeypatch)
     mults = (5000, 5000, 0, 0, 0, 0)
     analyze(type_by_id(90).classes, mults, betti=True)
     assert 0 < steps[0] <= 4 * (sum(mults) + 4)
@@ -334,11 +374,33 @@ def test_top_nef_run_is_filled_without_reductions(monkeypatch):
     assert 0 < calls[0] <= 402
 
 
+@pytest.mark.parametrize("type_id, mults", [(1, (100,) * 6), (86, (60,) * 6), (86, (400,) * 6)])
+def test_top_run_stops_at_the_last_possible_generator(monkeypatch, type_id, mults):
+    # analyze lists h_I and the nef degrees in the top run r..T only up to
+    # the last degree t that can carry a generator, where h_t > 3 h_{t-1} or
+    # t = r; extended in closed form to T they give the same generators
+    seen = []
+    real = fatpoints._generators
+
+    def recorded(h, nef_deg):
+        seen.append((h, nef_deg))
+        return real(h, nef_deg)
+
+    monkeypatch.setattr(fatpoints, "_generators", recorded)
+    m, hf, res = analyze(type_by_id(type_id).classes, mults, betti=True)
+    (h, nef_deg), = seen
+    top = sum(m) + 3
+    assert len(h) == len(nef_deg) < top + 1
+    full_h = list(h) + [math.comb(t + 2, 2) - hf.deg_z for t in range(len(h), top + 1)]
+    full_nef = list(nef_deg) + list(range(len(h), top + 1))
+    assert real(full_h, full_nef) == res.f0
+
+
 def test_scan_stops_at_the_largest_plane_point_multiplicity(monkeypatch):
     # below m1 the class meets the nef class L - E1 negatively, so no degree
     # there is reduced (about 100,000 curve scans when the first degree
     # without sections was reduced down to a negative degree)
-    steps = _count_calls(monkeypatch, curves, "_negative_index")
+    steps = _count_peel_steps(monkeypatch)
     hf = analyze(type_by_id(90).classes, (10000, 0, 0, 0, 0, 0), betti=True).hilbert
     assert 0 < steps[0] <= 100
     # degree 10000 forms with a 10000-fold point at p1: forms in two variables

@@ -11,6 +11,7 @@ handlers still branched on the format.  A refactor that changes any byte of
 these payloads is a behaviour change, not a cleanup.
 """
 
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -58,3 +59,21 @@ def test_golden_file_covers_exactly_the_cases(golden):
 def test_cli_output_is_byte_identical(golden, argv):
     want = golden[" ".join(argv)]
     assert run(argv) == (want["code"], want["stdout"])
+
+
+# SHA-256 of `betti --format json` at the command line's multiplicity cap, on
+# the inputs with the widest pairing lanes and the longest scans, frozen from
+# the release before the pairings were packed into lanes
+CAP_SHA256 = {
+    ("74", "0,0,0,0,0,10000"): "1211cc1327b15f86d681c3acff4dccaf889afffe8bd3b4afb36b2721f6f078c0",
+    ("88", "0,0,0,0,0,10000"): "3514dfecf99b80aa1ddc7e9a9c91a8cce239f162bce9d6830f5e7e650d87427c",
+    ("90", "5000,5000,0,0,0,0"): "e00ff654dbd7fcadfacf158095ba11a479a4592a19059cc2a4117bf47d22aa56",
+    ("86", "1667,1667,1667,1667,1666,1666"): "be9663c08e65ceb5c05b53cd5b004ecfe1e65874b82647fc417b4c8cf782d9de",
+}
+
+
+@pytest.mark.parametrize("type_arg, mults", CAP_SHA256, ids=" ".join)
+def test_betti_at_the_cap_matches_frozen_digest(type_arg, mults):
+    code, out = run(["betti", "--type", type_arg, "--mults", mults, "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CAP_SHA256[type_arg, mults]

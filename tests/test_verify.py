@@ -237,9 +237,9 @@ def reductions(monkeypatch):
     calls = []
     real = curves._peel
 
-    def counting(D, p, N, subs=None):
+    def counting(D, p, N, W, subs=None):
         calls.append(tuple(D))
-        return real(D, p, N, subs)
+        return real(D, p, N, W, subs)
 
     monkeypatch.setattr(curves, "_peel", counting)
     return calls
@@ -255,14 +255,15 @@ def test_negative_degree_classes_are_not_reduced(reductions):
 @pytest.fixture
 def peeled(monkeypatch):
     """The classes that enter the peel core curves._peel from verify, in call
-    order; each must come with its own pairings with N.NEG."""
+    order; each must come with its own pairings with N.NEG, packed."""
     calls = []
     real = curves._peel
 
-    def recording(D, p, N, subs=None):
-        assert p == curves._pairings(D, N.NEG)
+    def recording(D, p, N, W, subs=None):
+        lanes = [(p >> W * k & (1 << W) - 1) - (1 << W - 1) for k in range(len(N.NEG))]
+        assert lanes == curves._pairings(D, N.NEG)
         calls.append(tuple(D))
-        return real(D, p, N, subs)
+        return real(D, p, N, W, subs)
 
     monkeypatch.setattr(curves, "_peel", recording)  # the name _h0 calls
     return calls
@@ -283,8 +284,12 @@ def test_check_mu_bounds_reduces_only_the_base_point_classes(peeled, type_id):
 
 def test_a_broken_h0_is_a_consistency_error(monkeypatch):
     # a peel that never ends nef leaves h^0 = 0 below chi, so h^1 would be negative
+    def never_nef(D, p, N, W, subs=None):
+        D[0] = -1
+        return p
+
     N = type_by_id(1).neg_set()
-    monkeypatch.setattr(curves, "_peel", lambda D, p, N, subs=None: False)
+    monkeypatch.setattr(curves, "_peel", never_nef)
     with pytest.raises(ConsistencyError, match=r"negative h\^1 = -2 for L-E1"):
         mu_stats(L, N)
     with pytest.raises(ConsistencyError, match=r"negative h\^1"):
@@ -337,11 +342,12 @@ def test_lane_test_matches_the_curve_scan():
     corners = [(12, *m) for m in itertools.product((0, -12), repeat=6)]
     corners += [tuple(c) for c in (ZERO, L, -K, FIVE_L_MINUS_2)]
     for t in enumerate_types():
-        NEG = t.neg_set().NEG
-        high, rows = _lanes(NEG)
+        N = t.neg_set()
+        NEG = N.NEG
+        high, rows = _lanes(N)
         packed = {D: high + sum(row[abs(v)] for row, v in zip(rows, D)) for D in small + corners}
         for D, v in packed.items():
-            nef = curves._negative_index(curves._pairings(D, NEG)) < 0
+            nef = min(curves._pairings(D, NEG)) >= 0
             assert (v & high == high) == nef, (t.id, D)
         for D in corners:
             lanes = [packed[D] >> 8 * k & 255 for k in range(len(NEG))]
