@@ -9,9 +9,12 @@ algebra is involved.
 
 from .curves import (
     AMPLE_CLASS,
+    MuBoundsReport,
+    MuStats,
     NegCurveSet,
     ReductionResult,
     candidate_pool,
+    check_mu_bounds,
     euler_characteristic,
     full_neg,
     h0,
@@ -19,6 +22,7 @@ from .curves import (
     h2,
     is_nef,
     minus_one_candidates,
+    mu_stats,
     reduce_to_nef,
     usable_point_indices,
 )
@@ -59,13 +63,6 @@ from .typeenum import (
     torsion,
     type_by_id,
 )
-from .verify import (
-    MuBoundsReport,
-    MuStats,
-    check_mu_bounds,
-    mu_stats,
-    run_invariant_suite,
-    sample_nef,
-)
+from .verify import run_invariant_suite, sample_nef
 
-__version__ = "7.4.0"
+__version__ = "8.0.0"

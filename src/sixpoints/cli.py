@@ -32,8 +32,9 @@ MAX_TMAX = 10_000  # `hilbert --tmax` limit: output size and memory grow with th
 # whose width grows with the log of the sum, so the work grows about linearly
 # with the sum (README, "Cost of large multiplicities", gives times at the limit)
 MAX_MULT_SUM = 10_000
-# `verify --samples` limit: the sampler may spend 400 draws per requested class
-# on every type (README, "Command line", gives the time at the limit)
+# `verify --samples` limit: the sampler may spend verify.DRAWS_PER_SAMPLE draws
+# per requested class on every type (README, "Command line", gives the time at
+# the limit)
 MAX_SAMPLES = 1_000
 
 
@@ -85,7 +86,7 @@ def build_parser() -> _Parser:
 
     ver = sub.add_parser("verify", help="run the invariant suite")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--samples", type=int, default=200,
+    ver.add_argument("--samples", type=int, default=verify.DEFAULT_SAMPLES,
                      help="nef classes sampled per type for the rank bound checks "
                           f"(at most {MAX_SAMPLES})")
     ver.set_defaults(handler=_verify)

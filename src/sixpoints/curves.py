@@ -1,4 +1,5 @@
-"""Negative curves and line bundle cohomology on the blown-up surface.
+"""Negative curves, line bundle cohomology and the multiplication rank
+bounds on the blown-up surface.
 
 When the anticanonical class is nef, every class of an irreducible curve of
 negative self-intersection comes from a short explicit list: exceptional
@@ -13,7 +14,14 @@ until it is nef or visibly empty and takes the Riemann-Roch value of the nef
 part; h^1/h^2 follow from Riemann-Roch and duality.  A reduction carries the
 pairings of the running class with every curve in the list as one integer,
 a lane of W bits per curve, and peeling k copies of a curve subtracts k
-times that curve's packed row of the Gram matrix.
+times that curve's packed row of the Gram matrix.  Only this module builds
+the lane tables (``_packing``) and sizes the lanes (``_lane_width``).
+
+``check_mu_bounds`` checks the bounds on the rank of multiplication by
+linear forms on a nef class F at each base point j (see ``MuStats``): the
+kernel lies between l and q + l, the cokernel is at most q* + l*, and the
+four are tied to h^0(F + L) - 3 h^0(F).  The lanes of F - E_j and
+F - (L - E_j) are F's plus or minus its packed column j.
 """
 
 from __future__ import annotations
@@ -21,10 +29,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, ValidationError
-from .lattice import DivisorClass, E, K, N_POINTS, intersect
+from .lattice import DivisorClass, E, K, L, N_POINTS, e, intersect, selfint
 
 
 def _curve(d: int, points: Iterable[int]) -> DivisorClass:
@@ -124,17 +132,16 @@ class NegCurveSet:
     """Classes of irreducible negative curves: the square -2 part (``neg``)
     and the full list (``NEG``), in a fixed deterministic order.  Every class
     of ``NEG`` must be a candidate class (``candidate_pool`` or
-    ``minus_one_candidates``): the reductions rest on their shapes.  Derived
-    once, at construction: the Gram matrix ``gram[i][j] = NEG[i].NEG[j]`` and
-    the columns ``cols[k] = [C[k] for C in NEG]`` from ``NEG``, and the plane
-    point indices ``usable`` (see ``usable_point_indices``) from ``neg``.  The
-    packed tables of ``_packing`` are kept in ``packings``, one entry per lane
-    width, built on first use."""
+    ``minus_one_candidates``), so of square -1 or -2: the reductions rest on
+    their shapes.  Derived once, at construction: ``minus_sq``, -C^2 for each
+    curve C of ``NEG``, and the plane point indices ``usable`` (see
+    ``usable_point_indices``) from ``neg``.  The packed tables of
+    ``_packing`` are kept in ``packings``, one entry per lane width, built on
+    first use."""
 
     neg: tuple[DivisorClass, ...]
     NEG: tuple[DivisorClass, ...]
-    gram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    cols: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    minus_sq: tuple[int, ...] = field(init=False, repr=False, compare=False)
     usable: tuple[int, ...] = field(init=False, repr=False, compare=False)
     packings: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = field(
         init=False, repr=False, compare=False
@@ -148,9 +155,7 @@ class NegCurveSet:
                     f"{c!r} is not a candidate curve class (one of candidate_pool or "
                     "minus_one_candidates); full_neg builds the curve list of a neg set"
                 )
-        gram = tuple(tuple(_pairings(a, self.NEG)) for a in self.NEG)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "cols", tuple(zip(*self.NEG)) or ((),) * (N_POINTS + 1))
+        object.__setattr__(self, "minus_sq", tuple(-selfint(c) for c in self.NEG))
         near = {c.index(-1) for c in self.neg if c[0] == 0}
         object.__setattr__(self, "usable", tuple(j for j in range(1, N_POINTS + 1) if j not in near))
         object.__setattr__(self, "packings", {})
@@ -193,20 +198,11 @@ def _check_curves(N: NegCurveSet) -> None:
         raise ValidationError(f"expected a NegCurveSet (see full_neg), got {N!r}")
 
 
-def _pairings(D: Sequence[int], NEG: Sequence[DivisorClass]) -> list[int]:
-    """[D.C for C in NEG], with the pairing of lattice.intersect inline."""
-    d, a1, a2, a3, a4, a5, a6 = D
-    return [
-        d * c0 - a1 * c1 - a2 * c2 - a3 * c3 - a4 * c4 - a5 * c5 - a6 * c6
-        for c0, c1, c2, c3, c4, c5, c6 in NEG
-    ]
-
-
 def _packing(N: NegCurveSet, W: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Tables for W-bit lanes, lane k holding curve k of N.NEG: ``high``, with
-    2^(W-1) in every lane, the packed Gram rows sum_k gram[i][k] 2^(Wk) and
+    """Tables for W-bit lanes, lane k holding curve C_k of N.NEG: ``high``,
+    with 2^(W-1) in every lane, the packed Gram rows sum_k C_i.C_k 2^(Wk) and
     the packed columns sum_k C_k[j] 2^(Wk), j = 0..6.  If every |D.C_k| <
-    2^(W-1), then p = high + d*cols[0] - a_1*cols[1] - ... - a_6*cols[6] for
+    2^(W-1), then p = high + d*columns[0] - a_1*columns[1] - ... for
     D = d*L + a_1*E1 + ... + a_6*E6 has the digits 2^(W-1) + D.C_k in base
     2^W: D.C_k >= 0 iff the top bit of lane k is set, and p - k*rows[i] is
     the packed pairings of D - k*C_i.  Built once per (N, W), kept on N."""
@@ -214,10 +210,11 @@ def _packing(N: NegCurveSet, W: int) -> tuple[int, tuple[int, ...], tuple[int, .
         return N.packings[W]
     except KeyError:
         pass
-    high = sum(1 << W - 1 << W * k for k in range(len(N.NEG)))
-    rows = tuple(sum(v << W * k for k, v in enumerate(row)) for row in N.gram)
-    cols = tuple(sum(v << W * k for k, v in enumerate(col)) for col in N.cols)
-    return N.packings.setdefault(W, (high, rows, cols))
+    lanes = [(C, W * k) for k, C in enumerate(N.NEG)]
+    high = sum(1 << W - 1 << s for _, s in lanes)
+    rows = tuple(sum(intersect(A, C) << s for C, s in lanes) for A, _ in lanes)
+    columns = tuple(sum(C[j] << s for C, s in lanes) for j in range(N_POINTS + 1))
+    return N.packings.setdefault(W, (high, rows, columns))
 
 
 def _lane_width(D: Sequence[int]) -> int:
@@ -237,8 +234,8 @@ def _lane_width(D: Sequence[int]) -> int:
     # degree <= 2 with E coefficients in -1..1, meets D' in at most 2|d'| +
     # sum |a'_i| in absolute value; sum |a_i| covers D itself, which takes no
     # step at a negative degree.  The floor is taken one lower so that the
-    # bound also holds from D - E_j and D - (L - E_j), which verify reduces
-    # on D's lanes.  W is the least multiple of 8 with 2^(W-1) > bound
+    # bound also holds from D - E_j and D - (L - E_j), which _stats_at
+    # reduces on D's lanes.  W is the least multiple of 8 with 2^(W-1) > bound
     # (multiples of 8, so that a configuration keeps few tables).
     d, *a = D
     floor = min(0, *a) - 1
@@ -303,7 +300,7 @@ def _peel(D: list[int], p: int, N: NegCurveSet, W: int, subs: list | None = None
     follow the class, a curve list corrupted after construction) into a hard
     error instead of a hang.
     """
-    NEG, gram = N.NEG, N.gram
+    NEG, minus_sq = N.NEG, N.minus_sq
     high, rows, _ = _packing(N, W)
     mask, off = (1 << W) - 1, 1 << W - 1
     steps = 0
@@ -317,8 +314,7 @@ def _peel(D: list[int], p: int, N: NegCurveSet, W: int, subs: list | None = None
             start = tuple(D)
             limit = _step_limit(start)
         hit = NEG[i]
-        s = -gram[i][i]
-        k = -(((p >> at & mask) - off) // s) if s > 0 else 1  # only a corrupted NEG has C^2 >= 0
+        k = -(((p >> at & mask) - off) // minus_sq[i])
         if hit[0] > 0:
             k = min(k, D[0] // hit[0] + 1)  # stop at the first negative degree
         steps += k
@@ -397,3 +393,102 @@ def _check_h1(v: int, D: DivisorClass) -> int:
 def h1(F: DivisorClass, N: NegCurveSet) -> int:
     """First cohomology, h^0 + h^2 minus the Riemann-Roch value."""
     return _check_h1(h0(F, N) + h2(F, N) - _chi(F), F)
+
+
+class MuStats(NamedTuple):
+    """Section counts controlling the rank of multiplication by linear forms
+    on the nef class F, computed at base point index j (``index``): q =
+    h^0(F - E_j) and l = h^0(F - (L - E_j)); qstar and lstar are the
+    corresponding h^1; h0F = h^0(F) and h0FL = h^0(F + L); ker_pred and
+    cok_pred are the kernel and cokernel dimensions that maximal rank
+    predicts, max(0, +-(3 h0F - h0FL)).  An immutable tuple of these fields,
+    in this order."""
+
+    F: DivisorClass
+    index: int
+    q: int
+    l: int
+    qstar: int
+    lstar: int
+    h0F: int
+    h0FL: int
+    ker_pred: int
+    cok_pred: int
+
+
+def _nef_sections(F: DivisorClass, N: NegCurveSet) -> tuple[int, int, int, int, int]:
+    """The lane width W of a nef class F, the pairings of F and of F - L with
+    N.NEG packed into W-bit lanes, then h^0(F) and h^0(F + L).
+
+    F and F + L are nef, so both are counted by Riemann-Roch:
+    h^0(F) = chi(F) and chi(F + L) - chi(F) = F.L + (L^2 - K.L)/2 = deg F + 2.
+    """
+    _check_class(F)
+    _check_curves(N)
+    W, p = _pack(F, N)
+    high, _, columns = _packing(N, W)
+    if ~p & high:
+        raise ValidationError(f"{F} is not nef for this configuration")
+    chi = _chi(F)
+    return W, p, p - columns[0], chi, chi + F[0] + 2
+
+
+def _stats_at(F: DivisorClass, N: NegCurveSet, j: int, W: int, p: int, pL: int,
+              h0F: int, h0FL: int) -> MuStats:
+    """MuStats at index j, on packed pairings: ``_h0`` counts F - E_j and F -
+    (L - E_j) from their pairings F.C + C_j and (F - L).C - C_j, one add or
+    subtract of the packed column j (the lane width W of F also holds every
+    pairing of their reductions, see ``_lane_width``).  Both have
+    degree >= -1, so h^2 = 0 and h^1 = h^0 - chi, with chi(F - E_j) = chi(F) -
+    a_j - 1 and chi(F - L + E_j) = chi(F) - d + a_j - 1 for F = d*L - sum a_i E_i."""
+    d, aj, col = F[0], -F[j], _packing(N, W)[2][j]
+    Q = list(F)
+    Q[j] -= 1
+    q = _h0(Q, p + col, N, W)
+    D = list(F)
+    D[0] -= 1
+    D[j] += 1
+    l = _h0(D, pL - col, N, W)
+    qstar, lstar = q - h0F + aj + 1, l - h0F + d - aj + 1
+    if qstar < 0 or lstar < 0:
+        _check_h1(qstar, F - E[j - 1])
+        _check_h1(lstar, F - (L - E[j - 1]))
+    return MuStats(F, j, q, l, qstar, lstar, h0F, h0FL,
+                   max(0, 3 * h0F - h0FL), max(0, h0FL - 3 * h0F))
+
+
+def mu_stats(F: DivisorClass, N: NegCurveSet, index: int = 1) -> MuStats:
+    sections = _nef_sections(F, N)
+    e(index)  # validates the index
+    return _stats_at(F, N, index, *sections)
+
+
+@dataclass(frozen=True)
+class MuBoundsReport:
+    """Bound checks for one nef class, over every usable base point index."""
+
+    F: DivisorClass
+    stats: tuple[MuStats, ...]
+    violations: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+
+def check_mu_bounds(F: DivisorClass, N: NegCurveSet) -> MuBoundsReport:
+    sections = _nef_sections(F, N)
+    stats = []
+    bad = []
+    for j in N.usable:
+        s = _stats_at(F, N, j, *sections)
+        stats.append(s)
+        if not (s.l <= s.ker_pred <= s.q + s.l):
+            bad.append(f"j={j}: kernel bound fails for {F}: l={s.l}, pred={s.ker_pred}, q+l={s.q + s.l}")
+        if not (s.cok_pred <= s.qstar + s.lstar):
+            bad.append(f"j={j}: cokernel bound fails for {F}: pred={s.cok_pred}, q*+l*={s.qstar + s.lstar}")
+        if (s.lstar - s.l) + (s.qstar - s.q) != s.h0FL - 3 * s.h0F:
+            bad.append(f"j={j}: difference identity fails for {F}")
+        if s.ker_pred and s.cok_pred:
+            bad.append(f"j={j}: kernel and cokernel predictions both positive for {F}")
+    return MuBoundsReport(F=F, stats=tuple(stats), violations=tuple(bad))

@@ -22,17 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .curves import (
-    NegCurveSet,
-    _chi,
-    _pack,
-    _packing,
-    _pairings,
-    _peel,
-    full_neg,
-)
+from .curves import NegCurveSet, _chi, _pack, _packing, _peel, full_neg
 from .errors import ConsistencyError, ValidationError
-from .lattice import DivisorClass, L, N_POINTS
+from .lattice import DivisorClass, L, N_POINTS, intersect
 from .typeenum import ConfigurationType, enumerate_types
 
 Mults = tuple[int, ...]
@@ -212,7 +204,7 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
     P = DivisorClass._from_vec(tuple(D))
     d, m = P[0], tuple(-v for v in P[1:])
     deg_z = sum(v * (v + 1) // 2 for v in m)
-    k = min([d] + [v // c for v, c in zip(_pairings(P, N.NEG), N.cols[0]) if c > 0])
+    k = min([d] + [intersect(P, C) // C[0] for C in N.NEG if C[0] > 0])
     r = d - k
     end = min(d, max(r, math.isqrt(2 * deg_z)))  # the last degree with a possible generator
     # h_I and the nef part's degree in each degree, 0 and -1 where there are

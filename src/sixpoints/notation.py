@@ -15,6 +15,8 @@ exactly three (L - E_x - E_y - E_z), degree 2 exactly six.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .curves import _curve
 from .errors import ValidationError
 from .lattice import DivisorClass, E
@@ -29,6 +31,8 @@ def parse_negset(text: str) -> list[DivisorClass]:
     Raises ValidationError with a character position for syntax errors, empty
     groups or terms, arity mismatches, out-of-order letters and duplicate classes.
     """
+    if not isinstance(text, str):
+        raise ValidationError(f"expected a string in letter notation, got {text!r}")
     out: list[DivisorClass] = []
     if not text.strip():
         return out
@@ -88,6 +92,8 @@ def parse_negset(text: str) -> list[DivisorClass]:
 
 def class_letters(c: DivisorClass) -> tuple[int, str]:
     """Inverse of the term mapping: (degree, letter string) for a pool-shaped class."""
+    if type(c) is not DivisorClass:
+        raise ValidationError(f"expected a DivisorClass, got {c!r}")
     d = c.d
     m = c.m
     if d == 0:
@@ -102,9 +108,11 @@ def class_letters(c: DivisorClass) -> tuple[int, str]:
     raise ValidationError(f"{c} has no letter notation")
 
 
-def format_negset(classes) -> str:
+def format_negset(classes: Iterable[DivisorClass]) -> str:
     """Serialize classes to letter notation: degree groups ascending,
     terms sorted within each group.  Empty input gives the empty string."""
+    if not isinstance(classes, Iterable):
+        raise ValidationError(f"expected a collection of classes, got {classes!r}")
     groups: dict[int, list[str]] = {}
     for c in classes:
         d, letters = class_letters(c)

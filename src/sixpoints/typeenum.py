@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -26,6 +27,7 @@ from typing import Iterable, Sequence
 
 from .curves import (
     NegCurveSet,
+    _check_class,
     _neg_indices,
     _pool_index,
     _pool_indices,
@@ -107,7 +109,12 @@ def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     Smallest-pivot elimination with exact integer arithmetic; a final
     gcd/lcm pass on the diagonal enforces the divisibility chain.
     """
-    A = [list(r) for r in rows]
+    try:
+        A = [list(r) for r in rows]
+    except TypeError:  # rows, or one of them, is not iterable
+        A = None
+    if A is None or len({len(r) for r in A}) > 1 or not all(type(v) is int for r in A for v in r):
+        raise ValidationError(f"expected a matrix of integers, rows of equal length, got {rows!r}")
     if not A or not A[0]:
         return ()
     m, n = len(A), len(A[0])
@@ -157,6 +164,7 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
 def kperp_coordinates(c: DivisorClass) -> tuple[int, ...]:
     """Coordinates of a class orthogonal to K in the fixed basis
     E1-E2, ..., E5-E6, L-E1-E2-E3."""
+    _check_class(c)
     if intersect(c, K) != 0:
         raise ValidationError(f"{c} is not orthogonal to the canonical class")
     d = c.d
@@ -216,6 +224,8 @@ def _span_invariants(classes: Iterable[DivisorClass]) -> tuple[int, TorsionGroup
 
 
 def torsion(classes: Iterable[DivisorClass]) -> TorsionGroup:
+    if not isinstance(classes, Iterable):
+        raise ValidationError(f"expected a collection of classes, got {classes!r}")
     return _span_invariants(classes)[1]
 
 
@@ -255,18 +265,16 @@ def _label_key(label: str) -> tuple[str, int]:
 
 
 def _graph_name(labels: Sequence[str]) -> str:
-    counts: dict[str, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    parts = []
-    for lab in sorted(counts, key=_label_key):
-        n = counts[lab]
-        parts.append((str(n) if n > 1 else "") + lab)
-    return "".join(parts)
+    counts = Counter(labels)
+    return "".join(f"{counts[lab] if counts[lab] > 1 else ''}{lab}"
+                   for lab in sorted(counts, key=_label_key))
 
 
-def dynkin_graph(classes: Sequence[DivisorClass]) -> DynkinGraph:
-    """Intersection graph with components identified among A1..A5, D4, D5, E6."""
+def dynkin_graph(classes: Iterable[DivisorClass]) -> DynkinGraph:
+    """Intersection graph of a neg set, with components identified among
+    A1..A5, D4, D5, E6."""
+    pool = candidate_pool()
+    classes = [pool[i] for i in _neg_indices(classes)]
     k = len(classes)
     adj = [[0] * k for _ in range(k)]
     for i in range(k):

@@ -1,21 +1,13 @@
-"""Consistency checks for the multiplication-map rank assumption, plus the
-global invariant suite.
+"""The seeded nef sampler and the global invariant suite.
 
-For a nef class F, multiplication by the three linear forms maps sections of
-F to sections of F + L.  The Betti formulas assume this map has maximal rank.
-That assumption cannot be proved from lattice data alone, but it is squeezed
-between computable bounds: the kernel dimension lies between l(F) and
-q(F) + l(F), the cokernel is at most q*(F) + l*(F), and an exact identity
-ties the four quantities to h^0(F + L) - 3 h^0(F).  These checks run here on
-seeded samples of nef classes for every configuration type, with every usable
-base point index, alongside the structural invariants of the other modules,
-among them the enumeration that shows the catalog names every type.  The
-bounds are computed on packed pairings: F's pairings with the negative
-curves are packed into one integer, a lane per curve (``curves._pack``),
-and F - E_j and F - (L - E_j) meet a negative curve C in F.C + C_j and
-F.C - deg C - C_j, with C_j the E_j coefficient of C, so one add or subtract
-of the packed column j gives their pairings, from which ``curves._h0``
-counts both; F's own nef check is ``is_nef``'s test on F's lanes.
+The Betti formulas assume that multiplication by linear forms has maximal
+rank on every nef class, which lattice data alone cannot prove;
+``curves.check_mu_bounds`` squeezes that rank between computable bounds.
+The suite checks them on seeded samples of nef classes of every type,
+alongside the structural invariants of the other modules, among them the
+enumeration that shows the catalog names every type.  The sampler keeps the
+nef draws from a fixed box, testing each on 8-bit lanes of its pairings with
+the negative curves (``curves._packing``).
 """
 
 from __future__ import annotations
@@ -23,17 +15,12 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
+from . import curves
 from .curves import (
     AMPLE_CLASS,
     NegCurveSet,
-    _check_class,
     _check_curves,
-    _check_h1,
-    _chi,
-    _h0,
-    _pack,
     _packing,
     candidate_pool,
     full_neg,
@@ -42,9 +29,14 @@ from .curves import (
 )
 from .errors import ConsistencyError, ValidationError
 from .fatpoints import analyze, hilbert_function
-from .lattice import DivisorClass, E, K, L, N_POINTS, ZERO, e, intersect, selfint
+from .lattice import DivisorClass, E, K, L, N_POINTS, ZERO, intersect, selfint
 from .notation import format_negset
 from .typeenum import enumerate_types, integer_rank, kperp_coordinates, orbit_gaps
+
+# sample_nef's box bound, default count and draw budget per requested class
+SAMPLE_BOX = 12
+DEFAULT_SAMPLES = 200
+DRAWS_PER_SAMPLE = 400
 
 FIVE_L_MINUS_2 = DivisorClass(5, (-2, -2, -2, -2, -2, -2))
 
@@ -53,105 +45,6 @@ KNOWN_GRAPHS = frozenset({
     "A_1A_3", "2A_2", "A_4", "D_4", "A_12A_2", "2A_1A_3", "A_1A_4",
     "A_5", "D_5", "3A_2", "A_1A_5", "E_6",
 })
-
-
-class MuStats(NamedTuple):
-    """Section counts controlling the rank of multiplication by linear forms
-    on the nef class F, computed at base point index j (``index``): q =
-    h^0(F - E_j) and l = h^0(F - (L - E_j)); qstar and lstar are the
-    corresponding h^1; h0F = h^0(F) and h0FL = h^0(F + L); ker_pred and
-    cok_pred are the kernel and cokernel dimensions that maximal rank
-    predicts, max(0, +-(3 h0F - h0FL)).  An immutable tuple of these fields,
-    in this order."""
-
-    F: DivisorClass
-    index: int
-    q: int
-    l: int
-    qstar: int
-    lstar: int
-    h0F: int
-    h0FL: int
-    ker_pred: int
-    cok_pred: int
-
-
-def _nef_sections(F: DivisorClass, N: NegCurveSet) -> tuple[int, int, int, int, int]:
-    """The lane width W of a nef class F, the pairings of F and of F - L with
-    N.NEG packed into W-bit lanes, then h^0(F) and h^0(F + L).
-
-    F and F + L are nef, so both are counted by Riemann-Roch:
-    h^0(F) = chi(F) and chi(F + L) - chi(F) = F.L + (L^2 - K.L)/2 = deg F + 2.
-    """
-    _check_class(F)
-    _check_curves(N)
-    W, p = _pack(F, N)
-    high, _, cols = _packing(N, W)
-    if ~p & high:
-        raise ValidationError(f"{F} is not nef for this configuration")
-    chi = _chi(F)
-    return W, p, p - cols[0], chi, chi + F[0] + 2
-
-
-def _stats_at(F: DivisorClass, N: NegCurveSet, j: int, W: int, p: int, pL: int,
-              h0F: int, h0FL: int) -> MuStats:
-    """MuStats at index j, on packed pairings: ``_h0`` counts F - E_j and F -
-    (L - E_j) from their pairings F.C + C_j and (F - L).C - C_j, one add or
-    subtract of the packed column j (the lane width W of F also holds every
-    pairing of their reductions, see ``curves._lane_width``).  Both have
-    degree >= -1, so h^2 = 0 and h^1 = h^0 - chi, with chi(F - E_j) = chi(F) -
-    a_j - 1 and chi(F - L + E_j) = chi(F) - d + a_j - 1 for F = d*L - sum a_i E_i."""
-    d, aj, col = F[0], -F[j], _packing(N, W)[2][j]
-    Q = list(F)
-    Q[j] -= 1
-    q = _h0(Q, p + col, N, W)
-    D = list(F)
-    D[0] -= 1
-    D[j] += 1
-    l = _h0(D, pL - col, N, W)
-    qstar, lstar = q - h0F + aj + 1, l - h0F + d - aj + 1
-    if qstar < 0 or lstar < 0:
-        _check_h1(qstar, F - E[j - 1])
-        _check_h1(lstar, F - (L - E[j - 1]))
-    return MuStats(F, j, q, l, qstar, lstar, h0F, h0FL,
-                   max(0, 3 * h0F - h0FL), max(0, h0FL - 3 * h0F))
-
-
-def mu_stats(F: DivisorClass, N: NegCurveSet, index: int = 1) -> MuStats:
-    sections = _nef_sections(F, N)
-    e(index)  # validates the index
-    return _stats_at(F, N, index, *sections)
-
-
-@dataclass(frozen=True)
-class MuBoundsReport:
-    """Bound checks for one nef class, over every usable base point index."""
-
-    F: DivisorClass
-    stats: tuple[MuStats, ...]
-    violations: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def check_mu_bounds(F: DivisorClass, N: NegCurveSet) -> MuBoundsReport:
-    sections = _nef_sections(F, N)
-    stats = []
-    bad = []
-    for j in N.usable:
-        s = _stats_at(F, N, j, *sections)
-        stats.append(s)
-        if not (s.l <= s.ker_pred <= s.q + s.l):
-            bad.append(f"j={j}: kernel bound fails for {F}: l={s.l}, pred={s.ker_pred}, q+l={s.q + s.l}")
-        if not (s.cok_pred <= s.qstar + s.lstar):
-            bad.append(f"j={j}: cokernel bound fails for {F}: pred={s.cok_pred}, q*+l*={s.qstar + s.lstar}")
-        if (s.lstar - s.l) + (s.qstar - s.q) != s.h0FL - 3 * s.h0F:
-            bad.append(f"j={j}: difference identity fails for {F}")
-        if s.ker_pred and s.cok_pred:
-            bad.append(f"j={j}: kernel and cokernel predictions both positive for {F}")
-    return MuBoundsReport(F=F, stats=tuple(stats), violations=tuple(bad))
 
 
 def _stream_seed(seed: int, N: NegCurveSet) -> int:
@@ -172,22 +65,25 @@ def _check_seed(seed: int) -> None:
 
 
 # _BITS[t] = (t + 1).bit_length(): the width of one draw of a coefficient in 0..t
-_BITS = tuple((t + 1).bit_length() for t in range(13))
+_BITS = tuple((t + 1).bit_length() for t in range(SAMPLE_BOX + 1))
 
 
 def _lanes(N: NegCurveSet) -> tuple[int, list[list[int]]]:
-    """high and rows [v * C_i for v in 0..12], i = 0..6, from the 8-bit
+    """high and rows [v * C_i for v in 0..SAMPLE_BOX], i = 0..6, from the 8-bit
     packing of N.NEG (``curves._packing``) and its packed columns C_i.  If all
     |D.C_k| <= 127, high + t*C_0 + a_1*C_1 + ... + a_6*C_6 has the digits
     128 + D.C_k in base 256 for D = t*L - sum a_i E_i, so D is nef iff bit 7
     of each is set."""
-    high, _, cols = _packing(N, 8)
-    return high, [[v * w for v in range(13)] for w in cols]
+    high, _, columns = _packing(N, 8)
+    return high, [[v * w for v in range(SAMPLE_BOX + 1)] for w in columns]
 
 
-def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[DivisorClass, ...]:
+def sample_nef(
+    N: NegCurveSet, count: int = DEFAULT_SAMPLES, seed: int = 0
+) -> tuple[DivisorClass, ...]:
     """Up to ``count`` (at least 1) distinct nef classes t*L - sum a_i E_i with
-    0 <= a_i <= t <= 12, drawn from a seeded stream and filtered by is_nef.
+    0 <= a_i <= t <= SAMPLE_BOX, drawn from a seeded stream (at most
+    DRAWS_PER_SAMPLE draws per requested class) and filtered by is_nef.
 
     The zero class, L, the anticanonical class, and 5L - 2(E1 + ... + E6)
     are always included when nef.  Each random draw is also retried with its
@@ -196,15 +92,16 @@ def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[Divisor
     with long chains would almost never pass the filter.  The filter is the
     lane test of ``_lanes``, by table lookup on 8-bit lanes from the packing
     helper the peel uses: a curve of N.NEG has degree 0..2 and E_i
-    coefficients in -1..1, so each drawn class meets it in -96..96.
+    coefficients in -1..1, so each drawn class meets it in -96..96
+    (8 * SAMPLE_BOX), inside an 8-bit lane.
 
     Sampling contract: a (type, seed, count) triple gives the same classes in
     the same order from release to release.  The benchmark's output digests
     (``perfbench/digests.json``) and the frozen ``verify`` outputs of the test
     suite depend on it, so the draws, their order, the sorted retry and the
     draw cap change only together with those.  The draws are those of
-    ``rng.randrange(13)`` for t and ``rng.randrange(t + 1)`` for each a_i,
-    made inline the way CPython 3.10 to 3.13 make ``randrange(n)``:
+    ``rng.randrange(SAMPLE_BOX + 1)`` for t and ``rng.randrange(t + 1)`` for
+    each a_i, made inline the way CPython 3.10 to 3.13 make ``randrange(n)``:
     ``rng.getrandbits(n.bit_length())``, redrawn while at least n.
     """
     _check_curves(N)
@@ -214,12 +111,13 @@ def sample_nef(N: NegCurveSet, count: int = 200, seed: int = 0) -> tuple[Divisor
     out = [c for c in (ZERO, L, -K, FIVE_L_MINUS_2) if is_nef(c, N)]
     seen = set(out)
     getrandbits = random.Random(_stream_seed(seed, N)).getrandbits
-    for _ in range(count * 400):
+    t_bits = _BITS[SAMPLE_BOX]
+    for _ in range(count * DRAWS_PER_SAMPLE):
         if len(out) >= count:
             break
-        t = getrandbits(4)
-        while t > 12:
-            t = getrandbits(4)
+        t = getrandbits(t_bits)
+        while t > SAMPLE_BOX:
+            t = getrandbits(t_bits)
         k = _BITS[t]
         a = []
         for _ in range(N_POINTS):
@@ -368,7 +266,7 @@ def _mu_consistency(seed: int, samples_per_type: int) -> str:
     for t in enumerate_types():
         N = t.neg_set()
         for F in sample_nef(N, count=samples_per_type, seed=seed):
-            report = check_mu_bounds(F, N)
+            report = curves.check_mu_bounds(F, N)
             assert report.passed, "; ".join(report.violations[:3]) + f" (type {t.id})"
             checked += 1
     return f"rank bounds hold for {checked} sampled nef classes"
@@ -380,10 +278,10 @@ def _special_class_checks() -> str:
     F = FIVE_L_MINUS_2
     assert is_nef(F, N), "5L - 2(E1+...+E6) should be nef here"
     for i in (3, 4):
-        s = mu_stats(i * F, N)
+        s = curves.mu_stats(i * F, N)
         assert s.l > 0, f"l({i}F) should be positive"
     for i in (1, 2, 3, 4):
-        s = mu_stats(i * F, N)
+        s = curves.mu_stats(i * F, N)
         assert s.lstar > 0, f"l*({i}F) should be positive"
     # Witness for surjectivity at twice the borderline class: subtracting the
     # conic class that omits the point carrying the infinitely near one makes
@@ -391,12 +289,12 @@ def _special_class_checks() -> str:
     # an obstruction, so the choice of conic matters.)
     H = 2 * F
     C = DivisorClass(2, (0, -1, -1, -1, -1, -1))
-    s = mu_stats(H - C, N)
+    s = curves.mu_stats(H - C, N)
     assert s.qstar + s.lstar == 0, "q* + l* should vanish for the surjectivity witness"
     return "known borderline classes behave as expected"
 
 
-def run_invariant_suite(seed: int = 0, samples_per_type: int = 200) -> InvariantReport:
+def run_invariant_suite(seed: int = 0, samples_per_type: int = DEFAULT_SAMPLES) -> InvariantReport:
     """Run every cross-module invariant; returns per-check pass/fail results
     with a counterexample in the detail on failure."""
     _check_count(samples_per_type)

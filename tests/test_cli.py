@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sixpoints import parse_negset, table1_text, typeenum
+from sixpoints import ConsistencyError, fatpoints, parse_negset, table1_text, typeenum
 from sixpoints.cli import MAX_SAMPLES, main
 
 
@@ -187,6 +187,16 @@ def test_exit_code_on_bad_input():
             assert run([cmd, "--type", "90", "--mults", mults]) == (1, "")
     code, out = run(["betti", "--type", "1", "--mults", "10000,0,0,0,0,0"])
     assert code == 0 and "F0: R[-10000]^10001" in out
+
+
+def test_exit_code_on_a_consistency_failure(monkeypatch, capsys):
+    def broken(*args):
+        raise ConsistencyError("resolution rank is not 1")
+
+    monkeypatch.setattr(fatpoints, "analyze", broken)
+    assert run(["betti", "--type", "1", "--mults", "1,1,1,1,1,1"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err == "internal consistency failure: resolution rank is not 1\n"
 
 
 def test_exit_code_on_unknown_flags():

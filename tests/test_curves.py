@@ -17,9 +17,11 @@ from sixpoints import (
     candidate_pool,
     check_mu_bounds,
     classify,
+    dynkin_graph,
     e,
     enumerate_types,
     euler_characteristic,
+    format_negset,
     full_neg,
     h0,
     h1,
@@ -29,10 +31,13 @@ from sixpoints import (
     is_nef,
     minus_one_candidates,
     mu_stats,
+    parse_negset,
     proximity_reduce,
     reduce_to_nef,
     sample_nef,
     selfint,
+    smith_invariant_factors,
+    torsion,
     type_by_id,
     usable_point_indices,
 )
@@ -107,10 +112,18 @@ def test_full_neg_rejects_an_invalid_set_on_every_call():
 
 
 def _gram_is_the_pairing(N):
-    return all(
-        N.gram[i][j] == intersect(a, b)
-        for i, a in enumerate(N.NEG) for j, b in enumerate(N.NEG)
-    ) and len(N.gram) == len(N.NEG)
+    # the packed Gram rows of a narrow and a wide lane width, unpacked (with
+    # 2^(W-1) added to every lane, each lane reads 2^(W-1) + C_i.C_k)
+    n = len(N.NEG)
+    for W in (8, 64):
+        high, rows, _ = curves._packing(N, W)
+        if len(rows) != n:
+            return False
+        for row, a in zip(rows, N.NEG):
+            lanes = [((high + row) >> W * k & (1 << W) - 1) - (1 << W - 1) for k in range(n)]
+            if lanes != [intersect(a, b) for b in N.NEG]:
+                return False
+    return True
 
 
 def test_gram_matrix_matches_the_pairing():
@@ -151,6 +164,13 @@ def test_non_classes_rejected_at_the_boundary(entry):
         lambda classes: full_neg([[0, 1, -1, 0, 0, 0, 0]]),
         lambda classes: euler_characteristic((0.5,) * 7),
         lambda classes: euler_characteristic((1, 2)),
+        lambda classes: dynkin_graph(None),
+        lambda classes: torsion(None),
+        lambda classes: torsion(["x"]),
+        lambda classes: smith_invariant_factors([[1, 2], [3]]),
+        lambda classes: smith_invariant_factors([[0.5, 1]]),
+        lambda classes: parse_negset(None),
+        lambda classes: format_negset(["x"]),
     ],
     ids=[
         "is_nef", "reduce_to_nef", "h0", "h1", "h2", "usable_point_indices",
@@ -158,6 +178,8 @@ def test_non_classes_rejected_at_the_boundary(entry):
         "classify-None", "full_neg-None", "proximity_reduce-None",
         "classify-unhashable", "full_neg-unhashable",
         "euler_characteristic-float", "euler_characteristic-width",
+        "dynkin_graph-None", "torsion-None", "torsion-str", "smith-ragged", "smith-float",
+        "parse_negset-None", "format_negset-str",
     ],
 )
 def test_wrong_argument_types_rejected_at_the_boundary(call):
@@ -371,11 +393,12 @@ def _list_peel(F, N):
     """The batched peel on a plain list of pairings, as it ran before the
     pairings were packed into lanes: (reduced, copies, effective)."""
     D, p, copies = list(F), [intersect(F, c) for c in N.NEG], []
+    rows = [[intersect(a, c) for c in N.NEG] for a in N.NEG]  # the Gram matrix
     while D[0] >= 0:
         i = next((i for i, v in enumerate(p) if v < 0), None)
         if i is None:
             return DivisorClass._from_vec(tuple(D)), copies, True
-        hit, row = N.NEG[i], N.gram[i]
+        hit, row = N.NEG[i], rows[i]
         k = -(p[i] // -row[i])
         if hit[0] > 0:
             k = min(k, D[0] // hit[0] + 1)

@@ -122,6 +122,8 @@ def test_hilbert_type_86_triple():
     for k in range(8, 14):
         assert hf.h_ideal(k) == math.comb(k + 2, 2) - 36
     assert hf.deg_z == 36
+    # no forms of negative degree, in the ideal or the quotient
+    assert [(hf.h_ideal(k), hf.h_quotient(k)) for k in (-1, -2, -50)] == [(0, 0)] * 3
 
 
 def test_hilbert_uniform_single():

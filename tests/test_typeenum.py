@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sixpoints import (
     ConsistencyError,
     DivisorClass,
+    L,
     ValidationError,
     candidate_pool,
     classify,
@@ -213,6 +214,12 @@ def test_classify_errors():
         classify([e(1)])
     with pytest.raises(ValidationError, match="negatively"):
         classify([e(1) - e(2), e(1) - e(3)])
+    # dynkin_graph takes a neg set too, under the same rule
+    for bad, fragment in ((["x"], "candidate"), ([L, L], "candidate"),
+                          ([e(1) - e(2)] * 2, "duplicate"),
+                          ([e(1) - e(2), e(1) - e(3)], "negatively")):
+        with pytest.raises(ValidationError, match=fragment):
+            dynkin_graph(bad)
 
 
 def test_labels_agree_with_graphs():

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import sixpoints
 from sixpoints import (
     ConsistencyError,
     DivisorClass,
@@ -21,6 +22,7 @@ from sixpoints import (
     euler_characteristic,
     h0,
     h2,
+    intersect,
     is_nef,
     mu_stats,
     run_invariant_suite,
@@ -60,6 +62,13 @@ def test_samples_and_stats_match_frozen_digests():
     assert _samples_and_stats_digest(sweep) == FROZEN_SWEEP_SHA256
     N = type_by_id(2).neg_set()
     assert _samples_and_stats_digest([(N, sample_nef(N, 200, seed=11))]) == FROZEN_TYPE_2_SHA256
+
+
+def test_rank_bound_statistics_live_in_curves():
+    # defined beside the sections count they call; verify only runs them
+    for name in ("MuStats", "MuBoundsReport", "check_mu_bounds", "mu_stats"):
+        assert getattr(sixpoints, name) is getattr(curves, name)
+        assert not hasattr(verify, name), name
 
 
 def test_mu_stats_zero_class():
@@ -254,14 +263,15 @@ def test_negative_degree_classes_are_not_reduced(reductions):
 
 @pytest.fixture
 def peeled(monkeypatch):
-    """The classes that enter the peel core curves._peel from verify, in call
-    order; each must come with its own pairings with N.NEG, packed."""
+    """The classes that enter the peel core curves._peel from
+    check_mu_bounds, in call order; each must come with its own pairings
+    with N.NEG, packed."""
     calls = []
     real = curves._peel
 
     def recording(D, p, N, W, subs=None):
         lanes = [(p >> W * k & (1 << W) - 1) - (1 << W - 1) for k in range(len(N.NEG))]
-        assert lanes == curves._pairings(D, N.NEG)
+        assert lanes == [intersect(D, c) for c in N.NEG]
         calls.append(tuple(D))
         return real(D, p, N, W, subs)
 
@@ -347,8 +357,8 @@ def test_lane_test_matches_the_curve_scan():
         high, rows = _lanes(N)
         packed = {D: high + sum(row[abs(v)] for row, v in zip(rows, D)) for D in small + corners}
         for D, v in packed.items():
-            nef = min(curves._pairings(D, NEG)) >= 0
+            nef = min(intersect(D, c) for c in NEG) >= 0
             assert (v & high == high) == nef, (t.id, D)
         for D in corners:
             lanes = [packed[D] >> 8 * k & 255 for k in range(len(NEG))]
-            assert lanes == [128 + x for x in curves._pairings(D, NEG)], (t.id, D)
+            assert lanes == [128 + intersect(D, c) for c in NEG], (t.id, D)
