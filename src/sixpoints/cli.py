@@ -4,9 +4,11 @@ Subcommands: ``types list``, ``types classify --neg TEXT``,
 ``hilbert --type ID_OR_NEG --mults m1,..,m6``, ``betti`` with the same flags,
 ``tables --which 1|2`` and ``verify [--seed S]``.  Every subcommand accepts
 ``--format text|json|csv``.  Each subcommand's handler builds its result in
-every format, and one writer per format prints the one asked for.  Payload
-goes to stdout, diagnostics to stderr; exit code 0 means success, 1 a
-rejected input, 2 an internal consistency failure.
+every format, and one writer per format prints the one asked for.  Each
+call builds the parser of the subcommand it names and no other, all of them
+only for the top-level help or a bad command.  Payload goes to stdout,
+diagnostics to stderr; exit code 0 means success, 1 a rejected input, 2 an
+internal consistency failure.
 """
 
 from __future__ import annotations
@@ -49,48 +51,64 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
-def build_parser() -> _Parser:
+COMMANDS = ("types", "hilbert", "betti", "tables", "verify")
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser with only ``command``'s subparser if it is one of COMMANDS,
+    else with all of them (top-level help, a bad or missing command).  A call
+    runs one subcommand, and building the others took most of a short call's
+    time; each call builds its own, so no call depends on another."""
     parser = _Parser(prog="sixpoints", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+    wanted = (command,) if command in COMMANDS else COMMANDS  # a tuple: odd input cannot raise
+    # every command in the top-level usage, which an unrecognized argument prints
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(wanted) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def add_format(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
-    types_p = sub.add_parser("types", help="list or classify configuration types")
-    types_sub = types_p.add_subparsers(dest="types_command", required=True)
-    lst = types_sub.add_parser("list", help="all 90 types")
-    lst.set_defaults(handler=_types_list)
-    add_format(lst)
-    cls = types_sub.add_parser("classify", help="match a neg set to its type")
-    cls.add_argument("--neg", required=True, help="letter notation, e.g. '0: AB, CD; 2: ABCDEF'")
-    cls.set_defaults(handler=_types_classify)
-    add_format(cls)
+    if "types" in wanted:
+        types_p = sub.add_parser("types", help="list or classify configuration types")
+        types_sub = types_p.add_subparsers(dest="types_command", required=True)
+        lst = types_sub.add_parser("list", help="all 90 types")
+        lst.set_defaults(handler=_types_list)
+        add_format(lst)
+        cls = types_sub.add_parser("classify", help="match a neg set to its type")
+        cls.add_argument("--neg", required=True,
+                         help="letter notation, e.g. '0: AB, CD; 2: ABCDEF'")
+        cls.set_defaults(handler=_types_classify)
+        add_format(cls)
 
-    hil = sub.add_parser("hilbert", help="Hilbert function of a fat point ideal")
-    bet = sub.add_parser("betti", help="graded Betti numbers of a fat point ideal")
-    for p in (hil, bet):
+    for name, with_betti, what in (("hilbert", False, "Hilbert function"),
+                                   ("betti", True, "graded Betti numbers")):
+        if name not in wanted:
+            continue
+        p = sub.add_parser(name, help=f"{what} of a fat point ideal")
         p.add_argument("--type", required=True, dest="type_arg",
                        help="type id 1..90, or a neg set in letter notation")
         p.add_argument("--mults", required=True,
                        help=f"six multiplicities, e.g. 1,1,1,1,1,1 (sum at most {MAX_MULT_SUM})")
         add_format(p)
-    hil.add_argument("--tmax", type=int, default=None,
-                     help=f"show values up to this degree (display only, 0..{MAX_TMAX})")
-    hil.set_defaults(handler=_scheme, with_betti=False)
-    bet.set_defaults(handler=_scheme, with_betti=True, tmax=None)
+        if not with_betti:
+            p.add_argument("--tmax", type=int, default=None,
+                           help=f"show values up to this degree (display only, 0..{MAX_TMAX})")
+        p.set_defaults(handler=_scheme, with_betti=with_betti, tmax=None)
 
-    tab = sub.add_parser("tables", help="emit the built-in tables")
-    tab.add_argument("--which", required=True, choices=("1", "2"))
-    tab.set_defaults(handler=_tables)
-    add_format(tab)
+    if "tables" in wanted:
+        tab = sub.add_parser("tables", help="emit the built-in tables")
+        tab.add_argument("--which", required=True, choices=("1", "2"))
+        tab.set_defaults(handler=_tables)
+        add_format(tab)
 
-    ver = sub.add_parser("verify", help="run the invariant suite")
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--samples", type=int, default=verify.DEFAULT_SAMPLES,
-                     help="nef classes sampled per type for the rank bound checks "
-                          f"(at most {MAX_SAMPLES})")
-    ver.set_defaults(handler=_verify)
-    add_format(ver)
+    if "verify" in wanted:
+        ver = sub.add_parser("verify", help="run the invariant suite")
+        ver.add_argument("--seed", type=int, default=0)
+        ver.add_argument("--samples", type=int, default=verify.DEFAULT_SAMPLES,
+                         help="nef classes sampled per type for the rank bound checks "
+                              f"(at most {MAX_SAMPLES})")
+        ver.set_defaults(handler=_verify)
+        add_format(ver)
     return parser
 
 
@@ -273,7 +291,8 @@ def _verify(args) -> _Output:
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         result = args.handler(args)

@@ -46,7 +46,7 @@ def _check_mults(mults: Sequence[int]) -> Mults:
 def fatpoint_class(mults: Sequence[int], t: int) -> DivisorClass:
     """The class t*L - m1*E1 - ... - m6*E6 whose sections are the degree-t
     forms through the scheme."""
-    return DivisorClass(t, tuple(-v for v in mults))
+    return DivisorClass(t, tuple(-v for v in _check_mults(mults)))
 
 
 def _top_nef_part(mults: Sequence[int], N: NegCurveSet) -> tuple[list[int], int, int]:
@@ -98,6 +98,8 @@ class HilbertFunction:
     tail_from: int
 
     def h_ideal(self, t: int) -> int:
+        if type(t) is not int:
+            raise ValidationError(f"expected an int degree, got {t!r}")
         if t < 0:
             return 0
         if t <= self.tail_from:
@@ -105,9 +107,8 @@ class HilbertFunction:
         return math.comb(t + 2, 2) - self.deg_z
 
     def h_quotient(self, t: int) -> int:
-        if t < 0:
-            return 0
-        return math.comb(t + 2, 2) - self.h_ideal(t)
+        h = self.h_ideal(t)
+        return 0 if t < 0 else math.comb(t + 2, 2) - h
 
     def quotient_values(self) -> tuple[int, ...]:
         return tuple(self.h_quotient(t) for t in range(self.tail_from + 1))
@@ -199,6 +200,8 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
       that ends at a nef class of degree >= 0 has chi >= 1 sections, and one
       that reaches a negative degree shows there are none.
     """
+    if type(betti) is not bool:
+        raise ValidationError(f"expected a bool for betti, got {betti!r}")
     N = full_neg(classes)
     D, p, W = _top_nef_part(mults, N)
     P = DivisorClass._from_vec(tuple(D))

@@ -14,6 +14,7 @@ from sixpoints import (
     NegCurveSet,
     ValidationError,
     ZERO,
+    analyze,
     candidate_pool,
     check_mu_bounds,
     classify,
@@ -160,6 +161,9 @@ def test_non_classes_rejected_at_the_boundary(entry):
         lambda classes: classify(None),
         lambda classes: full_neg(None),
         lambda classes: proximity_reduce((1,) * 6, None),
+        lambda classes: hilbert_function(classes, (1,) * 6).h_ideal(2.5),
+        lambda classes: hilbert_function(classes, (1,) * 6).h_quotient(2.5),
+        lambda classes: analyze(classes, (1,) * 6, betti="no"),
         lambda classes: classify([{}]),
         lambda classes: full_neg([[0, 1, -1, 0, 0, 0, 0]]),
         lambda classes: euler_characteristic((0.5,) * 7),
@@ -176,6 +180,7 @@ def test_non_classes_rejected_at_the_boundary(entry):
         "is_nef", "reduce_to_nef", "h0", "h1", "h2", "usable_point_indices",
         "sample_nef", "mu_stats", "check_mu_bounds",
         "classify-None", "full_neg-None", "proximity_reduce-None",
+        "h_ideal-float", "h_quotient-float", "analyze-betti-str",
         "classify-unhashable", "full_neg-unhashable",
         "euler_characteristic-float", "euler_characteristic-width",
         "dynkin_graph-None", "torsion-None", "torsion-str", "smith-ragged", "smith-float",

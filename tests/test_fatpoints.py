@@ -160,6 +160,8 @@ def test_bad_multiplicities_rejected():
         hilbert_function(classes, (1, 2, 3))
     with pytest.raises(ValidationError, match="sequence"):
         hilbert_function(classes, 5)
+    with pytest.raises(ValidationError, match="sequence"):
+        fatpoint_class(None, 3)
     for bad in ((1.5,) * 6, (True,) * 6, (1, 1, 1, 1, 1, 1.0), ("1",) * 6):
         with pytest.raises(ValidationError, match="integers"):
             hilbert_function(classes, bad)
