@@ -19,9 +19,9 @@ the lane tables (``_packing``) and sizes the lanes (``_lane_width``).
 
 ``check_mu_bounds`` checks the bounds on the rank of multiplication by
 linear forms on a nef class F at each base point j (see ``MuStats``): the
-kernel lies between l and q + l, the cokernel is at most q* + l*, and the
-four are tied to h^0(F + L) - 3 h^0(F).  The lanes of F - E_j and
-F - (L - E_j) are F's plus or minus its packed column j.
+kernel lies between l and q + l, and the four are tied to h^0(F + L) -
+3 h^0(F), which with q*, l* >= 0 bounds the cokernel by q* + l*.  The lanes
+of F - E_j and F - (L - E_j) are F's plus or minus its packed column j.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, ValidationError
-from .lattice import DivisorClass, E, K, L, N_POINTS, e, intersect, selfint
+from .lattice import DivisorClass, E, K, L, N_POINTS, _check_vector, _intersect, e, selfint
 
 
 def _curve(d: int, points: Iterable[int]) -> DivisorClass:
@@ -103,7 +103,7 @@ def _neg_indices(classes: Iterable[DivisorClass]) -> tuple[int, ...]:
     idxs = _pool_indices(classes)
     pool = candidate_pool()
     for i, j in itertools.combinations(idxs, 2):
-        w = intersect(pool[i], pool[j])
+        w = _intersect(pool[i], pool[j])
         if w < 0:
             raise ValidationError(
                 f"classes {pool[i]} and {pool[j]} meet negatively (in {w}); "
@@ -176,7 +176,7 @@ def full_neg(neg: Iterable[DivisorClass]) -> NegCurveSet:
 def _full_neg(idxs: tuple[int, ...]) -> NegCurveSet:
     pool = candidate_pool()
     neg = tuple(pool[i] for i in idxs)
-    extras = tuple(c for c in minus_one_candidates() if all(intersect(c, d) >= 0 for d in neg))
+    extras = tuple(c for c in minus_one_candidates() if all(_intersect(c, d) >= 0 for d in neg))
     return NegCurveSet(neg=neg, NEG=neg + extras)
 
 
@@ -212,7 +212,7 @@ def _packing(N: NegCurveSet, W: int) -> tuple[int, tuple[int, ...], tuple[int, .
         pass
     lanes = [(C, W * k) for k, C in enumerate(N.NEG)]
     high = sum(1 << W - 1 << s for _, s in lanes)
-    rows = tuple(sum(intersect(A, C) << s for C, s in lanes) for A, _ in lanes)
+    rows = tuple(sum(_intersect(A, C) << s for C, s in lanes) for A, _ in lanes)
     columns = tuple(sum(C[j] << s for C, s in lanes) for j in range(N_POINTS + 1))
     return N.packings.setdefault(W, (high, rows, columns))
 
@@ -240,7 +240,7 @@ def _lane_width(D: Sequence[int]) -> int:
     d, *a = D
     floor = min(0, *a) - 1
     bound = 2 * max(abs(d), 2) + max(
-        sum(map(abs, a)), intersect(AMPLE_CLASS, D) + 32 - (_AMPLE_WEIGHT + N_POINTS) * floor
+        sum(map(abs, a)), _intersect(AMPLE_CLASS, D) + 32 - (_AMPLE_WEIGHT + N_POINTS) * floor
     )
     return bound.bit_length() // 8 * 8 + 8
 
@@ -285,7 +285,7 @@ def _step_limit(F: Sequence[int]) -> int:
     # and the smallest exceptional coefficient never falls below its starting
     # floor, so the pairing cannot fall further than this.
     floor = min(0, *F[1:])
-    return max(1, intersect(AMPLE_CLASS, F) - _AMPLE_WEIGHT * floor + 1)
+    return max(1, _intersect(AMPLE_CLASS, F) - _AMPLE_WEIGHT * floor + 1)
 
 
 def _peel(D: list[int], p: int, N: NegCurveSet, W: int, subs: list | None = None) -> int:
@@ -353,8 +353,7 @@ def euler_characteristic(F: Sequence[int]) -> int:
     (a class or any sequence of 7 ints), in closed form: binom(d + 2, 2) -
     sum m_i(m_i - 1)/2.  F^2 - K.F = d(d + 3) - sum m_i(m_i - 1), a sum of
     even terms."""
-    if not (isinstance(F, Sequence) and len(F) == N_POINTS + 1 and all(type(v) is int for v in F)):
-        raise ValidationError(f"expected a class or {N_POINTS + 1} integers d, m1..m6, got {F!r}")
+    _check_vector(F)
     return _chi(F)
 
 
@@ -478,17 +477,12 @@ class MuBoundsReport:
 
 def check_mu_bounds(F: DivisorClass, N: NegCurveSet) -> MuBoundsReport:
     sections = _nef_sections(F, N)
-    stats = []
-    bad = []
+    stats, bad = [], []
     for j in N.usable:
         s = _stats_at(F, N, j, *sections)
         stats.append(s)
         if not (s.l <= s.ker_pred <= s.q + s.l):
             bad.append(f"j={j}: kernel bound fails for {F}: l={s.l}, pred={s.ker_pred}, q+l={s.q + s.l}")
-        if not (s.cok_pred <= s.qstar + s.lstar):
-            bad.append(f"j={j}: cokernel bound fails for {F}: pred={s.cok_pred}, q*+l*={s.qstar + s.lstar}")
         if (s.lstar - s.l) + (s.qstar - s.q) != s.h0FL - 3 * s.h0F:
             bad.append(f"j={j}: difference identity fails for {F}")
-        if s.ker_pred and s.cok_pred:
-            bad.append(f"j={j}: kernel and cokernel predictions both positive for {F}")
     return MuBoundsReport(F=F, stats=tuple(stats), violations=tuple(bad))

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .curves import NegCurveSet, _chi, _pack, _packing, _peel, full_neg
 from .errors import ConsistencyError, ValidationError
-from .lattice import DivisorClass, L, N_POINTS, intersect
+from .lattice import DivisorClass, L, N_POINTS, _intersect
 from .typeenum import ConfigurationType, enumerate_types
 
 Mults = tuple[int, ...]
@@ -207,7 +207,7 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
     P = DivisorClass._from_vec(tuple(D))
     d, m = P[0], tuple(-v for v in P[1:])
     deg_z = sum(v * (v + 1) // 2 for v in m)
-    k = min([d] + [intersect(P, C) // C[0] for C in N.NEG if C[0] > 0])
+    k = min([d] + [_intersect(P, C) // C[0] for C in N.NEG if C[0] > 0])
     r = d - k
     end = min(d, max(r, math.isqrt(2 * deg_z)))  # the last degree with a possible generator
     # h_I and the nef part's degree in each degree, 0 and -1 where there are
@@ -279,8 +279,8 @@ def _resolution(
 ) -> GradedResolution:
     # R[-j] contributes binom(t - j + 2, 2) in degree t, whose third difference
     # in t is 1 at t = j and 0 elsewhere; so h_I = dim F0 - dim F1 gives
-    # syzygies s_t = g_t - (third difference of h_I at t).  Past the last
-    # generator and tail_from + 3 both terms vanish.
+    # syzygies s_t = g_t - (third difference of h_I at t), 0 past the last
+    # generator and tail_from + 3.  For any g, rank 1 and s_t = 0 for t <= min(gens).
     if not f0:
         raise ConsistencyError("ideal has no generators")
     gens = dict(f0)
@@ -296,10 +296,6 @@ def _resolution(
             )
         if s:
             f1.append((t, s))
-    if sum(gens.values()) - sum(s for _, s in f1) != 1:
-        raise ConsistencyError("resolution rank is not 1")
-    if f1 and f1[0][0] < min(gens) + 1:
-        raise ConsistencyError("resolution is not minimal at the smallest shift")
     return GradedResolution(f0=f0, f1=tuple(f1))
 
 

@@ -109,10 +109,24 @@ class DivisorClass(tuple):
         return "".join(terms) if terms else "0"
 
 
-def intersect(a: DivisorClass, b: DivisorClass) -> int:
-    """Intersection pairing: a.d*b.d - sum_i a.m_i*b.m_i."""
+def _check_vector(v) -> None:
+    if type(v) is not DivisorClass and not (
+        isinstance(v, Sequence) and len(v) == N_POINTS + 1 and all(type(x) is int for x in v)
+    ):
+        raise ValidationError(f"expected a class or {N_POINTS + 1} integers d, m1..m6, got {v!r}")
+
+
+def _intersect(a: Sequence[int], b: Sequence[int]) -> int:
+    """intersect without its argument checks, for vectors built in the package."""
     return (a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
             - a[4] * b[4] - a[5] * b[5] - a[6] * b[6])
+
+
+def intersect(a: DivisorClass, b: DivisorClass) -> int:
+    """Intersection pairing a.d*b.d - sum_i a.m_i*b.m_i of classes or 7-int sequences."""
+    _check_vector(a)
+    _check_vector(b)
+    return _intersect(a, b)
 
 
 def selfint(a: DivisorClass) -> int:

@@ -35,7 +35,7 @@ from .curves import (
     full_neg,
 )
 from .errors import ConsistencyError, ValidationError
-from .lattice import DivisorClass, K, N_POINTS, intersect
+from .lattice import DivisorClass, K, N_POINTS, _intersect
 from .notation import parse_negset
 
 
@@ -157,15 +157,11 @@ def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(diag)
 
 
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(smith_invariant_factors(rows))
-
-
 def kperp_coordinates(c: DivisorClass) -> tuple[int, ...]:
     """Coordinates of a class orthogonal to K in the fixed basis
     E1-E2, ..., E5-E6, L-E1-E2-E3."""
     _check_class(c)
-    if intersect(c, K) != 0:
+    if _intersect(c, K) != 0:
         raise ValidationError(f"{c} is not orthogonal to the canonical class")
     d = c.d
     resid = [c[i + 1] + (d if i < 3 else 0) for i in range(N_POINTS)]
@@ -279,7 +275,7 @@ def dynkin_graph(classes: Iterable[DivisorClass]) -> DynkinGraph:
     adj = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            w = intersect(classes[i], classes[j])
+            w = _intersect(classes[i], classes[j])
             if w not in (0, 1):
                 raise ConsistencyError(
                     f"classes {classes[i]} and {classes[j]} meet in {w}; "
@@ -352,7 +348,7 @@ def _enumerate_orbits() -> list[tuple[int, ...]]:
     """All pairwise-nonnegative subsets of the pool, one canonical index tuple
     per orbit, grown one class at a time for six rounds."""
     pool = candidate_pool()
-    compat = [[intersect(a, b) >= 0 for b in pool] for a in pool]
+    compat = [[_intersect(a, b) >= 0 for b in pool] for a in pool]
     orbits: list[tuple[int, ...]] = [()]
     frontier: list[tuple[int, ...]] = [()]
     for _ in range(N_POINTS):

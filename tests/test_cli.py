@@ -123,7 +123,9 @@ def test_verify_rejects_nonpositive_samples():
 
 
 def _clear_catalog_caches():
-    for cached in (typeenum.table_rows, typeenum.enumerate_types, typeenum._types_by_canon):
+    # table2 too: verify runs it on the types, which a changed catalog changes
+    for cached in (typeenum.table_rows, typeenum.enumerate_types, typeenum._types_by_canon,
+                   fatpoints.table2):
         cached.cache_clear()
 
 
@@ -159,16 +161,65 @@ def test_verify_reports_a_catalog_that_fails_to_build(catalog_with_wrong_torsion
     code, out = run(["verify", "--samples", "1"])
     assert code == 2
     lines = out.splitlines()
-    assert len(lines) == 12
+    assert len(lines) == 10
     error = "type 5: computed torsion 0 does not match catalog Z2"
     failed = [line for line in lines if line.startswith("FAIL")]
     assert [line.split(":")[0] for line in failed] == [
-        "FAIL type count", "FAIL graph census", "FAIL graph determines torsion",
-        "FAIL linear independence", "FAIL hilbert duality", "FAIL resolution identities",
+        "FAIL lines per graph", "FAIL type count", "FAIL graph census",
+        "FAIL graph determines torsion", "FAIL fat point schemes",
         "FAIL multiplication rank bounds", "FAIL special classes",
     ]
     assert all(line.endswith(error) for line in failed)
-    assert "PASS lattice signature" in out and "PASS 27 lines" in out
+    assert [line.split(":")[0] for line in lines if line.startswith("PASS")] == [
+        "PASS lattice signature", "PASS candidate pool", "PASS reduction potential positivity",
+    ]
+
+
+def test_verify_reports_a_catalog_row_the_parser_rejects(monkeypatch):
+    # the catalog is the package's own data, so a ValidationError while the
+    # types are built is a failed check (exit 2), not a rejected input (exit 1)
+    lines = table1_text().splitlines(keepends=True)
+    lines[5] = lines[5].replace("0: AB, CD", "0: BA, CD")
+    monkeypatch.setattr(typeenum, "table1_text", lambda: "".join(lines))
+    _clear_catalog_caches()
+    try:
+        code, out = run(["verify", "--samples", "1"])
+    finally:
+        _clear_catalog_caches()
+    assert code == 2
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 7
+    assert all(line.endswith("letters in 'BA' at position 3 must be strictly increasing")
+               for line in failed)
+
+
+@pytest.fixture
+def spurious_generators(monkeypatch):
+    # one spurious generator, and so one spurious syzygy, in every degree t
+    # with h_I(t - 1) > 0; table2 is cached, so it is cleared on both sides
+    real = fatpoints._generators
+
+    def mutant(h, nef_deg):
+        gens = dict(real(h, nef_deg))
+        for t in range(1, len(h)):
+            if h[t - 1] > 0:
+                gens[t] = gens.get(t, 0) + 1
+        return tuple(sorted(gens.items()))
+
+    monkeypatch.setattr(fatpoints, "_generators", mutant)
+    fatpoints.table2.cache_clear()
+    yield
+    fatpoints.table2.cache_clear()
+
+
+def test_verify_fails_on_spurious_generators(spurious_generators):
+    # the resolution stays consistent (rank 1, dimensions add up), so only
+    # the comparison with the paper's uniform multiplicity patterns sees it
+    code, out = run(["verify", "--samples", "1"])
+    assert code == 2
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert [line.split(":")[0] for line in failed] == ["FAIL fat point schemes"]
+    assert "matches no known uniform multiplicity pattern" in failed[0]
 
 
 def test_exit_code_on_bad_input():

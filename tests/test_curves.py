@@ -175,6 +175,8 @@ def test_non_classes_rejected_at_the_boundary(entry):
         lambda classes: smith_invariant_factors([[0.5, 1]]),
         lambda classes: parse_negset(None),
         lambda classes: format_negset(["x"]),
+        lambda classes: intersect((1, 2), L),
+        lambda classes: selfint("abc"),
     ],
     ids=[
         "is_nef", "reduce_to_nef", "h0", "h1", "h2", "usable_point_indices",
@@ -184,7 +186,7 @@ def test_non_classes_rejected_at_the_boundary(entry):
         "classify-unhashable", "full_neg-unhashable",
         "euler_characteristic-float", "euler_characteristic-width",
         "dynkin_graph-None", "torsion-None", "torsion-str", "smith-ragged", "smith-float",
-        "parse_negset-None", "format_negset-str",
+        "parse_negset-None", "format_negset-str", "intersect-width", "selfint-str",
     ],
 )
 def test_wrong_argument_types_rejected_at_the_boundary(call):

@@ -6,7 +6,8 @@ tests/data/golden_cli.json.
 The frozen file holds, per argument vector, the exit code and stdout.  Each
 case was written once, by the release before the change it guards: the
 `hilbert`, `betti` and `tables --which 2` cases by the release that still
-peeled one curve per reduction step, the others by the release whose CLI
+peeled one curve per reduction step, the `verify` cases by release 9.0.0,
+which replaced its checks, and the others by the release whose CLI
 handlers still branched on the format.  A refactor that changes any byte of
 these payloads is a behaviour change, not a cleanup.
 """

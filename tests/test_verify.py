@@ -188,6 +188,20 @@ def test_invariant_suite_passes():
     assert report.passed, [c for c in report.checks if not c.passed]
 
 
+def test_lines_per_graph_fails_on_a_wrong_minus_one_list(monkeypatch):
+    # the general configuration loses one of its 27 lines
+    real = curves._full_neg
+
+    def dropping_a_line(idxs):
+        N = real(idxs)
+        return NegCurveSet(N.neg, N.NEG[:-1]) if not idxs else N
+
+    monkeypatch.setattr(curves, "_full_neg", dropping_a_line)
+    result = verify._check("lines per graph", verify._lines_per_graph)
+    assert not result.passed
+    assert result.detail == "type 1 ('') has 26 -1 curves, not 27"
+
+
 def test_invariant_suite_is_seeded():
     a = run_invariant_suite(seed=5, samples_per_type=5)
     b = run_invariant_suite(seed=5, samples_per_type=5)
