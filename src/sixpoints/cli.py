@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple, Sequence
 
 from . import fatpoints, verify
@@ -126,8 +127,32 @@ def _write_text(result: _Output, out) -> None:
     out.write(result.text)
 
 
+def _json(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for payloads with str
+    keys; with ``indent`` set the stdlib encodes in pure Python, while here
+    strings are escaped in C and a list of ints is joined in one call.
+    ``newline`` breaks the line and indents to the level of ``value``."""
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return _quote(value)
+    if kind is not dict and kind is not list and kind is not tuple:
+        return json.dumps(value)  # None, bools, floats
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = newline + "  "
+    if kind is dict:
+        items = [_quote(k) + ": " + (str(v) if type(v) is int else _json(v, inner))
+                 for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    # exact types, since bool is an int subclass
+    items = map(str, value) if set(map(type, value)) == {int} else [_json(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
 def _write_json(result: _Output, out) -> None:
-    out.write(json.dumps(result.json, indent=2) + "\n")  # one write; json.dump makes one per token
+    out.write(_json(result.json) + "\n")  # one write; json.dump makes one per token
 
 
 def _write_csv(result: _Output, out) -> None:
@@ -178,7 +203,7 @@ def _parse_mults(text: str) -> tuple[int, ...]:
 
 
 def _ints(values) -> str:
-    return ", ".join(str(v) for v in values)
+    return ", ".join(map(str, values))
 
 
 def _types_list(args) -> _Output:
@@ -218,9 +243,10 @@ def _scheme(args) -> _Output:
             f"multiplicities must sum to at most {MAX_MULT_SUM}, got {sum(mults)}"
         )
     reduced, hf, res = fatpoints.analyze(classes, mults, args.with_betti)
-    top = hf.tail_from if args.tmax is None else max(hf.tail_from, args.tmax)
-    h_i = [hf.h_ideal(deg) for deg in range(top + 1)]
-    h_z = [hf.h_quotient(deg) for deg in range(top + 1)]
+    # past tail_from, --tmax shows h_I in closed form and h_Z constant at deg Z
+    tail = range(hf.tail_from + 1, (args.tmax or 0) + 1)
+    h_i = [*hf.ideal_values, *map(hf.h_ideal, tail)]
+    h_z = list(hf.quotient_values()) + [hf.deg_z] * len(tail)
     record = {
         "hilbert_I": h_i,
         "hilbert_Z": h_z,
@@ -245,7 +271,7 @@ def _scheme(args) -> _Output:
         rows = [("F0", j, m) for j, m in res.f0] + [("F1", j, m) for j, m in res.f1]
     else:
         header = ("t", "h_I", "h_Z")
-        rows = list(zip(range(top + 1), h_i, h_z))
+        rows = list(zip(range(len(h_i)), h_i, h_z))
     record["type"] = t.id
     record["label"] = t.label
     return _Output("".join(line + "\n" for line in lines), record, header, rows)

@@ -142,6 +142,7 @@ class NegCurveSet:
     neg: tuple[DivisorClass, ...]
     NEG: tuple[DivisorClass, ...]
     minus_sq: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    support: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
     usable: tuple[int, ...] = field(init=False, repr=False, compare=False)
     packings: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = field(
         init=False, repr=False, compare=False
@@ -156,6 +157,9 @@ class NegCurveSet:
                     "minus_one_candidates); full_neg builds the curve list of a neg set"
                 )
         object.__setattr__(self, "minus_sq", tuple(-selfint(c) for c in self.NEG))
+        object.__setattr__(self, "support", tuple(
+            tuple((j, v) for j, v in enumerate(c) if v) for c in self.NEG
+        ))
         near = {c.index(-1) for c in self.neg if c[0] == 0}
         object.__setattr__(self, "usable", tuple(j for j in range(1, N_POINTS + 1) if j not in near))
         object.__setattr__(self, "packings", {})
@@ -300,7 +304,7 @@ def _peel(D: list[int], p: int, N: NegCurveSet, W: int, subs: list | None = None
     follow the class, a curve list corrupted after construction) into a hard
     error instead of a hang.
     """
-    NEG, minus_sq = N.NEG, N.minus_sq
+    NEG, minus_sq, support = N.NEG, N.minus_sq, N.support
     high, rows, _ = _packing(N, W)
     mask, off = (1 << W) - 1, 1 << W - 1
     steps = 0
@@ -323,7 +327,8 @@ def _peel(D: list[int], p: int, N: NegCurveSet, W: int, subs: list | None = None
                 f"reduction of {DivisorClass._from_vec(start)} exceeded {limit} steps; "
                 "negative-curve set is broken"
             )
-        D[:] = [a - k * c for a, c in zip(D, hit)]
+        for j, c in support[i]:  # 2 to 7 of the 7 coordinates
+            D[j] -= k * c
         p -= k * rows[i]
         if subs is not None:
             subs.extend([hit] * k)

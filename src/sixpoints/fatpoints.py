@@ -111,7 +111,8 @@ class HilbertFunction:
         return 0 if t < 0 else math.comb(t + 2, 2) - h
 
     def quotient_values(self) -> tuple[int, ...]:
-        return tuple(self.h_quotient(t) for t in range(self.tail_from + 1))
+        """h_quotient(t) for t = 0..tail_from, from ``ideal_values``."""
+        return tuple(math.comb(t + 2, 2) - v for t, v in enumerate(self.ideal_values))
 
 
 @dataclass(frozen=True)

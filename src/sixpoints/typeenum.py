@@ -395,7 +395,11 @@ def build_types(rows: Sequence[TableRow]) -> tuple[ConfigurationType, ...]:
     ids_by_canon: dict[tuple[int, ...], list[int]] = {}
     types = []
     for row in rows:
-        canon, _ = _canonical_indices(_pool_indices(parse_negset(row.neg)))
+        try:
+            idxs = _pool_indices(parse_negset(row.neg))
+        except ValidationError as exc:
+            raise ValidationError(f"type {row.id}: {exc}") from None
+        canon, _ = _canonical_indices(idxs)
         ids_by_canon.setdefault(canon, []).append(row.id)
         classes = tuple(pool[i] for i in canon)
         graph = dynkin_graph(classes)

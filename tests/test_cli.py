@@ -3,15 +3,38 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from sixpoints import ConsistencyError, fatpoints, parse_negset, table1_text, typeenum
-from sixpoints.cli import MAX_SAMPLES, main
+from sixpoints.cli import MAX_SAMPLES, _Output, _write_json, main
 
 
 def run(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+# keys and strings with quotes, backslashes, control and non-ASCII characters
+_text = st.text(st.sampled_from('a"\\\n\t\x00\x1f\x7fé€😀 /'), max_size=6) | st.text(max_size=6)
+_scalars = (st.integers() | st.integers(-(10**40), 10**40) | st.booleans() | st.none()
+            | st.floats() | _text)
+_payloads = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.lists(st.integers(), max_size=5)
+    | st.lists(inner, max_size=3).map(tuple) | st.dictionaries(_text, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@given(_payloads)
+@example([True, 1])
+@example([1, False])
+@example({"a": [], "b": {}, "c": [[], {}, [[1, -2]], {"d": None}], 'q"\\\x01é': -(10**30)})
+def test_json_writer_matches_the_indented_stdlib_encoder(payload):
+    out = io.StringIO()
+    _write_json(_Output("", payload, (), []), out)
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 
 def test_classify_json():
@@ -191,6 +214,7 @@ def test_verify_reports_a_catalog_row_the_parser_rejects(monkeypatch):
     assert len(failed) == 7
     assert all(line.endswith("letters in 'BA' at position 3 must be strictly increasing")
                for line in failed)
+    assert all("type 5: " in line for line in failed)  # the row is named
 
 
 @pytest.fixture

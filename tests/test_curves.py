@@ -361,6 +361,19 @@ def test_corrupted_curve_list_hits_the_step_guard():
         reduce_to_nef(F, N)
 
 
+def test_support_lists_each_curves_nonzero_coefficients():
+    # _peel updates a class only on the support of the curve it peels
+    for t in enumerate_types():
+        N = full_neg(t.classes)
+        assert len(N.support) == len(N.NEG)
+        for C, support in zip(N.NEG, N.support):
+            assert all(v != 0 for _, v in support)
+            rebuilt = [0] * 7
+            for j, v in support:
+                rebuilt[j] = v
+            assert DivisorClass._from_vec(tuple(rebuilt)) == C
+
+
 def test_curve_list_must_hold_candidate_classes():
     # the peel's lane width is derived for the candidates' shapes; -L, of
     # nonnegative square, could never finish a reduction
