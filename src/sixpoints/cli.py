@@ -36,8 +36,8 @@ MAX_TMAX = 10_000  # `hilbert --tmax` limit: output size and memory grow with th
 # with the sum (README, "Cost of large multiplicities", gives times at the limit)
 MAX_MULT_SUM = 10_000
 # `verify --samples` limit: the sampler may spend verify.DRAWS_PER_SAMPLE draws
-# per requested class on every type (README, "Command line", gives the time at
-# the limit)
+# per requested class on every type, draws it skips before the lane test included
+# (type 90 spends them all at the limit; README, "Command line", gives the time)
 MAX_SAMPLES = 1_000
 
 

@@ -18,7 +18,7 @@ that can carry a generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -90,12 +90,14 @@ class HilbertFunction:
 
     ``ideal_values[t]`` is the ideal's Hilbert function for t = 0..tail_from;
     past tail_from it equals binom(t+2, 2) - deg_z, and the quotient ring
-    function is constant deg_z.
+    function is constant deg_z.  ``analyze`` also passes the quotient values
+    for t = 0..tail_from, which it computes anyway.
     """
 
     ideal_values: tuple[int, ...]
     deg_z: int
     tail_from: int
+    _quotient: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     def h_ideal(self, t: int) -> int:
         if type(t) is not int:
@@ -111,8 +113,14 @@ class HilbertFunction:
         return 0 if t < 0 else math.comb(t + 2, 2) - h
 
     def quotient_values(self) -> tuple[int, ...]:
-        """h_quotient(t) for t = 0..tail_from, from ``ideal_values``."""
-        return tuple(math.comb(t + 2, 2) - v for t, v in enumerate(self.ideal_values))
+        """h_quotient(t) for t = 0..tail_from."""
+        q = self._quotient
+        return _quotients(self.ideal_values) if q is None else q
+
+
+def _quotients(h: Sequence[int]) -> tuple[int, ...]:
+    """binom(t+2, 2) - h[t] for each listed degree t."""
+    return tuple(math.comb(t + 2, 2) - v for t, v in enumerate(h))
 
 
 @dataclass(frozen=True)
@@ -244,11 +252,11 @@ def _hilbert(P: DivisorClass, deg_z: int, h: Sequence[int]) -> HilbertFunction:
         t = part[0]
         if _chi(part) != math.comb(t + 2, 2) - deg_z:
             raise ConsistencyError(f"ideal Hilbert function failed to stabilize by degree {P[0]}")
-    hz = [math.comb(t + 2, 2) - v for t, v in enumerate(h)]
+    hz = _quotients(h)
     if any(a > b for a, b in zip(hz, hz[1:])) or hz[-1] != deg_z:
         raise ConsistencyError("quotient Hilbert function is not monotone to the degree")
     tail_from = hz.index(deg_z)
-    return HilbertFunction(tuple(h[: tail_from + 1]), deg_z, tail_from)
+    return HilbertFunction(tuple(h[: tail_from + 1]), deg_z, tail_from, hz[: tail_from + 1])
 
 
 def _generators(h: Sequence[int], nef_deg: Sequence[int]) -> tuple[tuple[int, int], ...]:

@@ -267,7 +267,10 @@ def _analyze_every_degree(classes, mults):
 def test_top_down_scan_matches_every_degree_reference(type_id, mults):
     classes = type_by_id(type_id).classes
     m, hf, res = analyze(classes, mults, betti=True)
-    assert (m, hf, res.f0, res.f1) == _analyze_every_degree(classes, mults)
+    want = _analyze_every_degree(classes, mults)
+    assert (m, hf, res.f0, res.f1) == want
+    # the quotient values analyze keeps equal those computed from the ideal's
+    assert hf.quotient_values() == want[1].quotient_values()
 
 
 # SHA-256 of analyze(..., betti=True) on the seeded cases of _analyze_digest,

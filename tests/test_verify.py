@@ -25,6 +25,7 @@ from sixpoints import (
     intersect,
     is_nef,
     mu_stats,
+    reduce_to_nef,
     run_invariant_suite,
     sample_nef,
     type_by_id,
@@ -38,6 +39,10 @@ from sixpoints.verify import FIVE_L_MINUS_2, _lanes, _stream_seed
 # made faster.  A change to the sampler or to any bound changes them.
 FROZEN_SWEEP_SHA256 = "50a782c166b896017d9c16564e58ad5f953c668ef0eea85fe2cb04b6c388711d"
 FROZEN_TYPE_2_SHA256 = "9f1aee8ef56b8bdd6e46b86a6f343c974b23f70af6dfc9ed917df5fa49ca17fd"
+# SHA-256 of repr([tuple(F) for F in sample_nef(type 90, 1000, seed=0)]), frozen
+# from the release before draws outside the general-position nef cone skipped
+# the lane test; type 90 is the only type whose draw budget binds at 1000
+FROZEN_TYPE_90_CAP_SHA256 = "68eb19a46f5880e90b81f1598de04a35dcc8047da0a89d5185a9e62152166d00"
 
 
 def _samples_and_stats_digest(pairs) -> str:
@@ -62,6 +67,46 @@ def test_samples_and_stats_match_frozen_digests():
     assert _samples_and_stats_digest(sweep) == FROZEN_SWEEP_SHA256
     N = type_by_id(2).neg_set()
     assert _samples_and_stats_digest([(N, sample_nef(N, 200, seed=11))]) == FROZEN_TYPE_2_SHA256
+
+
+def test_skipped_draws_count_towards_the_draw_budget():
+    samples = sample_nef(type_by_id(90).neg_set(), 1000, seed=0)
+    assert len(samples) == 863
+    digest = hashlib.sha256(repr([tuple(F) for F in samples]).encode()).hexdigest()
+    assert digest == FROZEN_TYPE_90_CAP_SHA256
+
+
+def test_every_minus_one_class_is_effective_on_every_type():
+    # what lets sample_nef skip draws outside the general-position nef cone
+    for t in enumerate_types():
+        N = t.neg_set()
+        for c in curves.minus_one_candidates():
+            r = reduce_to_nef(c, N)
+            assert r.effective and r.reduced == ZERO, (t.id, c)
+
+
+_box_classes = st.integers(0, 12).flatmap(
+    lambda t: st.tuples(st.just(t), st.tuples(*[st.integers(0, t)] * 6))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(1, (12, (0,) * 6))
+@example(1, (12, (12,) * 6))
+@example(90, (12, (12, 0, 0, 0, 0, 0)))
+@example(90, (12, (0, 0, 0, 0, 0, 12)))
+@example(1, (0, (0,) * 6))
+@example(1, (5, (2,) * 6))  # 5L - 2(E1 + ... + E6): on every conic inequality
+@given(st.integers(1, 90), _box_classes)
+def test_nef_classes_meet_the_general_position_inequalities(type_id, box_class):
+    t, a = box_class
+    F = DivisorClass(t, tuple(-v for v in a))
+    b = sorted(a, reverse=True)
+    general = b[0] + b[1] <= t and sum(b[:5]) <= 2 * t  # lines through 2, conics through 5
+    if is_nef(F, type_by_id(type_id).neg_set()):
+        assert general and sum(a) <= 5 * t // 2
+    if type_id == 1:  # six general points: the -1 curves are all the negative curves
+        assert is_nef(F, type_by_id(1).neg_set()) == general
 
 
 def test_rank_bound_statistics_live_in_curves():
