@@ -6,9 +6,10 @@ Subcommands: ``types list``, ``types classify --neg TEXT``,
 ``--format text|json|csv``.  Each subcommand's handler builds its result in
 every format, and one writer per format prints the one asked for.  Each
 call builds the parser of the subcommand it names and no other, all of them
-only for the top-level help or a bad command.  Payload goes to stdout,
-diagnostics to stderr; exit code 0 means success, 1 a rejected input, 2 an
-internal consistency failure.
+only for the top-level help or a bad command; one level down, ``types list``
+and ``types classify`` build only their own action's parser.  Payload goes
+to stdout, diagnostics to stderr; exit code 0 means success, 1 a rejected
+input, 2 an internal consistency failure.
 """
 
 from __future__ import annotations
@@ -53,17 +54,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 COMMANDS = ("types", "hilbert", "betti", "tables", "verify")
+TYPES_ACTIONS = ("list", "classify")
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The parser with only ``command``'s subparser if it is one of COMMANDS,
-    else with all of them (top-level help, a bad or missing command).  A call
-    runs one subcommand, and building the others took most of a short call's
-    time; each call builds its own, so no call depends on another."""
+def _trim(name, names: tuple[str, ...]) -> tuple[tuple[str, ...], str | None]:
+    # name alone if it is one of names (a tuple: odd input cannot raise), with a
+    # metavar that keeps every name in the usage an error at this level prints
+    return ((name,), "{" + ",".join(names) + "}") if name in names else (names, None)
+
+
+def build_parser(argv: Sequence[str] = ()) -> _Parser:
+    """The parser for the call ``argv``, with only the subparser of argv[0]
+    if it is one of COMMANDS, else with all of them (top-level help, a bad or
+    missing command); one level down, ``types`` gets only the action of
+    argv[1] if it is one of TYPES_ACTIONS, else both.  A call runs one
+    subcommand, and building the others took most of a short call's time;
+    each call builds its own, so no call depends on another."""
     parser = _Parser(prog="sixpoints", description=__doc__.splitlines()[0])
-    wanted = (command,) if command in COMMANDS else COMMANDS  # a tuple: odd input cannot raise
-    # every command in the top-level usage, which an unrecognized argument prints
-    metavar = "{" + ",".join(COMMANDS) + "}" if len(wanted) == 1 else None
+    command = argv[0] if argv else None
+    wanted, metavar = _trim(command, COMMANDS)
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def add_format(p):
@@ -71,15 +80,19 @@ def build_parser(command: str | None = None) -> _Parser:
 
     if "types" in wanted:
         types_p = sub.add_parser("types", help="list or classify configuration types")
-        types_sub = types_p.add_subparsers(dest="types_command", required=True)
-        lst = types_sub.add_parser("list", help="all 90 types")
-        lst.set_defaults(handler=_types_list)
-        add_format(lst)
-        cls = types_sub.add_parser("classify", help="match a neg set to its type")
-        cls.add_argument("--neg", required=True,
-                         help="letter notation, e.g. '0: AB, CD; 2: ABCDEF'")
-        cls.set_defaults(handler=_types_classify)
-        add_format(cls)
+        actions, metavar = _trim(argv[1] if command == "types" and len(argv) > 1 else None,
+                                 TYPES_ACTIONS)
+        types_sub = types_p.add_subparsers(dest="types_command", required=True, metavar=metavar)
+        if "list" in actions:
+            lst = types_sub.add_parser("list", help="all 90 types")
+            lst.set_defaults(handler=_types_list)
+            add_format(lst)
+        if "classify" in actions:
+            cls = types_sub.add_parser("classify", help="match a neg set to its type")
+            cls.add_argument("--neg", required=True,
+                             help="letter notation, e.g. '0: AB, CD; 2: ABCDEF'")
+            cls.set_defaults(handler=_types_classify)
+            add_format(cls)
 
     for name, with_betti, what in (("hilbert", False, "Hilbert function"),
                                    ("betti", True, "graded Betti numbers")):
@@ -318,7 +331,7 @@ def _verify(args) -> _Output:
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         result = args.handler(args)

@@ -12,13 +12,22 @@ complement of the canonical class by its span, both checked against the row.
 That the rows cover every orbit is proved apart, by ``verify``: see
 ``orbit_gaps``.  Only one documented pair of rows that the sources print
 twice shares an orbit (see DUPLICATE_CATALOG_ROWS).
+
+A set is canonicalized under all 720 relabellings at once: each pool class
+has a 64-bit lane per permutation, 2^36 + 2^(35 - v) if it goes to pool
+index v and 0 if it leaves the pool, so a set's summed lanes hold the count
+of its classes kept above the mask of their images.  The max lane has the
+full count and, among those, the largest mask, which is the smallest sorted
+tuple; its first index is the first permutation, in ``itertools``' order,
+that reaches it (``_perm_lanes``, ``_canonical_indices``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,51 +49,54 @@ from .notation import parse_negset
 
 
 @lru_cache(maxsize=1)
-def _perm_table() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """For each permutation of the point labels, where each pool class goes.
+def _perm_lanes() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The permutations of the point labels, in ``itertools.permutations``
+    order (which fixes the witness ``classify`` reports), and for each pool
+    class an integer with one 64-bit lane per permutation: 2^36 + 2^(35 - v)
+    when the permutation sends the class to pool index v, 0 when its image
+    leaves the pool (a difference E_j - E_i with j > i).
 
-    Entry -1 marks a class whose image left the pool (a difference E_j - E_i
-    with j > i); such a permutation cannot witness an orbit equivalence for a
-    set containing that class.  Rows come in ``itertools.permutations``
-    order, which fixes the witness ``classify`` reports.
+    Built from bytes, not from a lookup per class and permutation: in its
+    byte for each permutation sigma, the class dL + sum m_p E_p gets the name
+    64d + 32 - sum m_p 2^(sigma(p) - 1) of its image, which is 1..63 for a
+    difference (above 32 exactly when it stays in the pool), 96 plus its
+    three point bits for a line and 223 for the conic.  The identity comes
+    first, so byte 0 of a class's names is the name of the class itself.
     """
-    pool, index = candidate_pool(), _pool_index()
-    points = range(1, N_POINTS + 1)
-    table = []
-    for sigma in itertools.permutations(points):
-        # point i becomes point sigma[i-1], as in lattice.permute_points
-        relabel = operator.itemgetter(0, *(sigma.index(j) + 1 for j in points))
-        # the image stays a plain tuple: it hashes and compares as the class it
-        # spells, and building a DivisorClass per image would cost more than
-        # the lookup
-        table.append((sigma, tuple(index.get(relabel(c), -1) for c in pool)))
-    return tuple(table)
+    sigmas = tuple(itertools.permutations(range(1, N_POINTS + 1)))
+    n = len(sigmas)
+    flat = bytes(itertools.chain.from_iterable(sigmas))
+    to_bit = bytes.maketrans(bytes(range(1, N_POINTS + 1)), bytes(1 << q for q in range(N_POINTS)))
+    # 2^(sigma(p) - 1) in the byte of each sigma; each name fits its byte, so none borrows
+    bits = [int.from_bytes(flat[p::N_POINTS].translate(to_bit), "little") for p in range(N_POINTS)]
+    ones = int.from_bytes(b"\1" * n, "little")
+    names = [((64 * c[0] + 32) * ones - sum(m * b for m, b in zip(c[1:], bits))).to_bytes(n, "little")
+             for c in candidate_pool()]
+    lane = [bytes(8)] * 256
+    for v, name in enumerate(names):
+        lane[name[0]] = (2**36 + 2**(35 - v)).to_bytes(8, "little")
+    return sigmas, tuple(int.from_bytes(b"".join(map(lane.__getitem__, name)), "little")
+                         for name in names)
 
 
 def _canonical_indices(idxs: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Lexicographically smallest relabelled image of a pool-index set, with a
-    witness permutation.  Only permutations keeping every class in the pool
-    compete; the identity always does."""
-    best = None
-    witness = None
-    for sigma, row in _perm_table():
-        mapped = []
-        ok = True
-        for i in idxs:
-            v = row[i]
-            if v < 0:
-                ok = False
-                break
-            mapped.append(v)
-        if not ok:
-            continue
-        mapped.sort()
-        t = tuple(mapped)
-        if best is None or t < best:
-            best = t
-            witness = sigma
-    assert best is not None and witness is not None
-    return best, witness
+    """Lexicographically smallest relabelled image of a pool-index set, among
+    permutations keeping every class in the pool (the identity does), with
+    the first permutation in ``itertools.permutations`` order that reaches it.
+
+    Each lane of the summed ``_perm_lanes`` columns is 2^36 times the count
+    of classes kept plus the mask of their images (distinct classes have
+    distinct images: no carry).  The max lane has the full count len(idxs)
+    and the largest mask, whose set has the smaller least element where two
+    differ, that is the smaller sorted tuple; its first index is the witness.
+    """
+    sigmas, columns = _perm_lanes()
+    lanes = array("Q", sum(map(columns.__getitem__, idxs)).to_bytes(8 * len(sigmas), "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    best = max(lanes)
+    mask = format(best, "064b")[-len(columns):]  # bit 35 - v holds pool index v
+    return tuple(v for v, bit in enumerate(mask) if bit == "1"), sigmas[lanes.index(best)]
 
 
 # ---------------------------------------------------------------------------

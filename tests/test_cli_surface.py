@@ -1,14 +1,15 @@
 """The parser's own output: help, usage and argument errors.
 
 `main` builds only the parser of the subcommand named by argv[0], and the
-whole command tree otherwise.  The frozen file tests/data/cli_surface.json
-holds, per argument vector and COLUMNS width, the exit code (from `main`'s
-return or its `SystemExit`), stdout and stderr, written once with `capture`
-by release 8.0.0, which built the whole tree on every call, under Python
-3.11.  The cases cover the
-top-level help, each subcommand's help, an empty argv, a bad command or
-flag, missing required flags, bad choices and bad integers, and the
-top-level "unrecognized arguments" error that follows a good command.
+whole command tree otherwise; for `types`, only the action named by argv[1]
+if it names one, and both otherwise.  The frozen file
+tests/data/cli_surface.json holds, per argument vector and COLUMNS width,
+the exit code (from `main`'s return or its `SystemExit`), stdout and stderr,
+written once with `capture` by release 8.0.0, which built the whole tree on
+every call, under Python 3.11.  The cases cover the top-level help, each
+subcommand's help, an empty argv, a bad command or flag, missing required
+flags, bad choices and bad integers, and the top-level "unrecognized
+arguments" error that follows a good command.
 """
 
 import contextlib
@@ -73,25 +74,42 @@ def test_main_reads_sys_argv_when_given_none(monkeypatch):
         assert capture(None) == capture(argv)
 
 
+def _subparsers(parser, dest) -> dict:
+    (sub,) = [a for a in parser._actions if a.dest == dest]
+    return sub.choices
+
+
 def _commands(parser) -> list[str]:
-    (sub,) = [a for a in parser._actions if a.dest == "command"]
-    return list(sub.choices)
+    return list(_subparsers(parser, "command"))
+
+
+def _types_actions(parser) -> list[str]:
+    return list(_subparsers(_subparsers(parser, "command")["types"], "types_command"))
 
 
 def test_only_the_named_subcommand_is_built():
-    assert _commands(cli.build_parser("betti")) == ["betti"]
-    assert _commands(cli.build_parser("types")) == ["types"]
+    assert _commands(cli.build_parser(["betti"])) == ["betti"]
+    assert _commands(cli.build_parser(["types"])) == ["types"]
     full = list(cli.COMMANDS)
-    for other in (None, "bogus", "-h", "Betti", ["betti"]):
+    for other in ([], ["bogus"], ["-h"], ["Betti"], [["betti"]], ["-h", "betti"]):
         assert _commands(cli.build_parser(other)) == full
+    # one level down: a types call builds the action it names
+    for action in cli.TYPES_ACTIONS:
+        for argv in (["types", action], ["types", action, "--format", "json"]):
+            parser = cli.build_parser(argv)
+            assert (_commands(parser), _types_actions(parser)) == (["types"], [action])
+    both = list(cli.TYPES_ACTIONS)
+    for argv in (["types"], ["types", "bogus"], ["types", "-h"], ["types", "Classify"],
+                 ["types", ["list"]], [], ["bogus", "list"]):
+        assert _types_actions(cli.build_parser(argv)) == both
 
 
 def test_main_builds_one_subcommand_per_call(monkeypatch):
     built = []
     build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command: built.append(command) or build(command))
+    monkeypatch.setattr(cli, "build_parser", lambda argv: built.append(list(argv)) or build(argv))
     capture(["betti", *M])
     capture(["bogus"])
     capture(iter(["types", "list"]))
     capture([])
-    assert built == ["betti", "bogus", "types", None]
+    assert built == [["betti", *M], ["bogus"], ["types", "list"], []]

@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import itertools
+import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sixpoints import (
     ConsistencyError,
@@ -14,6 +16,7 @@ from sixpoints import (
     dynkin_graph,
     e,
     enumerate_types,
+    intersect,
     parse_negset,
     permute_points,
     smith_invariant_factors,
@@ -21,6 +24,7 @@ from sixpoints import (
     type_by_id,
 )
 from sixpoints import typeenum
+from sixpoints.curves import _pool_indices
 from sixpoints.typeenum import (
     DUPLICATE_CATALOG_ROWS,
     TableRow,
@@ -40,9 +44,11 @@ def test_pool_order():
     assert pool[35] == DivisorClass(2, (-1, -1, -1, -1, -1, -1))
 
 
+@functools.lru_cache(maxsize=1)
 def _block_offset_perm_table():
     """The relabelling table worked out from the pool's block layout (15
-    pairs, 20 triples, the conic), kept as a reference for _perm_table."""
+    pairs, 20 triples, the conic), kept as a reference for _perm_lanes: for
+    each permutation, where each pool class goes, -1 where it leaves the pool."""
     pairs = list(itertools.combinations(range(1, 7), 2))
     triples = list(itertools.combinations(range(1, 7), 3))
     table = []
@@ -59,11 +65,83 @@ def _block_offset_perm_table():
     return table
 
 
-def test_perm_table_matches_the_block_layout():
-    table, reference = typeenum._perm_table(), _block_offset_perm_table()
-    assert len(table) == len(reference) == 720
-    for got, want in zip(table, reference):
-        assert got == want
+def _reference_canonical(idxs):
+    """The 720-permutation loop the lane kernel replaced: the smallest sorted
+    image over the permutations that keep every class in the pool, and the
+    first permutation that reaches it."""
+    best = witness = None
+    for sigma, row in _block_offset_perm_table():
+        mapped = [row[i] for i in idxs]
+        if -1 in mapped:
+            continue
+        t = tuple(sorted(mapped))
+        if best is None or t < best:
+            best, witness = t, sigma
+    return best, witness
+
+
+def test_perm_lanes_match_the_block_layout():
+    sigmas, columns = typeenum._perm_lanes()
+    reference = _block_offset_perm_table()
+    assert len(sigmas) == len(reference) == 720 and len(columns) == 36
+    for k, (sigma, row) in enumerate(reference):
+        decoded = []
+        for column in columns:
+            lane = column >> 64 * k & (2**64 - 1)
+            mask = lane - 2**36
+            assert lane == 0 or (mask > 0 and mask & (mask - 1) == 0)
+            decoded.append(-1 if lane == 0 else 36 - mask.bit_length())
+        assert (sigmas[k], tuple(decoded)) == (sigma, row)
+    assert all(column >> 64 * 720 == 0 for column in columns)
+
+
+def test_canonical_indices_match_the_loop_on_every_orbit():
+    for canon in typeenum._enumerate_orbits():
+        assert typeenum._canonical_indices(canon) == _reference_canonical(canon)
+
+
+def test_canonical_indices_match_the_loop_on_relabelled_rows():
+    rng = random.Random(0)
+    table = _block_offset_perm_table()
+    for row in table_rows():
+        idxs = _pool_indices(parse_negset(row.neg))
+        for _, image in rng.sample(table, 12):
+            relabelled = tuple(image[i] for i in idxs)
+            if -1 not in relabelled:
+                assert typeenum._canonical_indices(relabelled) == _reference_canonical(relabelled)
+
+
+def _grow_neg_set(picks):
+    """The pool indices in picks, in order, each kept when it meets every one
+    kept before it nonnegatively: a pairwise-nonnegative subset of the pool."""
+    pool = candidate_pool()
+    kept = []
+    for i in picks:
+        if i not in kept and all(intersect(pool[i], pool[j]) >= 0 for j in kept):
+            kept.append(i)
+    return tuple(kept)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 35), max_size=12))
+@example([])
+@example([0, 5, 12, 14, 15, 34])  # the six-class rows 85..90
+@example([0, 9, 14, 15, 24, 31])
+@example([0, 5, 12, 14, 15, 22])
+@example([0, 5, 11, 12, 15, 22])
+@example([0, 5, 9, 12, 14, 35])
+@example([0, 5, 9, 12, 14, 15])
+def test_canonical_indices_match_the_loop_on_grown_sets(picks):
+    idxs = _grow_neg_set(picks)
+    assert typeenum._canonical_indices(idxs) == _reference_canonical(idxs)
+
+
+def test_six_class_examples_are_the_six_class_rows():
+    rows = [_pool_indices(parse_negset(r.neg)) for r in table_rows()]
+    six = [idxs for idxs in rows if len(idxs) == 6]
+    assert six == [(0, 5, 12, 14, 15, 34), (0, 9, 14, 15, 24, 31), (0, 5, 12, 14, 15, 22),
+                   (0, 5, 11, 12, 15, 22), (0, 5, 9, 12, 14, 35), (0, 5, 9, 12, 14, 15)]
+    assert all(_grow_neg_set(idxs) == idxs for idxs in six)  # growth keeps every class
 
 
 def test_classify_identifies_equivalent_pairs():

@@ -247,6 +247,27 @@ def test_lines_per_graph_fails_on_a_wrong_minus_one_list(monkeypatch):
     assert result.detail == "type 1 ('') has 26 -1 curves, not 27"
 
 
+CATALOG_CHECKS = ("lines per graph", "type count", "graph census", "graph determines torsion",
+                  "fat point schemes", "multiplication rank bounds", "special classes")
+
+
+def test_every_check_that_reads_the_catalog_fails_on_an_empty_one(monkeypatch):
+    # a check over no types examined nothing, so it must not pass, nor raise
+    monkeypatch.setattr(verify, "enumerate_types", lambda: ())
+    report = run_invariant_suite(seed=0, samples_per_type=2)
+    failed = {c.name for c in report.checks if not c.passed}
+    assert failed == set(CATALOG_CHECKS)
+    assert {c.detail for c in report.checks if not c.passed} == {
+        "the catalog has no types, so there is nothing to check"}
+
+
+def test_rank_bounds_fail_when_nothing_is_sampled(monkeypatch):
+    monkeypatch.setattr(verify, "sample_nef", lambda N, count, seed: ())
+    result = verify._check("multiplication rank bounds", lambda: verify._mu_consistency(0, 5))
+    assert not result.passed
+    assert result.detail == "no nef class was sampled, so no rank bound was checked"
+
+
 def test_invariant_suite_is_seeded():
     a = run_invariant_suite(seed=5, samples_per_type=5)
     b = run_invariant_suite(seed=5, samples_per_type=5)
