@@ -65,4 +65,4 @@ from .typeenum import (
 )
 from .verify import run_invariant_suite, sample_nef
 
-__version__ = "9.3.0"
+__version__ = "9.4.0"

@@ -4,14 +4,15 @@ A configuration type records which degenerate positions six (possibly
 infinitely near) points occupy: a neg set, that is a pairwise-nonnegative set
 of the 36 candidate classes of ``curves.candidate_pool`` (15 differences
 E_i - E_j, 20 three-point line classes, one six-point conic class), taken up
-to relabelling of the points.  Each type is built from a row of the shipped,
-human-audited table that fixes ids and labels, as the canonical
-representative of the row's relabelling orbit.  It carries its intersection
-graph (an ADE diagram) and the torsion of the quotient of the orthogonal
-complement of the canonical class by its span, both checked against the row.
-That the rows cover every orbit is proved apart, by ``verify``: see
-``orbit_gaps``.  Only one documented pair of rows that the sources print
-twice shares an orbit (see DUPLICATE_CATALOG_ROWS).
+to relabelling of the points.  ``_build_type`` builds a type from one row of
+the shipped, human-audited table that fixes ids and labels, as the canonical
+representative of the row's relabelling orbit, with its intersection graph
+(an ADE diagram) and the torsion of the quotient of the orthogonal complement
+of the canonical class by its span, both checked against the row.
+``type_by_id`` builds its own row only; ``enumerate_types`` (and so
+``classify``) builds every row and checks across them, in ``build_types``,
+that the ids run 1..n and only DUPLICATE_CATALOG_ROWS share an orbit.  That
+the rows cover every orbit is proved apart, by ``verify``: see ``orbit_gaps``.
 
 A set is canonicalized under all 720 relabellings at once: each pool class
 has a 64-bit lane per permutation, 2^36 + 2^(35 - v) if it goes to pool
@@ -38,7 +39,6 @@ from .curves import (
     NegCurveSet,
     _check_class,
     _neg_indices,
-    _pool_index,
     _pool_indices,
     candidate_pool,
     full_neg,
@@ -210,8 +210,9 @@ class DynkinGraph:
 @dataclass(frozen=True)
 class ConfigurationType:
     """One of the 90 types.  ``classes`` is the canonical representative of
-    the relabelling orbit; ``neg_label`` is the letter notation of the audited
-    catalog row, which is an equivalent but generally different representative."""
+    the relabelling orbit, and multiplicities given with a type id refer to its
+    labelling (shown by ``types list --format json`` and ``types classify``);
+    ``neg_label`` is the audited catalog row's, often labelled differently."""
 
     id: int
     label: str
@@ -224,17 +225,13 @@ class ConfigurationType:
         return full_neg(self.classes)
 
 
-def _span_invariants(classes: Iterable[DivisorClass]) -> tuple[int, TorsionGroup]:
-    """Rank of the span of classes in K-perp and the torsion of the quotient,
-    both read off one Smith normal form."""
-    factors = smith_invariant_factors([kperp_coordinates(c) for c in classes])
-    return len(factors), TorsionGroup(tuple(f for f in factors if f > 1))
-
-
 def torsion(classes: Iterable[DivisorClass]) -> TorsionGroup:
+    """Torsion of the quotient of K-perp by the span of classes, read off the
+    Smith normal form of their coordinates."""
     if not isinstance(classes, Iterable):
         raise ValidationError(f"expected a collection of classes, got {classes!r}")
-    return _span_invariants(classes)[1]
+    factors = smith_invariant_factors([kperp_coordinates(c) for c in classes])
+    return TorsionGroup(tuple(f for f in factors if f > 1))
 
 
 def _component_label(vertices: list[int], adj) -> str:
@@ -393,53 +390,53 @@ def orbit_gaps(
     return missing, stray
 
 
-def build_types(rows: Sequence[TableRow]) -> tuple[ConfigurationType, ...]:
-    """One type per catalog row, built from the row's own notation.
-
-    Each row is reduced to the canonical classes of its orbit, which must be
-    linearly independent and whose graph and torsion must agree with the
-    row's printed label and torsion column.  Only the documented duplicate
-    rows may share an orbit, and the ids must run 1..len(rows).  Any other
-    mismatch is a fatal consistency error.  Whether the rows cover every
-    orbit is not checked here; ``orbit_gaps`` does that.
-    """
+@lru_cache(maxsize=128)  # room for the 90 rows; keyed by content, so a changed row rebuilds
+def _build_type(row: TableRow) -> ConfigurationType:
+    """One catalog row's type: the canonical classes of its orbit, whose graph
+    and torsion must match the row's label and torsion column.  They are
+    independent, since the graph check admits only ADE trees of square -2
+    classes, whose Gram matrix is negative definite."""
+    try:
+        idxs = _pool_indices(parse_negset(row.neg))
+    except ValidationError as exc:
+        raise ValidationError(f"type {row.id}: {exc}") from None
     pool = candidate_pool()
-    ids_by_canon: dict[tuple[int, ...], list[int]] = {}
-    types = []
-    for row in rows:
-        try:
-            idxs = _pool_indices(parse_negset(row.neg))
-        except ValidationError as exc:
-            raise ValidationError(f"type {row.id}: {exc}") from None
-        canon, _ = _canonical_indices(idxs)
-        ids_by_canon.setdefault(canon, []).append(row.id)
-        classes = tuple(pool[i] for i in canon)
-        graph = dynkin_graph(classes)
-        rank, tor = _span_invariants(classes)
-        if rank != len(classes):
-            raise ConsistencyError(f"classes of orbit {canon} are linearly dependent")
-        expected_name = "" if row.id == 1 else (
-            row.label[:-1] if row.label[-1].islower() else row.label
+    classes = tuple(pool[i] for i in _canonical_indices(idxs)[0])
+    graph = dynkin_graph(classes)
+    tor = torsion(classes)
+    expected_name = "" if row.id == 1 else (
+        row.label[:-1] if row.label[-1].islower() else row.label
+    )
+    if graph.name != expected_name:
+        raise ConsistencyError(
+            f"type {row.id}: computed graph {graph.name!r} does not match label {row.label!r}"
         )
-        if graph.name != expected_name:
-            raise ConsistencyError(
-                f"type {row.id}: computed graph {graph.name!r} does not match label {row.label!r}"
-            )
-        if tor.text() != row.torsion:
-            raise ConsistencyError(
-                f"type {row.id}: computed torsion {tor.text()} does not match catalog {row.torsion}"
-            )
-        types.append(ConfigurationType(row.id, row.label, row.neg, classes, graph, tor))
-    shared = {frozenset(ids) for ids in ids_by_canon.values() if len(ids) > 1}
+    if tor.text() != row.torsion:
+        raise ConsistencyError(
+            f"type {row.id}: computed torsion {tor.text()} does not match catalog {row.torsion}"
+        )
+    return ConfigurationType(row.id, row.label, row.neg, classes, graph, tor)
+
+
+def build_types(rows: Sequence[TableRow]) -> tuple[ConfigurationType, ...]:
+    """One type per catalog row, each built and checked by ``_build_type``,
+    then the checks across rows: only the documented duplicate rows may share
+    an orbit, and the ids must run 1..len(rows) in row order.  Whether the
+    rows cover every orbit is not checked here; ``orbit_gaps`` does that.
+    """
+    types = tuple(map(_build_type, rows))
+    ids_by_classes: dict[tuple[DivisorClass, ...], list[int]] = {}
+    for t in types:
+        ids_by_classes.setdefault(t.classes, []).append(t.id)
+    shared = {frozenset(ids) for ids in ids_by_classes.values() if len(ids) > 1}
     if shared != set(DUPLICATE_CATALOG_ROWS):
         raise ConsistencyError(
             f"catalog rows sharing an orbit: {sorted(map(sorted, shared))}; "
             f"expected exactly {sorted(map(sorted, DUPLICATE_CATALOG_ROWS))}"
         )
-    types.sort(key=lambda t: t.id)
     if [t.id for t in types] != list(range(1, len(rows) + 1)):
         raise ConsistencyError("catalog ids are not consecutive from 1")
-    return tuple(types)
+    return types
 
 
 @lru_cache(maxsize=1)
@@ -449,29 +446,29 @@ def enumerate_types() -> tuple[ConfigurationType, ...]:
 
 
 @lru_cache(maxsize=1)
-def _types_by_canon() -> dict[tuple[int, ...], ConfigurationType]:
-    # duplicate catalog rows resolve to the smaller id
-    index = _pool_index()
-    out: dict[tuple[int, ...], ConfigurationType] = {}
-    for t in enumerate_types():
-        out.setdefault(tuple(index[c] for c in t.classes), t)
-    return out
+def _types_by_canon() -> dict[tuple[DivisorClass, ...], ConfigurationType]:
+    # duplicate catalog rows resolve to the smaller id, which comes last here
+    return {t.classes: t for t in reversed(enumerate_types())}
 
 
 def type_by_id(type_id: int) -> ConfigurationType:
+    """The type of catalog row ``type_id``, built from that row alone."""
     if type(type_id) is not int:
         raise ValidationError(f"type id must be an int, got {type_id!r}")
-    types = enumerate_types()
-    if not 1 <= type_id <= len(types):
-        raise ValidationError(f"type id {type_id} out of range 1..{len(types)}")
-    return types[type_id - 1]
+    rows = table_rows()
+    if not 1 <= type_id <= len(rows):
+        raise ValidationError(f"type id {type_id} out of range 1..{len(rows)}")
+    row = rows[type_id - 1]
+    if row.id != type_id:
+        raise ConsistencyError(f"catalog row {type_id} has id {row.id}")
+    return _build_type(row)
 
 
 def classify(neg: Iterable[DivisorClass]) -> tuple[ConfigurationType, tuple[int, ...]]:
     """Match a candidate neg set to its type; also returns the relabelling
     that carries the input onto the type's canonical classes."""
     canon, sigma = _canonical_indices(_neg_indices(neg))
-    t = _types_by_canon().get(canon)
+    t = _types_by_canon().get(tuple(map(candidate_pool().__getitem__, canon)))
     if t is None:
         raise ConsistencyError("canonical set missing from the enumerated types")
     return t, sigma

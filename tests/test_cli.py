@@ -5,7 +5,10 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
-from sixpoints import ConsistencyError, fatpoints, parse_negset, table1_text, typeenum
+from sixpoints import (
+    ConsistencyError, DivisorClass, cli, fatpoints, format_negset, parse_negset, table1_text,
+    typeenum,
+)
 from sixpoints.cli import MAX_SAMPLES, _Output, _write_json, main
 
 
@@ -196,6 +199,45 @@ def test_verify_reports_a_catalog_that_fails_to_build(catalog_with_wrong_torsion
     assert [line.split(":")[0] for line in lines if line.startswith("PASS")] == [
         "PASS lattice signature", "PASS candidate pool", "PASS reduction potential positivity",
     ]
+
+
+def test_a_bad_row_fails_only_the_calls_that_build_it(request, capsys):
+    # a type id builds its own row alone; a listing builds and checks them all
+    argv = ["hilbert", "--type", "6", "--mults", "3,2,1,0,0,0"]
+    good = run(argv)
+    assert good[0] == 0
+    request.getfixturevalue("catalog_with_wrong_torsion")
+    assert run(argv) == good
+    capsys.readouterr()
+    assert run(["hilbert", "--type", "5", "--mults", "3,2,1,0,0,0"]) == (2, "")
+    assert "type 5: computed torsion 0 does not match catalog Z2" in capsys.readouterr().err
+    assert run(["types", "list"]) == (2, "")
+
+
+def test_hilbert_by_id_does_not_build_the_catalog(monkeypatch):
+    def refuse():
+        raise AssertionError("hilbert --type ID built every type")
+
+    monkeypatch.setattr(typeenum, "enumerate_types", refuse)
+    monkeypatch.setattr(cli, "enumerate_types", refuse)
+    typeenum._build_type.cache_clear()
+    code, out = run(["hilbert", "--type", "61", "--mults", "5,4,3,2,1,0"])
+    assert code == 0
+    assert out.startswith("type: 61 (")
+
+
+def test_a_type_id_takes_multiplicities_in_the_canonical_labelling():
+    # row 7 reads "0: DE; 1: ABC"; its canonical classes are "0: AB; 1: CDE",
+    # as types list --format json and types classify show
+    mults = ["--mults", "3,2,1,0,0,0"]
+    by_id = run(["hilbert", "--type", "7", *mults])
+    assert by_id == run(["hilbert", "--type", "0: AB; 1: CDE", *mults])
+    assert "h_I: 0, 0, 0, 1, 5 " in by_id[1]
+    assert "h_I: 0, 0, 0, 2, 6, 11 " in run(["hilbert", "--type", "0: DE; 1: ABC", *mults])[1]
+    record = json.loads(run(["types", "list", "--format", "json"])[1])[6]
+    assert record["neg"] == "0: DE; 1: ABC"
+    assert format_negset([DivisorClass(c[0], c[1:]) for c in record["classes"]]) == "0: AB; 1: CDE"
+    assert "canonical: 0: AB; 1: CDE\n" in run(["types", "classify", "--neg", "0: DE; 1: ABC"])[1]
 
 
 def test_verify_reports_a_catalog_row_the_parser_rejects(monkeypatch):

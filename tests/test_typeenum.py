@@ -242,9 +242,15 @@ def test_catalog_rows_round_trip_through_letters():
 
 
 def test_every_type_is_linearly_independent():
-    for t in enumerate_types():
-        rows = [kperp_coordinates(c) for c in t.classes]
-        assert len(smith_invariant_factors(rows)) == len(t.classes)
+    # build_types does not check this: its graph check admits only ADE trees
+    # of square -2 classes, whose Gram matrix (minus a Cartan matrix) is
+    # negative definite; pinned on the catalog and on every enumerated orbit
+    pool = candidate_pool()
+    sets = [t.classes for t in enumerate_types()]
+    sets += [tuple(pool[i] for i in canon) for canon in typeenum._enumerate_orbits()]
+    for classes in sets:
+        rows = [kperp_coordinates(c) for c in classes]
+        assert len(smith_invariant_factors(rows)) == len(classes)
 
 
 def test_edge_weights_are_simple():
@@ -336,6 +342,44 @@ def test_build_types_does_not_enumerate(monkeypatch):
     types = build_types(table_rows())
     assert [t.id for t in types] == list(range(1, 91))
     assert types == enumerate_types()
+
+
+def _clear_type_caches():
+    for cached in (typeenum._build_type, typeenum.enumerate_types, typeenum._types_by_canon):
+        cached.cache_clear()
+
+
+def test_type_by_id_builds_only_its_own_row(monkeypatch):
+    calls = []
+    real = typeenum.dynkin_graph
+    monkeypatch.setattr(typeenum, "dynkin_graph", lambda classes: calls.append(classes) or real(classes))
+    _clear_type_caches()
+    t = type_by_id(61)
+    assert calls == [t.classes]
+    assert type_by_id(61) is t
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("enumerate_first", [False, True])
+def test_type_by_id_is_the_enumerated_type(enumerate_first):
+    _clear_type_caches()
+    types = enumerate_types() if enumerate_first else None
+    singles = [type_by_id(n) for n in range(1, 91)]
+    types = types or enumerate_types()
+    assert len(types) == 90
+    assert all(a is b for a, b in zip(singles, types))
+
+
+def test_a_row_out_of_place_is_a_consistency_error(monkeypatch):
+    # rows 5 and 6 swapped: the id of the row at position 5 is 6
+    rows = list(table_rows())
+    rows[4], rows[5] = rows[5], rows[4]
+    monkeypatch.setattr(typeenum, "table_rows", lambda: tuple(rows))
+    with pytest.raises(ConsistencyError, match="catalog row 5 has id 6"):
+        type_by_id(5)
+    assert type_by_id(7).id == 7
+    with pytest.raises(ConsistencyError, match="not consecutive"):
+        build_types(rows)
 
 
 def test_orbit_gaps_reports_a_missing_row():
