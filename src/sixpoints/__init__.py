@@ -24,7 +24,6 @@ from .curves import (
     minus_one_candidates,
     mu_stats,
     reduce_to_nef,
-    usable_point_indices,
 )
 from .errors import ConsistencyError, ValidationError
 from .fatpoints import (
@@ -65,4 +64,4 @@ from .typeenum import (
 )
 from .verify import run_invariant_suite, sample_nef
 
-__version__ = "9.4.0"
+__version__ = "10.0.0"

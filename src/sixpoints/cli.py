@@ -259,7 +259,7 @@ def _scheme(args) -> _Output:
     # past tail_from, --tmax shows h_I in closed form and h_Z constant at deg Z
     tail = range(hf.tail_from + 1, (args.tmax or 0) + 1)
     h_i = [*hf.ideal_values, *map(hf.h_ideal, tail)]
-    h_z = list(hf.quotient_values()) + [hf.deg_z] * len(tail)
+    h_z = list(hf.quotient_values) + [hf.deg_z] * len(tail)
     record = {
         "hilbert_I": h_i,
         "hilbert_Z": h_z,

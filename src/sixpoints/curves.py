@@ -27,7 +27,6 @@ of F - E_j and F - (L - E_j) are F's plus or minus its packed column j.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -127,42 +126,39 @@ def _curve_classes() -> frozenset[DivisorClass]:
     return frozenset(candidate_pool() + minus_one_candidates())
 
 
-@dataclass(frozen=True)
 class NegCurveSet:
     """Classes of irreducible negative curves: the square -2 part (``neg``)
     and the full list (``NEG``), in a fixed deterministic order.  Every class
     of ``NEG`` must be a candidate class (``candidate_pool`` or
     ``minus_one_candidates``), so of square -1 or -2: the reductions rest on
     their shapes.  Derived once, at construction: ``minus_sq``, -C^2 for each
-    curve C of ``NEG``, and the plane point indices ``usable`` (see
-    ``usable_point_indices``) from ``neg``.  The packed tables of
+    curve C of ``NEG``, ``support``, the nonzero coefficients of each, and
+    ``usable``, the indices j such that p_j is an honest plane point (not
+    infinitely near), that is j is never the subtracted index of a
+    difference class E_i - E_j in ``neg``.  The packed tables of
     ``_packing`` are kept in ``packings``, one entry per lane width, built on
-    first use."""
+    first use.  Two sets compare equal only if they are the same object."""
 
-    neg: tuple[DivisorClass, ...]
-    NEG: tuple[DivisorClass, ...]
-    minus_sq: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    support: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
-    usable: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    packings: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("neg", "NEG", "minus_sq", "support", "usable", "packings")
 
-    def __post_init__(self) -> None:
+    def __init__(self, neg: tuple[DivisorClass, ...], NEG: tuple[DivisorClass, ...]) -> None:
         curves = _curve_classes()
-        for c in self.NEG:
+        for c in NEG:
             if type(c) is not DivisorClass or c not in curves:
                 raise ValidationError(
                     f"{c!r} is not a candidate curve class (one of candidate_pool or "
                     "minus_one_candidates); full_neg builds the curve list of a neg set"
                 )
-        object.__setattr__(self, "minus_sq", tuple(-selfint(c) for c in self.NEG))
-        object.__setattr__(self, "support", tuple(
-            tuple((j, v) for j, v in enumerate(c) if v) for c in self.NEG
-        ))
-        near = {c.index(-1) for c in self.neg if c[0] == 0}
-        object.__setattr__(self, "usable", tuple(j for j in range(1, N_POINTS + 1) if j not in near))
-        object.__setattr__(self, "packings", {})
+        self.neg = neg
+        self.NEG = NEG
+        self.minus_sq = tuple(-selfint(c) for c in NEG)
+        self.support = tuple(tuple((j, v) for j, v in enumerate(c) if v) for c in NEG)
+        near = {c.index(-1) for c in neg if c[0] == 0}
+        self.usable = tuple(j for j in range(1, N_POINTS + 1) if j not in near)
+        self.packings: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
+
+    def __repr__(self) -> str:
+        return f"NegCurveSet(neg={self.neg!r}, NEG={self.NEG!r})"
 
 
 def full_neg(neg: Iterable[DivisorClass]) -> NegCurveSet:
@@ -182,14 +178,6 @@ def _full_neg(idxs: tuple[int, ...]) -> NegCurveSet:
     neg = tuple(pool[i] for i in idxs)
     extras = tuple(c for c in minus_one_candidates() if all(_intersect(c, d) >= 0 for d in neg))
     return NegCurveSet(neg=neg, NEG=neg + extras)
-
-
-def usable_point_indices(N: NegCurveSet) -> tuple[int, ...]:
-    """Indices j such that p_j is an honest plane point (not infinitely near),
-    i.e. j is never the subtracted index of a difference class E_i - E_j in
-    neg (its degree 0 classes): ``N.usable``, derived when N was built."""
-    _check_curves(N)
-    return N.usable
 
 
 def _check_class(F: DivisorClass) -> None:
@@ -267,8 +255,7 @@ def is_nef(F: DivisorClass, N: NegCurveSet) -> bool:
     return not ~p & _packing(N, W)[0]
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     """Outcome of peeling negative curves off a class.
 
     ``reduced + sum(subtractions)`` equals the input, with one entry in
@@ -467,8 +454,7 @@ def mu_stats(F: DivisorClass, N: NegCurveSet, index: int = 1) -> MuStats:
     return _stats_at(F, N, index, *sections)
 
 
-@dataclass(frozen=True)
-class MuBoundsReport:
+class MuBoundsReport(NamedTuple):
     """Bound checks for one nef class, over every usable base point index."""
 
     F: DivisorClass

@@ -18,7 +18,6 @@ that can carry a generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -84,20 +83,19 @@ def proximity_reduce(mults: Sequence[int], classes: Iterable[DivisorClass]) -> M
     return tuple(-v for v in _top_nef_part(mults, full_neg(classes))[0][1:])
 
 
-@dataclass(frozen=True)
-class HilbertFunction:
+class HilbertFunction(NamedTuple):
     """Hilbert data of a fat point ideal and its quotient ring.
 
-    ``ideal_values[t]`` is the ideal's Hilbert function for t = 0..tail_from;
-    past tail_from it equals binom(t+2, 2) - deg_z, and the quotient ring
-    function is constant deg_z.  ``analyze`` also passes the quotient values
-    for t = 0..tail_from, which it computes anyway.
+    ``ideal_values[t]`` is the ideal's Hilbert function and
+    ``quotient_values[t]`` the quotient ring's, binom(t+2, 2) minus it, for
+    t = 0..tail_from; past tail_from the ideal's equals binom(t+2, 2) - deg_z,
+    and the quotient ring's is constant deg_z.
     """
 
     ideal_values: tuple[int, ...]
     deg_z: int
     tail_from: int
-    _quotient: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+    quotient_values: tuple[int, ...]
 
     def h_ideal(self, t: int) -> int:
         if type(t) is not int:
@@ -112,36 +110,13 @@ class HilbertFunction:
         h = self.h_ideal(t)
         return 0 if t < 0 else math.comb(t + 2, 2) - h
 
-    def quotient_values(self) -> tuple[int, ...]:
-        """h_quotient(t) for t = 0..tail_from."""
-        q = self._quotient
-        return _quotients(self.ideal_values) if q is None else q
 
-
-def _quotients(h: Sequence[int]) -> tuple[int, ...]:
-    """binom(t+2, 2) - h[t] for each listed degree t."""
-    return tuple(math.comb(t + 2, 2) - v for t, v in enumerate(h))
-
-
-@dataclass(frozen=True)
-class GradedResolution:
+class GradedResolution(NamedTuple):
     """Shift multisets of the two free modules in 0 -> F1 -> F0 -> I -> 0,
     stored as (shift, multiplicity) pairs with shifts ascending."""
 
     f0: tuple[tuple[int, int], ...]
     f1: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def _dim(shifts: tuple[tuple[int, int], ...], t: int) -> int:
-        return sum(
-            mult * math.comb(t - j + 2, 2) for j, mult in shifts if t >= j
-        )
-
-    def dim_f0(self, t: int) -> int:
-        return self._dim(self.f0, t)
-
-    def dim_f1(self, t: int) -> int:
-        return self._dim(self.f1, t)
 
 
 def format_shifts(shifts: Iterable[tuple[int, int]]) -> str:
@@ -252,7 +227,7 @@ def _hilbert(P: DivisorClass, deg_z: int, h: Sequence[int]) -> HilbertFunction:
         t = part[0]
         if _chi(part) != math.comb(t + 2, 2) - deg_z:
             raise ConsistencyError(f"ideal Hilbert function failed to stabilize by degree {P[0]}")
-    hz = _quotients(h)
+    hz = tuple(math.comb(t + 2, 2) - v for t, v in enumerate(h))
     if any(a > b for a, b in zip(hz, hz[1:])) or hz[-1] != deg_z:
         raise ConsistencyError("quotient Hilbert function is not monotone to the degree")
     tail_from = hz.index(deg_z)
@@ -312,8 +287,7 @@ def _resolution(
 # the uniform multiplicity report (our table 2)
 
 
-@dataclass(frozen=True)
-class UniformData:
+class UniformData(NamedTuple):
     """Quotient Hilbert values (up to their maximum) and Betti shifts for one
     uniform multiplicity."""
 
@@ -339,8 +313,7 @@ CASE_PATTERNS: dict[str, tuple[UniformData, UniformData]] = {
 }
 
 
-@dataclass(frozen=True)
-class Table2Report:
+class Table2Report(NamedTuple):
     """Every type's outcome for uniform multiplicities 1 and 2, bucketed by
     (Hilbert function, resolution) pattern."""
 
@@ -350,7 +323,7 @@ class Table2Report:
 
 def _uniform_data(t: ConfigurationType, mult: int) -> UniformData:
     _, hf, res = analyze(t.classes, (mult,) * N_POINTS, betti=True)
-    return UniformData(hz=hf.quotient_values(), f0=res.f0, f1=res.f1)
+    return UniformData(hz=hf.quotient_values, f0=res.f0, f1=res.f1)
 
 
 @lru_cache(maxsize=1)

@@ -156,7 +156,8 @@ K = DivisorClass(-3, (1, 1, 1, 1, 1, 1))
 
 def permute_points(c: DivisorClass, sigma: Sequence[int]) -> DivisorClass:
     """Relabel points by sigma (1-indexed: point i becomes point sigma[i-1]),
-    a permutation of 1..6."""
+    a permutation of 1..6; c is a class or 7 integers."""
+    _check_vector(c)
     if not isinstance(sigma, Iterable):
         raise ValidationError(f"sigma must be a permutation of 1..{N_POINTS}, got {sigma!r}")
     sigma = tuple(sigma)

@@ -30,10 +30,9 @@ import math
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .curves import (
     NegCurveSet,
@@ -186,8 +185,7 @@ def kperp_coordinates(c: DivisorClass) -> tuple[int, ...]:
 # domain types
 
 
-@dataclass(frozen=True)
-class TorsionGroup:
+class TorsionGroup(NamedTuple):
     """Torsion of the quotient of K-perp by the span of a type, as invariant
     factors greater than 1 (empty means torsion free)."""
 
@@ -199,16 +197,14 @@ class TorsionGroup:
         return "x".join(f"Z{f}" for f in self.invariant_factors)
 
 
-@dataclass(frozen=True)
-class DynkinGraph:
+class DynkinGraph(NamedTuple):
     """Intersection graph of a type, named by its ADE components (for
     example ``A_12A_2``; the empty string for no classes)."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class ConfigurationType:
+class ConfigurationType(NamedTuple):
     """One of the 90 types.  ``classes`` is the canonical representative of
     the relabelling orbit, and multiplicities given with a type id refer to its
     labelling (shown by ``types list --format json`` and ``types classify``);
@@ -311,8 +307,7 @@ def dynkin_graph(classes: Iterable[DivisorClass]) -> DynkinGraph:
 # the shipped table, and the enumeration that proves it complete
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     id: int
     label: str
     neg: str

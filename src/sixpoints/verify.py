@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import curves
 from .curves import (
@@ -165,15 +165,13 @@ def sample_nef(
 # the invariant suite
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     seed: int
     checks: tuple[CheckResult, ...]
 

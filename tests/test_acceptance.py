@@ -134,7 +134,7 @@ def test_criterion_3_twenty_seven_lines():
 def _uniform(t, m):
     hf = hilbert_function(t.classes, (m,) * 6)
     res = minimal_resolution(t.classes, (m,) * 6)
-    return UniformData(hz=hf.quotient_values(), f0=res.f0, f1=res.f1)
+    return UniformData(hz=hf.quotient_values, f0=res.f0, f1=res.f1)
 
 
 def test_criterion_4_table_two_patterns():
@@ -221,7 +221,10 @@ def test_criterion_7_property_suites():
         assert sum(g for _, g in res.f0) - sum(s for _, s in res.f1) == 1
         top = max([j for j, _ in res.f0] + [j for j, _ in res.f1])
         for k in range(top + 6):
-            assert res.dim_f0(k) - res.dim_f1(k) == hf.h_ideal(k)
+            # R[-j]^mult has dimension mult * binom(k - j + 2, 2) in degree k
+            f0, f1 = (sum(mult * math.comb(k - j + 2, 2) for j, mult in shifts if k >= j)
+                      for shifts in (res.f0, res.f1))
+            assert f0 - f1 == hf.h_ideal(k)
 
     # permutation equivariance on 50 seeded (type, multiplicity, permutation)
     # triples whose permuted classes stay in the candidate pool

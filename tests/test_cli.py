@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import sixpoints
 from sixpoints import (
     ConsistencyError, DivisorClass, cli, fatpoints, format_negset, parse_negset, table1_text,
     typeenum,
@@ -319,3 +323,14 @@ def test_exit_code_on_a_consistency_failure(monkeypatch, capsys):
 def test_exit_code_on_unknown_flags():
     assert run(["bogus"])[0] == 1
     assert run(["tables", "--which", "3"])[0] == 1
+
+
+def test_a_cold_start_does_not_import_dataclasses():
+    # the records are NamedTuples; dataclasses would pull inspect, ast and
+    # more into every cold start.  -S keeps site's own imports out.
+    src = str(Path(sixpoints.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import sixpoints.cli; "
+            "sixpoints.enumerate_types(); print('dataclasses' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

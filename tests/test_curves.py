@@ -33,6 +33,7 @@ from sixpoints import (
     minus_one_candidates,
     mu_stats,
     parse_negset,
+    permute_points,
     proximity_reduce,
     reduce_to_nef,
     sample_nef,
@@ -40,7 +41,6 @@ from sixpoints import (
     smith_invariant_factors,
     torsion,
     type_by_id,
-    usable_point_indices,
 )
 from sixpoints import curves
 
@@ -154,7 +154,6 @@ def test_non_classes_rejected_at_the_boundary(entry):
         lambda classes: h0(L, classes),
         lambda classes: h1(L, classes),
         lambda classes: h2(L, classes),
-        lambda classes: usable_point_indices(classes),
         lambda classes: sample_nef(classes),
         lambda classes: mu_stats(L, classes),
         lambda classes: check_mu_bounds(L, classes),
@@ -177,9 +176,11 @@ def test_non_classes_rejected_at_the_boundary(entry):
         lambda classes: format_negset(["x"]),
         lambda classes: intersect((1, 2), L),
         lambda classes: selfint("abc"),
+        lambda classes: permute_points((1, 2, 3), (1, 2, 3, 4, 5, 6)),
+        lambda classes: permute_points(None, (1, 2, 3, 4, 5, 6)),
     ],
     ids=[
-        "is_nef", "reduce_to_nef", "h0", "h1", "h2", "usable_point_indices",
+        "is_nef", "reduce_to_nef", "h0", "h1", "h2",
         "sample_nef", "mu_stats", "check_mu_bounds",
         "classify-None", "full_neg-None", "proximity_reduce-None",
         "h_ideal-float", "h_quotient-float", "analyze-betti-str",
@@ -187,6 +188,7 @@ def test_non_classes_rejected_at_the_boundary(entry):
         "euler_characteristic-float", "euler_characteristic-width",
         "dynkin_graph-None", "torsion-None", "torsion-str", "smith-ragged", "smith-float",
         "parse_negset-None", "format_negset-str", "intersect-width", "selfint-str",
+        "permute_points-width", "permute_points-None",
     ],
 )
 def test_wrong_argument_types_rejected_at_the_boundary(call):
@@ -389,7 +391,7 @@ def test_peel_on_a_nef_class_sets_no_step_guard(monkeypatch):
     monkeypatch.setattr(curves, "_step_limit", no_guard)
     for t in (1, 2, 74, 90):
         N = type_by_id(t).neg_set()
-        for F in sample_nef(N, 30, seed=2) + tuple(L - e(j) for j in usable_point_indices(N)):
+        for F in sample_nef(N, 30, seed=2) + tuple(L - e(j) for j in N.usable):
             D, (W, p) = list(F), curves._pack(F, N)
             assert curves._peel(D, p, N, W) == p
             assert D == list(F)

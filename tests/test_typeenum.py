@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import random
@@ -394,7 +393,7 @@ def test_orbit_gaps_reports_a_stray_type():
     # a type whose classes are not canonical is no enumerated orbit, and the
     # orbit it should have stood for is left uncovered
     types = list(enumerate_types())
-    types[1] = dataclasses.replace(types[1], classes=(e(2) - e(3),))
+    types[1] = types[1]._replace(classes=(e(2) - e(3),))
     assert orbit_gaps(types) == ((type_by_id(2).classes,), (2,))
 
 

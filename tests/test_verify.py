@@ -29,7 +29,6 @@ from sixpoints import (
     run_invariant_suite,
     sample_nef,
     type_by_id,
-    usable_point_indices,
 )
 from sixpoints import verify
 from sixpoints.verify import FIVE_L_MINUS_2, _lanes, _stream_seed
@@ -194,9 +193,9 @@ def test_check_mu_bounds_simple_classes():
 
 
 def test_usable_point_indices():
-    assert usable_point_indices(type_by_id(1).neg_set()) == (1, 2, 3, 4, 5, 6)
-    assert usable_point_indices(type_by_id(2).neg_set()) == (1, 3, 4, 5, 6)
-    assert usable_point_indices(type_by_id(90).neg_set()) == (1,)
+    assert type_by_id(1).neg_set().usable == (1, 2, 3, 4, 5, 6)
+    assert type_by_id(2).neg_set().usable == (1, 3, 4, 5, 6)
+    assert type_by_id(90).neg_set().usable == (1,)
 
 
 def test_sample_nef_contract():
@@ -362,7 +361,7 @@ def peeled(monkeypatch):
 @pytest.mark.parametrize("type_id", [1, 2, 90])
 def test_check_mu_bounds_reduces_only_the_base_point_classes(peeled, type_id):
     N = type_by_id(type_id).neg_set()
-    usable = usable_point_indices(N)
+    usable = N.usable
     for F in sample_nef(N, 12, seed=4):
         if F[0] == 0:
             continue  # F - (L - E_j) has negative degree and is not reduced
@@ -418,7 +417,7 @@ def test_mu_bounds_match_the_reference(type_id, seed, i, k, j):
     samples = sample_nef(N, 30, seed)
     F = k * samples[i % len(samples)] + samples[j % len(samples)]
     report = check_mu_bounds(F, N)
-    assert report.stats == tuple(_reference_stats(F, N, u) for u in usable_point_indices(N))
+    assert report.stats == tuple(_reference_stats(F, N, u) for u in N.usable)
     assert report.passed, report.violations
     for index in range(1, 7):  # every index, usable or not
         assert mu_stats(F, N, index) == _reference_stats(F, N, index)
