@@ -197,22 +197,20 @@ def _shift_records(pairs) -> list[dict]:
 
 
 def _parse_type_arg(arg: str) -> tuple[list[DivisorClass], ConfigurationType]:
-    try:
-        type_id = int(arg)
-    except ValueError:
-        classes = parse_negset(arg)
-        t, _ = classify(classes)
-        return classes, t
-    t = type_by_id(type_id)
-    return list(t.classes), t
+    if arg.isascii() and arg.isdigit():
+        t = type_by_id(int(arg))
+        return list(t.classes), t
+    classes = parse_negset(arg)
+    t, _ = classify(classes)
+    return classes, t
 
 
 def _parse_mults(text: str) -> tuple[int, ...]:
-    """Integers from comma separated text; fatpoints checks count and sign."""
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValidationError(f"multiplicities must be integers, got {text!r}") from None
+    """ASCII integers from comma separated text; fatpoints checks count and sign."""
+    parts = text.split(",")
+    if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
+        raise ValidationError(f"multiplicities must be integers, got {text!r}")
+    return tuple(map(int, parts))
 
 
 def _ints(values) -> str:

@@ -81,8 +81,10 @@ def _pool_indices(classes: Iterable[DivisorClass]) -> tuple[int, ...]:
     out: list[int] = []
     for c in classes:
         try:
+            if type(c) is not DivisorClass:  # a plain tuple hashes equal to the class it spells
+                _check_vector(c)
             i = index.get(c)
-        except TypeError:  # unhashable, so not a class
+        except (TypeError, ValidationError):  # unhashable or not 7 integers, so not a class
             raise ValidationError(f"expected a candidate class, got {c!r}") from None
         if i is None:
             raise ValidationError(

@@ -13,6 +13,8 @@ of the canonical class by its span, both checked against the row.
 ``classify``) builds every row and checks across them, in ``build_types``,
 that the ids run 1..n and only DUPLICATE_CATALOG_ROWS share an orbit.  That
 the rows cover every orbit is proved apart, by ``verify``: see ``orbit_gaps``.
+The table is read through the package's own loader, so it loads from a zip
+archive as from a directory (``table1_text``).
 
 A set is canonicalized under all 720 relabellings at once: each pool class
 has a 64-bit lane per permutation, 2^36 + 2^(35 - v) if it goes to pool
@@ -27,11 +29,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import sys
 from array import array
 from collections import Counter
 from functools import lru_cache
-from importlib import resources
 from typing import Iterable, NamedTuple, Sequence
 
 from .curves import (
@@ -334,9 +336,8 @@ DUPLICATE_CATALOG_ROWS: tuple[frozenset[int], ...] = (frozenset({67, 71}),)
 
 def table1_text() -> str:
     """Raw contents of the shipped type table (tab separated, with header)."""
-    return resources.files(__package__).joinpath("data/table1.tsv").read_text(
-        encoding="utf-8"
-    )
+    path = os.path.join(os.path.dirname(__file__), "data", "table1.tsv")
+    return __spec__.loader.get_data(path).decode("utf-8")
 
 
 @lru_cache(maxsize=1)

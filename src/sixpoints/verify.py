@@ -15,8 +15,6 @@ once it is nef on six general points, whose nef cone holds every type's.
 
 from __future__ import annotations
 
-import hashlib
-import random
 from typing import NamedTuple
 
 from . import curves
@@ -53,6 +51,8 @@ LINES_PER_GRAPH = {
 
 
 def _stream_seed(seed: int, N: NegCurveSet) -> int:
+    import hashlib
+
     digest = hashlib.blake2b(
         repr(tuple(tuple(c) for c in N.neg)).encode(), digest_size=8
     ).digest()
@@ -117,6 +117,8 @@ def sample_nef(
     each a_i, made inline the way CPython 3.10 to 3.13 make ``randrange(n)``:
     ``rng.getrandbits(n.bit_length())``, redrawn while at least n.
     """
+    import random
+
     _check_curves(N)
     _check_count(count)
     _check_seed(seed)
@@ -254,6 +256,8 @@ def _ample_positivity() -> str:
 
 
 def _fat_point_schemes(seed: int) -> str:
+    import random
+
     rng, types = random.Random(seed), _types()
     for _ in range(SEEDED_SCHEMES):
         t = rng.choice(types)

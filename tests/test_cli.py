@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -325,12 +327,64 @@ def test_exit_code_on_unknown_flags():
     assert run(["tables", "--which", "3"])[0] == 1
 
 
-def test_a_cold_start_does_not_import_dataclasses():
-    # the records are NamedTuples; dataclasses would pull inspect, ast and
-    # more into every cold start.  -S keeps site's own imports out.
+def test_integers_on_the_command_line_are_ascii_digits(capsys):
+    # --type is an id only when it is ASCII digits; anything else is read as a
+    # neg set, which these are not
+    for type_arg in ("\u0666\u0661", " 61", "61 ", "+61", "6_1"):
+        assert run(["hilbert", "--type", type_arg, "--mults", "1,1,1,1,1,1"]) == (1, "")
+        assert "syntax error" in capsys.readouterr().err
+    assert run(["hilbert", "--type", "061", "--mults", "1,1,1,1,1,1"])[0] == 0
+    # each --mults entry is ASCII digits with an optional leading "-", which
+    # fatpoints then rejects as a sign
+    for mults in ("1_0,1,1,1,1,1", "+1,1,1,1,1,1", " 1,1,1,1,1,1", "1,1,1,1,1,1 ",
+                  "1,--1,1,1,1,1", "1,1,1,1,1,\u0661", "1,,1,1,1,1,1"):
+        assert run(["hilbert", "--type", "61", "--mults", mults]) == (1, "")
+        assert "multiplicities must be integers" in capsys.readouterr().err
+    assert run(["hilbert", "--type", "61", "--mults", "1,-1,1,1,1,1"]) == (1, "")
+    assert "multiplicities must be nonnegative" in capsys.readouterr().err
+
+
+def _cold_run(argv, modules):
+    """The modules of ``modules`` loaded after ``main(argv)`` in a fresh
+    interpreter; -S keeps site's own imports out."""
     src = str(Path(sixpoints.__file__).parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import sixpoints.cli; "
-            "sixpoints.enumerate_types(); print('dataclasses' in sys.modules)")
-    done = subprocess.run([sys.executable, "-S", "-c", code, src],
-                          capture_output=True, text=True, check=True)
-    assert done.stdout == "False\n"
+    code = ("import io, sys; sys.path.insert(0, sys.argv[1]); from sixpoints.cli import main; "
+            "main(sys.argv[2].split('|'), out=io.StringIO()); "
+            "print(sorted(set(sys.argv[3].split()) & set(sys.modules)))")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, src, "|".join(argv), " ".join(modules)],
+        capture_output=True, text=True, check=True,
+    )
+    return done.stdout
+
+
+def test_a_cold_hilbert_call_loads_only_what_it_runs():
+    # the records are NamedTuples (dataclasses pulls inspect, ast and more),
+    # the catalog is read through the package's loader (importlib.resources
+    # pulls zipfile, tempfile and more), and verify imports its hashing and
+    # RNG in the functions that use them
+    modules = ("dataclasses", "hashlib", "random", "importlib.resources", "zipfile",
+               "tempfile", "inspect")
+    argv = ["hilbert", "--type", "61", "--mults", "1,1,1,1,1,1"]
+    assert _cold_run(argv, modules) == "[]\n"
+
+
+def test_a_cold_verify_call_loads_its_hashing_and_rng():
+    # the twin of the check above: the probe does see a module that is loaded
+    loaded = _cold_run(["verify", "--samples", "1"], ("hashlib", "random"))
+    assert loaded == "['hashlib', 'random']\n"
+
+
+def test_the_package_runs_from_a_zip_archive(tmp_path):
+    package = Path(sixpoints.__file__).parent
+    archive = tmp_path / "sixpoints.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in package.rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(package.parent).as_posix())
+    done = subprocess.run(
+        [sys.executable, "-S", "-W", "error", "-m", "sixpoints", "tables", "--which", "1"],
+        capture_output=True, check=True, cwd=tmp_path,  # -m puts the cwd first on sys.path
+        env={**os.environ, "PYTHONPATH": str(archive)},
+    )
+    assert done.stdout == (package / "data" / "table1.tsv").read_bytes()

@@ -165,6 +165,8 @@ def test_non_classes_rejected_at_the_boundary(entry):
         lambda classes: analyze(classes, (1,) * 6, betti="no"),
         lambda classes: classify([{}]),
         lambda classes: full_neg([[0, 1, -1, 0, 0, 0, 0]]),
+        lambda classes: full_neg([(0, 1.0, -1, 0, 0, 0, 0)]),
+        lambda classes: classify([(0, True, -1, 0, 0, 0, 0)]),
         lambda classes: euler_characteristic((0.5,) * 7),
         lambda classes: euler_characteristic((1, 2)),
         lambda classes: dynkin_graph(None),
@@ -184,7 +186,7 @@ def test_non_classes_rejected_at_the_boundary(entry):
         "sample_nef", "mu_stats", "check_mu_bounds",
         "classify-None", "full_neg-None", "proximity_reduce-None",
         "h_ideal-float", "h_quotient-float", "analyze-betti-str",
-        "classify-unhashable", "full_neg-unhashable",
+        "classify-unhashable", "full_neg-unhashable", "full_neg-float", "classify-bool",
         "euler_characteristic-float", "euler_characteristic-width",
         "dynkin_graph-None", "torsion-None", "torsion-str", "smith-ragged", "smith-float",
         "parse_negset-None", "format_negset-str", "intersect-width", "selfint-str",
