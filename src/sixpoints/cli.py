@@ -63,6 +63,18 @@ def _trim(name, names: tuple[str, ...]) -> tuple[tuple[str, ...], str | None]:
     return ((name,), "{" + ",".join(names) + "}") if name in names else (names, None)
 
 
+def _is_int(text: str) -> bool:
+    return text.isascii() and text.removeprefix("-").isdigit()
+
+
+def _int_arg(text: str) -> int:
+    """--tmax, --seed and --samples: ASCII digits after at most one "-", where int()
+    also takes "_", "+", spaces and other digits; the error text is argparse's for int."""
+    if not _is_int(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def build_parser(argv: Sequence[str] = ()) -> _Parser:
     """The parser for the call ``argv``, with only the subparser of argv[0]
     if it is one of COMMANDS, else with all of them (top-level help, a bad or
@@ -105,7 +117,7 @@ def build_parser(argv: Sequence[str] = ()) -> _Parser:
                        help=f"six multiplicities, e.g. 1,1,1,1,1,1 (sum at most {MAX_MULT_SUM})")
         add_format(p)
         if not with_betti:
-            p.add_argument("--tmax", type=int, default=None,
+            p.add_argument("--tmax", type=_int_arg, default=None,
                            help=f"show values up to this degree (display only, 0..{MAX_TMAX})")
         p.set_defaults(handler=_scheme, with_betti=with_betti, tmax=None)
 
@@ -117,8 +129,8 @@ def build_parser(argv: Sequence[str] = ()) -> _Parser:
 
     if "verify" in wanted:
         ver = sub.add_parser("verify", help="run the invariant suite")
-        ver.add_argument("--seed", type=int, default=0)
-        ver.add_argument("--samples", type=int, default=verify.DEFAULT_SAMPLES,
+        ver.add_argument("--seed", type=_int_arg, default=0)
+        ver.add_argument("--samples", type=_int_arg, default=verify.DEFAULT_SAMPLES,
                          help="nef classes sampled per type for the rank bound checks "
                               f"(at most {MAX_SAMPLES})")
         ver.set_defaults(handler=_verify)
@@ -208,7 +220,7 @@ def _parse_type_arg(arg: str) -> tuple[list[DivisorClass], ConfigurationType]:
 def _parse_mults(text: str) -> tuple[int, ...]:
     """ASCII integers from comma separated text; fatpoints checks count and sign."""
     parts = text.split(",")
-    if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
+    if not all(map(_is_int, parts)):
         raise ValidationError(f"multiplicities must be integers, got {text!r}")
     return tuple(map(int, parts))
 

@@ -8,9 +8,9 @@ alongside invariants of the other modules that a wrong library breaks: the
 enumeration that shows the catalog names every type, the lines on each
 type's cubic surface, and the paper's five patterns of Hilbert function and
 Betti numbers at uniform multiplicity 1 and 2, one of which every type must
-match.  The sampler keeps the nef draws from a fixed box, testing each on
-8-bit lanes of its pairings with the negative curves (``curves._packing``)
-once it is nef on six general points, whose nef cone holds every type's.
+match.  The sampler keeps the nef draws from a fixed box up to the count: a
+draw nef on six general points, whose nef cone holds every type's, and not
+kept yet is tested on 8-bit lanes of its pairings with the negative curves.
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ def sample_nef(
     them; a sum above 5t/2 fails unsorted (b_6 <= b_2 <= t/2).  The skip is
     exact, as each -1 class peels to ZERO on every type (it is a sum of curves
     of N.NEG), and the inequalities are symmetric, so one failure rules out
-    the draw and its retry.  A skipped draw still counts towards the cap.
+    the draw and its retry.  A skipped draw still counts towards the cap.  A
+    class already kept skips the lane test, and the draws stop at the count.
 
     Sampling contract: a (type, seed, count) triple gives the same classes in
     the same order from release to release.  The benchmark's output digests
@@ -128,10 +129,10 @@ def sample_nef(
     out = [c for c in (ZERO, L, -K, FIVE_L_MINUS_2) if is_nef(c, N)]
     seen = set(out)
     getrandbits = random.Random(_stream_seed(seed, N)).getrandbits
+    if len(out) >= count:
+        return tuple(out[:count])
     t_bits = _BITS[SAMPLE_BOX]
     for _ in range(count * DRAWS_PER_SAMPLE):
-        if len(out) >= count:
-            break
         while (t := getrandbits(t_bits)) > SAMPLE_BOX:
             pass
         k = _BITS[t]  # each a_i is redrawn while above t
@@ -147,20 +148,22 @@ def sample_nef(
             pass
         while (a6 := getrandbits(k)) > t:
             pass
-        if a1 + a2 + a3 + a4 + a5 + a6 > cap[t]:
+        if (s := a1 + a2 + a3 + a4 + a5 + a6) > cap[t]:
             continue  # not nef on six general points, in any order
         b6, b5, b4, b3, b2, b1 = sorted((a1, a2, a3, a4, a5, a6))
-        if b1 + b2 > t or b1 + b2 + b3 + b4 + b5 > 2 * t:
+        if b1 + b2 > t or s - b6 > 2 * t:
             continue
-        # the draw, then its a_i in decreasing order; the class has ints by construction
+        # the draw, then its a_i in decreasing order; both tests are pure, repeats go first
         for a1, a2, a3, a4, a5, a6 in ((a1, a2, a3, a4, a5, a6), (b1, b2, b3, b4, b5, b6)):
+            if (vec := (t, -a1, -a2, -a3, -a4, -a5, -a6)) in seen:
+                continue
             if (w0[t] + w1[a1] + w2[a2] + w3[a3] + w4[a4] + w5[a5] + w6[a6]) & high == high:
-                c = DivisorClass._from_vec((t, -a1, -a2, -a3, -a4, -a5, -a6))
-                if c not in seen:
-                    seen.add(c)
-                    out.append(c)
-                    break
-    return tuple(out[:count])
+                seen.add(vec)
+                out.append(DivisorClass._from_vec(vec))  # ints by construction
+                if len(out) == count:
+                    return tuple(out)
+                break
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,16 @@ def test_integers_on_the_command_line_are_ascii_digits(capsys):
         assert "multiplicities must be integers" in capsys.readouterr().err
     assert run(["hilbert", "--type", "61", "--mults", "1,-1,1,1,1,1"]) == (1, "")
     assert "multiplicities must be nonnegative" in capsys.readouterr().err
+    # --tmax, --seed and --samples are ASCII digits with an optional leading "-";
+    # int() would take each of these
+    hilbert = ["hilbert", "--type", "1", "--mults", "1,1,1,1,1,1"]
+    for argv in (hilbert + ["--tmax", "\u0665"], hilbert + ["--tmax", "1_0"],
+                 ["verify", "--seed", "\u0663"], ["verify", "--seed", "+1"],
+                 ["verify", "--samples", " 2"], ["verify", "--samples", "1_0"]):
+        assert run(argv) == (1, "")
+        assert "invalid int value" in capsys.readouterr().err
+    for argv in (hilbert + ["--tmax", "05"], ["verify", "--seed", "-1", "--samples", "1"]):
+        assert run(argv)[0] == 0
 
 
 def _cold_run(argv, modules):

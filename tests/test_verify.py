@@ -313,6 +313,14 @@ def _randrange_sampler(N, count, seed):
 @example(2, 0, 1)
 @example(17, 11, 200)
 @example(90, 0, 200)  # E6: a chain of five infinitely near points
+@example(1, 0, 1)  # on type 1 all four fixed classes are nef: they fill counts 1..4
+@example(1, 0, 2)
+@example(1, 0, 3)
+@example(1, 0, 4)
+@example(90, 0, 1)  # on type 90 three are: count 4 needs a draw
+@example(90, 0, 2)
+@example(90, 0, 3)
+@example(90, 0, 4)
 @given(st.integers(1, 90), st.integers(0, 2**70), st.integers(1, 60))
 def test_sample_nef_draws_the_randrange_stream(type_id, seed, count):
     N = type_by_id(type_id).neg_set()
