@@ -64,4 +64,4 @@ from .typeenum import (
 )
 from .verify import run_invariant_suite, sample_nef
 
-__version__ = "10.2.0"
+__version__ = "10.3.0"

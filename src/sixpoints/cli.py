@@ -3,8 +3,9 @@
 Subcommands: ``types list``, ``types classify --neg TEXT``,
 ``hilbert --type ID_OR_NEG --mults m1,..,m6``, ``betti`` with the same flags,
 ``tables --which 1|2`` and ``verify [--seed S]``.  Every subcommand accepts
-``--format text|json|csv``.  Each subcommand's handler builds its result in
-every format, and one writer per format prints the one asked for.  Each
+``--format text|json|csv``.  Each subcommand's handler computes its result
+and hands back one renderer per format; the writer of the format asked for
+calls its renderer and no other, so a call renders only what it prints.  Each
 call builds the parser of the subcommand it names and no other, all of them
 only for the top-level help or a bad command; one level down, ``types list``
 and ``types classify`` build only their own action's parser.  Payload goes
@@ -19,7 +20,8 @@ import csv
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from typing import NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, NamedTuple, Sequence
 
 from . import fatpoints, verify
 from .errors import ConsistencyError, ValidationError
@@ -139,24 +141,26 @@ def build_parser(argv: Sequence[str] = ()) -> _Parser:
 
 
 class _Output(NamedTuple):
-    """One command's result in every format, and its exit code."""
+    """One command's result as a zero-argument renderer per format (the CSV
+    one returns the header row first), and its exit code."""
 
-    text: str
-    json: object
-    header: tuple[str, ...]
-    rows: list[tuple]
+    text: Callable[[], str]
+    json: Callable[[], object]
+    csv: Callable[[], list[tuple]]
     code: int = 0
 
 
 def _write_text(result: _Output, out) -> None:
-    out.write(result.text)
+    out.write(result.text())
 
 
 def _json(value, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for payloads with str
     keys; with ``indent`` set the stdlib encodes in pure Python, while here
-    strings are escaped in C and a list of ints is joined in one call.
-    ``newline`` breaks the line and indents to the level of ``value``."""
+    strings are escaped in C, a list of ints is joined in one call and a list
+    of dicts with the same keys in the same order, all of exact int values,
+    is filled into one ``%d`` template.  ``newline`` breaks the line and
+    indents to the level of ``value``."""
     kind = type(value)
     if kind is int:
         return str(value)
@@ -167,23 +171,30 @@ def _json(value, newline: str = "\n") -> str:
     if not value:
         return "{}" if kind is dict else "[]"
     inner = newline + "  "
+    sep = "," + inner
     if kind is dict:
         items = [_quote(k) + ": " + (str(v) if type(v) is int else _json(v, inner))
                  for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    # exact types, since bool is an int subclass
-    items = map(str, value) if set(map(type, value)) == {int} else [_json(v, inner) for v in value]
-    return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return "{" + inner + sep.join(items) + newline + "}"
+    kinds = set(map(type, value))  # exact types, since bool is an int subclass
+    if kinds == {int}:
+        return "[" + inner + sep.join(map(str, value)) + newline + "]"
+    if kinds == {dict} and len(set(map(tuple, value))) == 1:  # one key order
+        ints = (*chain.from_iterable(map(dict.values, value)),)
+        if set(map(type, ints)) == {int}:  # so no dict is empty
+            field = inner + "  "
+            record = "{" + field + ("," + field).join(
+                _quote(k).replace("%", "%%") + ": %d" for k in value[0]) + inner + "}"
+            return "[" + inner + sep.join([record] * len(value)) % ints + newline + "]"
+    return "[" + inner + sep.join([_json(v, inner) for v in value]) + newline + "]"
 
 
 def _write_json(result: _Output, out) -> None:
-    out.write(_json(result.json) + "\n")  # one write; json.dump makes one per token
+    out.write(_json(result.json()) + "\n")  # one write; json.dump makes one per token
 
 
 def _write_csv(result: _Output, out) -> None:
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(result.header)
-    w.writerows(result.rows)
+    csv.writer(out, lineterminator="\n").writerows(result.csv())
 
 
 _WRITERS = {"text": _write_text, "json": _write_json, "csv": _write_csv}
@@ -198,10 +209,6 @@ def _type_record(t: ConfigurationType) -> dict:
         "graph": t.graph.name,
         "torsion": t.torsion.text(),
     }
-
-
-def _type_records() -> list[dict]:
-    return [_type_record(t) for t in enumerate_types()]
 
 
 def _shift_records(pairs) -> list[dict]:
@@ -230,30 +237,42 @@ def _ints(values) -> str:
 
 
 def _types_list(args) -> _Output:
-    header = ("id", "label", "graph", "torsion", "neg")
-    rows = [(t.id, t.label, t.graph.name, t.torsion.text(), t.neg_label)
-            for t in enumerate_types()]
-    text = "".join("\t".join(map(str, row)) + "\n" for row in [header, *rows])
-    return _Output(text, _type_records(), header, rows)
+    types = enumerate_types()
+
+    def rows():
+        return [("id", "label", "graph", "torsion", "neg"),
+                *((t.id, t.label, t.graph.name, t.torsion.text(), t.neg_label) for t in types)]
+
+    return _Output(lambda: "".join("\t".join(map(str, row)) + "\n" for row in rows()),
+                   lambda: list(map(_type_record, types)), rows)
 
 
 def _types_classify(args) -> _Output:
     t, sigma = classify(parse_negset(args.neg))
-    canonical = format_negset(t.classes)
-    record = _type_record(t)
-    record["permutation"] = list(sigma)
-    record["canonical"] = canonical
-    text = (
-        f"id: {t.id}\n"
-        f"label: {t.label}\n"
-        f"graph: {t.graph.name or '(empty)'}\n"
-        f"torsion: {t.torsion.text()}\n"
-        f"neg: {t.neg_label}\n"
-        f"canonical: {canonical}\n"
-        "relabelling: " + ", ".join(f"{i}->{v}" for i, v in enumerate(sigma, 1)) + "\n"
-    )
-    row = (t.id, t.label, t.graph.name, t.torsion.text(), t.neg_label, " ".join(map(str, sigma)))
-    return _Output(text, record, ("id", "label", "graph", "torsion", "neg", "permutation"), [row])
+
+    def text():
+        return (
+            f"id: {t.id}\n"
+            f"label: {t.label}\n"
+            f"graph: {t.graph.name or '(empty)'}\n"
+            f"torsion: {t.torsion.text()}\n"
+            f"neg: {t.neg_label}\n"
+            f"canonical: {format_negset(t.classes)}\n"
+            "relabelling: " + ", ".join(f"{i}->{v}" for i, v in enumerate(sigma, 1)) + "\n"
+        )
+
+    def record():
+        record = _type_record(t)
+        record["permutation"] = list(sigma)
+        record["canonical"] = format_negset(t.classes)
+        return record
+
+    def rows():
+        return [("id", "label", "graph", "torsion", "neg", "permutation"),
+                (t.id, t.label, t.graph.name, t.torsion.text(), t.neg_label,
+                 " ".join(map(str, sigma)))]
+
+    return _Output(text, record, rows)
 
 
 def _scheme(args) -> _Output:
@@ -265,57 +284,86 @@ def _scheme(args) -> _Output:
         raise ValidationError(
             f"multiplicities must sum to at most {MAX_MULT_SUM}, got {sum(mults)}"
         )
-    reduced, hf, res = fatpoints.analyze(classes, mults, args.with_betti)
+    betti = args.with_betti
+    reduced, hf, res = fatpoints.analyze(classes, mults, betti)
     # past tail_from, --tmax shows h_I in closed form and h_Z constant at deg Z
     tail = range(hf.tail_from + 1, (args.tmax or 0) + 1)
-    h_i = [*hf.ideal_values, *map(hf.h_ideal, tail)]
-    h_z = list(hf.quotient_values) + [hf.deg_z] * len(tail)
-    record = {
-        "hilbert_I": h_i,
-        "hilbert_Z": h_z,
-        "degZ": hf.deg_z,
-        "tail_from": hf.tail_from,
-        "mults": list(mults),
-        "mults_reduced": list(reduced),
-    }
-    lines = [f"type: {t.id} ({t.label})", f"mults: {_ints(mults)}"]
-    if reduced != mults:
-        lines.append(f"reduced: {_ints(reduced)}")
-    lines += [
-        f"deg Z: {hf.deg_z}",
-        f"h_I: {_ints(h_i)}   (then C(t+2,2) - {hf.deg_z} for t > {hf.tail_from})",
-        f"h_Z: {_ints(h_z)}   (then constant {hf.deg_z})",
-    ]
-    if args.with_betti:
-        record["F0"] = _shift_records(res.f0)
-        record["F1"] = _shift_records(res.f1)
-        lines += [f"F0: {format_shifts(res.f0)}", f"F1: {format_shifts(res.f1)}"]
-        header = ("module", "shift", "mult")
-        rows = [("F0", j, m) for j, m in res.f0] + [("F1", j, m) for j, m in res.f1]
-    else:
-        header = ("t", "h_I", "h_Z")
-        rows = list(zip(range(len(h_i)), h_i, h_z))
-    record["type"] = t.id
-    record["label"] = t.label
-    return _Output("".join(line + "\n" for line in lines), record, header, rows)
+
+    def values():
+        return ([*hf.ideal_values, *map(hf.h_ideal, tail)],
+                list(hf.quotient_values) + [hf.deg_z] * len(tail))
+
+    def text():
+        h_i, h_z = values()
+        lines = [f"type: {t.id} ({t.label})", f"mults: {_ints(mults)}"]
+        if reduced != mults:
+            lines.append(f"reduced: {_ints(reduced)}")
+        lines += [
+            f"deg Z: {hf.deg_z}",
+            f"h_I: {_ints(h_i)}   (then C(t+2,2) - {hf.deg_z} for t > {hf.tail_from})",
+            f"h_Z: {_ints(h_z)}   (then constant {hf.deg_z})",
+        ]
+        if betti:
+            lines += [f"F0: {format_shifts(res.f0)}", f"F1: {format_shifts(res.f1)}"]
+        return "".join(line + "\n" for line in lines)
+
+    def record():
+        h_i, h_z = values()
+        record = {
+            "hilbert_I": h_i,
+            "hilbert_Z": h_z,
+            "degZ": hf.deg_z,
+            "tail_from": hf.tail_from,
+            "mults": list(mults),
+            "mults_reduced": list(reduced),
+        }
+        if betti:
+            record["F0"] = _shift_records(res.f0)
+            record["F1"] = _shift_records(res.f1)
+        record["type"] = t.id
+        record["label"] = t.label
+        return record
+
+    def rows():
+        if betti:
+            return [("module", "shift", "mult"),
+                    *(("F0", j, m) for j, m in res.f0), *(("F1", j, m) for j, m in res.f1)]
+        h_i, h_z = values()
+        return [("t", "h_I", "h_Z"), *zip(range(len(h_i)), h_i, h_z)]
+
+    return _Output(text, record, rows)
 
 
 def _tables(args) -> _Output:
     if args.which == "1":
-        rows = [(t.id, t.label, t.neg_label, t.torsion.text()) for t in enumerate_types()]
-        return _Output(table1_text(), _type_records(), ("id", "label", "neg", "torsion"), rows)
+        types = enumerate_types()
+        return _Output(table1_text, lambda: list(map(_type_record, types)),
+                       lambda: [("id", "label", "neg", "torsion"),
+                                *((t.id, t.label, t.neg_label, t.torsion.text()) for t in types)])
     report = fatpoints.table2()
-    payload, rows, text = {}, [], []
-    for name, (m1, m2) in fatpoints.CASE_PATTERNS.items():
-        ids = report.cases[name]
-        payload[name] = {"types": list(ids), "m1": _uniform_record(m1), "m2": _uniform_record(m2)}
-        shown = [(format_shifts(d.f0), format_shifts(d.f1), _ints(d.hz)) for d in (m1, m2)]
-        rows.append((name, " ".join(map(str, ids)), *shown[0], *shown[1]))
-        text.append(f"case {name} ({len(ids)} types): {_ints(ids)}\n")
-        text += [f"  m={k}: F1 = {f1}, F0 = {f0}, h_Z = {hz}\n"
-                 for k, (f0, f1, hz) in enumerate(shown, 1)]
-    header = ("case", "types", "m1_F0", "m1_F1", "m1_hZ", "m2_F0", "m2_F1", "m2_hZ")
-    return _Output("".join(text), payload, header, rows)
+    cases = [(name, report.cases[name], data) for name, data in fatpoints.CASE_PATTERNS.items()]
+
+    def shown(data):  # F0, F1 and h_Z of one uniform multiplicity
+        return format_shifts(data.f0), format_shifts(data.f1), _ints(data.hz)
+
+    def text():
+        lines = []
+        for name, ids, (m1, m2) in cases:
+            lines.append(f"case {name} ({len(ids)} types): {_ints(ids)}\n")
+            lines += [f"  m={k}: F1 = {f1}, F0 = {f0}, h_Z = {hz}\n"
+                      for k, (f0, f1, hz) in enumerate(map(shown, (m1, m2)), 1)]
+        return "".join(lines)
+
+    def rows():
+        return [("case", "types", "m1_F0", "m1_F1", "m1_hZ", "m2_F0", "m2_F1", "m2_hZ"),
+                *((name, " ".join(map(str, ids)), *shown(m1), *shown(m2))
+                  for name, ids, (m1, m2) in cases)]
+
+    def payload():
+        return {name: {"types": list(ids), "m1": _uniform_record(m1), "m2": _uniform_record(m2)}
+                for name, ids, (m1, m2) in cases}
+
+    return _Output(text, payload, rows)
 
 
 def _uniform_record(data) -> dict:
@@ -326,16 +374,17 @@ def _verify(args) -> _Output:
     if args.samples > MAX_SAMPLES:
         raise ValidationError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
     report = verify.run_invariant_suite(seed=args.seed, samples_per_type=args.samples)
-    payload = {
-        "seed": report.seed,
-        "passed": report.passed,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks
-        ],
-    }
-    text = "".join(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}\n" for c in report.checks)
-    rows = [(c.name, c.passed, c.detail) for c in report.checks]
-    return _Output(text, payload, ("check", "passed", "detail"), rows, 0 if report.passed else 2)
+    checks = report.checks
+    return _Output(
+        lambda: "".join(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}\n" for c in checks),
+        lambda: {
+            "seed": report.seed,
+            "passed": report.passed,
+            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
+        },
+        lambda: [("check", "passed", "detail"), *((c.name, c.passed, c.detail) for c in checks)],
+        0 if report.passed else 2,
+    )
 
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
@@ -345,6 +394,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     try:
         args = parser.parse_args(argv)
         result = args.handler(args)
+        _WRITERS[args.format](result, out)
     except _UsageError as exc:
         print(exc.parser.format_usage(), file=sys.stderr, end="")
         print(f"error: {exc}", file=sys.stderr)
@@ -355,7 +405,6 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
-    _WRITERS[args.format](result, out)
     return result.code
 
 

@@ -291,7 +291,12 @@ def _peel(D: list[int], p: int, N: NegCurveSet, W: int, subs: list | None = None
     degree (no sections).  The first such C is the lowest lane whose top bit
     is clear.  A step-count guard turns a broken peel (pairings that do not
     follow the class, a curve list corrupted after construction) into a hard
-    error instead of a hang.
+    error instead of a hang.  It raises past ``_step_limit`` of D as it was
+    at the first step, but starts from a lower bound on that limit, 16d + 1
+    at the starting degree d >= 0: AMPLE_CLASS.D - 21*floor = 16d +
+    sum w_i (a_i - floor) >= 16d, each a_i being at or above the floor.  Only
+    a peel that takes more steps than that computes the exact limit, and it
+    raises on exactly the classes the exact limit raises on.
     """
     NEG, minus_sq, support = N.NEG, N.minus_sq, N.support
     high, rows, _ = _packing(N, W)
@@ -305,17 +310,19 @@ def _peel(D: list[int], p: int, N: NegCurveSet, W: int, subs: list | None = None
         i = at // W
         if not steps:  # the guard is set at the first step; a nef D takes none
             start = tuple(D)
-            limit = _step_limit(start)
+            limit = AMPLE_CLASS[0] * D[0] + 1  # at most _step_limit(start)
         hit = NEG[i]
         k = -(((p >> at & mask) - off) // minus_sq[i])
         if hit[0] > 0:
             k = min(k, D[0] // hit[0] + 1)  # stop at the first negative degree
         steps += k
         if steps > limit:
-            raise ConsistencyError(
-                f"reduction of {DivisorClass._from_vec(start)} exceeded {limit} steps; "
-                "negative-curve set is broken"
-            )
+            limit = _step_limit(start)
+            if steps > limit:
+                raise ConsistencyError(
+                    f"reduction of {DivisorClass._from_vec(start)} exceeded {limit} steps; "
+                    "negative-curve set is broken"
+                )
         for j, c in support[i]:  # 2 to 7 of the 7 coordinates
             D[j] -= k * c
         p -= k * rows[i]

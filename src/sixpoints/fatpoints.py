@@ -18,6 +18,7 @@ that can carry a generator.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -203,16 +204,18 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
     degs = _packing(N, W)[2][0]
     D[0] -= k + 1
     p -= (k + 1) * degs
+    alpha = r  # the initial degree, the lowest with sections, where the scan stops
     for t in range(r - 1, t_min - 1, -1):
         p = _peel(D, p, N, W)
         if D[0] < 0:
             break
         h[t] = _chi(D)
         nef_deg[t] = D[0]
+        alpha = t
         D[0] -= 1
         p -= degs
     hf = _hilbert(P, deg_z, h)
-    res = _resolution(hf, h, _generators(h, nef_deg)) if betti else None
+    res = _resolution(hf, h, _generators(h, nef_deg, alpha), alpha) if betti else None
     return SchemeAnalysis(m, hf, res)
 
 
@@ -228,16 +231,20 @@ def _hilbert(P: DivisorClass, deg_z: int, h: Sequence[int]) -> HilbertFunction:
         if _chi(part) != math.comb(t + 2, 2) - deg_z:
             raise ConsistencyError(f"ideal Hilbert function failed to stabilize by degree {P[0]}")
     hz = tuple(math.comb(t + 2, 2) - v for t, v in enumerate(h))
-    if any(a > b for a, b in zip(hz, hz[1:])) or hz[-1] != deg_z:
+    if not all(map(operator.le, hz, hz[1:])) or hz[-1] != deg_z:
         raise ConsistencyError("quotient Hilbert function is not monotone to the degree")
     tail_from = hz.index(deg_z)
     return HilbertFunction(tuple(h[: tail_from + 1]), deg_z, tail_from, hz[: tail_from + 1])
 
 
-def _generators(h: Sequence[int], nef_deg: Sequence[int]) -> tuple[tuple[int, int], ...]:
+def _generators(
+    h: Sequence[int], nef_deg: Sequence[int], alpha: int
+) -> tuple[tuple[int, int], ...]:
+    """(degree, count) of the minimal generators, from h_I and the nef
+    parts' degrees; no degree below alpha, where h_I is 0, has any."""
     gens = []
-    h_cur = 0  # h_I in degree -1
-    for t, h_next in enumerate(h):
+    h_cur = 0  # h_I in degree alpha - 1
+    for t, h_next in enumerate(h[alpha:], alpha):
         if h_cur == 0:
             g = h_next
         else:
@@ -259,12 +266,13 @@ def minimal_resolution(classes: Iterable[DivisorClass], mults: Sequence[int]) ->
 
 
 def _resolution(
-    hf: HilbertFunction, h: Sequence[int], f0: tuple[tuple[int, int], ...]
+    hf: HilbertFunction, h: Sequence[int], f0: tuple[tuple[int, int], ...], alpha: int
 ) -> GradedResolution:
     # R[-j] contributes binom(t - j + 2, 2) in degree t, whose third difference
     # in t is 1 at t = j and 0 elsewhere; so h_I = dim F0 - dim F1 gives
     # syzygies s_t = g_t - (third difference of h_I at t), 0 past the last
-    # generator and tail_from + 3.  For any g, rank 1 and s_t = 0 for t <= min(gens).
+    # generator and tail_from + 3, and below alpha, where h_I and g_t are 0.
+    # For any g, rank 1 and s_t = 0 for t <= min(gens).
     if not f0:
         raise ConsistencyError("ideal has no generators")
     gens = dict(f0)
@@ -272,7 +280,7 @@ def _resolution(
     # h_I in degrees -3..top; past the degrees in h it is binom(t+2, 2) - deg_z
     hs = [0, 0, 0, *h, *(math.comb(t + 2, 2) - hf.deg_z for t in range(len(h), top + 1))]
     f1 = []
-    for t in range(top + 1):
+    for t in range(alpha, top + 1):
         s = gens.get(t, 0) - (hs[t + 3] - 3 * hs[t + 2] + 3 * hs[t + 1] - hs[t])
         if s < 0:
             raise ConsistencyError(

@@ -31,19 +31,51 @@ _scalars = (st.integers() | st.integers(-(10**40), 10**40) | st.booleans() | st.
 _payloads = st.recursive(
     _scalars,
     lambda inner: st.lists(inner, max_size=5) | st.lists(st.integers(), max_size=5)
-    | st.lists(inner, max_size=3).map(tuple) | st.dictionaries(_text, inner, max_size=5),
+    | st.lists(inner, max_size=3).map(tuple) | st.dictionaries(_text, inner, max_size=5)
+    # records: dicts of ints with one key order, the writer's %d template path
+    | st.lists(_text, max_size=3, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({k: st.integers() for k in keys}), max_size=4)),
     max_leaves=30,
 )
+
+
+class _Int(int):
+    """An int subclass whose str differs from json's encoding of it."""
+
+    def __str__(self):
+        return "not json"
 
 
 @given(_payloads)
 @example([True, 1])
 @example([1, False])
 @example({"a": [], "b": {}, "c": [[], {}, [[1, -2]], {"d": None}], 'q"\\\x01é': -(10**30)})
+@example([{"shift": 3, "mult": 1}, {"shift": 4, "mult": 2}, {"shift": -5, "mult": 0}])
+@example({"F0": [{"%d": 1, '%(a)s"\\': 2}, {"%d": 3, '%(a)s"\\': 4}]})  # % in the keys
+@example([{"shift": 3, "mult": 1}, {"shift": 4, "mult": True}])
+@example([{"shift": 3, "mult": 1}, {"mult": 2, "shift": 4}])
+@example([{}, {}])
+@example([{"a": 2**64 + 1, "b": -(2**70)}, {"a": 10**30, "b": 2**64}])
+@example([{"a": 1}, {"a": _Int(2)}])
 def test_json_writer_matches_the_indented_stdlib_encoder(payload):
     out = io.StringIO()
-    _write_json(_Output("", payload, (), []), out)
+    _write_json(_Output(str, lambda: payload, list), out)
     assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+def test_a_call_renders_only_the_format_it_prints(monkeypatch):
+    # betti's text output is the only one that writes the modules as R[-j]^m
+    def text_rendered(shifts):
+        raise AssertionError("the text renderer ran")
+
+    monkeypatch.setattr(cli, "format_shifts", text_rendered)
+    argv = ["betti", "--type", "86", "--mults", "100,90,80,70,60,50"]
+    code, out = run([*argv, "--format", "json"])
+    assert code == 0 and json.loads(out)["F0"]
+    code, out = run([*argv, "--format", "csv"])
+    assert code == 0 and out.startswith("module,shift,mult\nF0,")
+    with pytest.raises(AssertionError, match="the text renderer ran"):
+        run(argv)
 
 
 def test_classify_json():
@@ -271,8 +303,8 @@ def spurious_generators(monkeypatch):
     # with h_I(t - 1) > 0; table2 is cached, so it is cleared on both sides
     real = fatpoints._generators
 
-    def mutant(h, nef_deg):
-        gens = dict(real(h, nef_deg))
+    def mutant(h, nef_deg, alpha):
+        gens = dict(real(h, nef_deg, alpha))
         for t in range(1, len(h)):
             if h[t - 1] > 0:
                 gens[t] = gens.get(t, 0) + 1

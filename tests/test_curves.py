@@ -365,6 +365,19 @@ def test_corrupted_curve_list_hits_the_step_guard():
         reduce_to_nef(F, N)
 
 
+def test_corrupted_packed_table_hits_the_exact_step_guard_at_degree_zero():
+    # zeroed Gram rows at degree 0: E1 meets E1 - E2 in -1 forever, and each
+    # copy peeled leaves the degree at 0, so only the guard ends the peel.  Its
+    # lower bound there is 1 step; the exact limit, AMPLE_CLASS.E1 + 1 = 7,
+    # is computed once the peel passes it, and the peel raises past that
+    N = NegCurveSet(neg=(ROOT12,), NEG=full_neg((ROOT12,)).NEG)
+    W = curves._lane_width(e(1))
+    high, rows, cols = curves._packing(N, W)
+    N.packings[W] = (high, (0,) * len(rows), cols)
+    with pytest.raises(ConsistencyError, match="reduction of E1 exceeded 7 steps"):
+        h0(e(1), N)
+
+
 def test_support_lists_each_curves_nonzero_coefficients():
     # _peel updates a class only on the support of the curve it peels
     for t in enumerate_types():
@@ -397,9 +410,13 @@ def test_peel_on_a_nef_class_sets_no_step_guard(monkeypatch):
             D, (W, p) = list(F), curves._pack(F, N)
             assert curves._peel(D, p, N, W) == p
             assert D == list(F)
-    # the first step of a peel sets it
-    with pytest.raises(AssertionError, match="_step_limit called"):
-        h0(L - e(1) - e(2), full_neg((ROOT12,)))
+    # nor does a peel within the guard's lower bound, 16d + 1 steps from
+    # degree d: L - E1 - E2 takes one
+    N = full_neg((ROOT12,))
+    assert h0(L - e(1) - e(2), N) == 1
+    # a peel past it computes the exact limit: E1 takes two steps at degree 0
+    with pytest.raises(AssertionError, match="_step_limit called on"):
+        h0(e(1), N)
 
 
 def _reduce_one_curve_per_step(F, N):

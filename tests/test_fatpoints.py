@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sixpoints import (
+    ConsistencyError,
     DivisorClass,
     HilbertFunction,
     K,
@@ -391,9 +392,9 @@ def test_top_run_stops_at_the_last_possible_generator(monkeypatch, type_id, mult
     seen = []
     real = fatpoints._generators
 
-    def recorded(h, nef_deg):
+    def recorded(h, nef_deg, alpha):
         seen.append((h, nef_deg))
-        return real(h, nef_deg)
+        return real(h, nef_deg, alpha)
 
     monkeypatch.setattr(fatpoints, "_generators", recorded)
     m, hf, res = analyze(type_by_id(type_id).classes, mults, betti=True)
@@ -402,7 +403,7 @@ def test_top_run_stops_at_the_last_possible_generator(monkeypatch, type_id, mult
     assert len(h) == len(nef_deg) < top + 1
     full_h = list(h) + [math.comb(t + 2, 2) - hf.deg_z for t in range(len(h), top + 1)]
     full_nef = list(nef_deg) + list(range(len(h), top + 1))
-    assert real(full_h, full_nef) == res.f0
+    assert real(full_h, full_nef, 0) == res.f0  # counted from degree 0, not alpha
 
 
 def test_scan_stops_at_the_largest_plane_point_multiplicity(monkeypatch):
@@ -459,3 +460,58 @@ def test_table2_shape():
     assert sum(len(v) for v in report.cases.values()) == 90
     assert report.cases["2a"] == (34, 68, 87)
     assert report.cases["2b3"] == (17, 41, 45, 65, 75, 77, 80, 86)
+
+
+# Each consistency check of analyze, reached by feeding one of its steps
+# broken data through a wrapper around the real step.  A wrapper passes on
+# any further arguments, so it does not pin the step's signature.
+_BROKEN_SCHEME = (86, (3,) * 6)  # F0 = R[-6] + R[-8]^3 + R[-9]^3, h_I = 1, 3, 9 from degree 6
+
+
+def _analyze_with(monkeypatch, name, wrap):
+    monkeypatch.setattr(fatpoints, name, wrap(getattr(fatpoints, name)))
+    type_id, mults = _BROKEN_SCHEME
+    return analyze(type_by_id(type_id).classes, mults, betti=True)
+
+
+def test_a_non_monotone_quotient_is_a_consistency_error(monkeypatch):
+    # h_I(1) raised by 3 drops h_Z(1) below h_Z(0) = 1
+    def wrap(real):
+        return lambda P, deg_z, h, *rest: real(P, deg_z, [h[0], h[1] + 3, *h[2:]], *rest)
+
+    with pytest.raises(ConsistencyError, match="quotient Hilbert function is not monotone"):
+        _analyze_with(monkeypatch, "_hilbert", wrap)
+
+
+def test_a_hilbert_function_that_does_not_stabilize_is_a_consistency_error(monkeypatch):
+    def wrap(real):
+        return lambda P, deg_z, h, *rest: real(P, deg_z + 1, h, *rest)
+
+    with pytest.raises(ConsistencyError, match="failed to stabilize by degree 21"):
+        _analyze_with(monkeypatch, "_hilbert", wrap)
+
+
+def test_a_negative_generator_count_is_a_consistency_error(monkeypatch):
+    # h_I zeroed in the last listed degree, 9, above a degree with sections
+    def wrap(real):
+        return lambda h, nef_deg, *rest: real([*h[:-1], 0], nef_deg, *rest)
+
+    with pytest.raises(ConsistencyError, match="negative generator count -16 in degree 9"):
+        _analyze_with(monkeypatch, "_generators", wrap)
+
+
+def test_a_free_module_defect_is_a_consistency_error(monkeypatch):
+    # without the generator in the initial degree 6, F0 is short of h_I there
+    def wrap(real):
+        return lambda hf, h, f0, *rest: real(hf, h, f0[1:], *rest)
+
+    with pytest.raises(ConsistencyError, match="disagree in degree 6 \\(defect -1\\)"):
+        _analyze_with(monkeypatch, "_resolution", wrap)
+
+
+def test_an_ideal_without_generators_is_a_consistency_error(monkeypatch):
+    def wrap(real):
+        return lambda *args: ()  # what _generators returns for an ideal with no generators
+
+    with pytest.raises(ConsistencyError, match="ideal has no generators"):
+        _analyze_with(monkeypatch, "_generators", wrap)
