@@ -32,11 +32,13 @@ from .typeenum import ConfigurationType, classify, enumerate_types, table1_text,
 
 
 MAX_TMAX = 10_000  # `hilbert --tmax` limit: output size and memory grow with the range shown
-# `hilbert`/`betti` limit on m1 + ... + m6: below the top nef run, each of at
-# most that sum + 3 degrees makes one peel of the curves new at its degree, on
-# pairings carried from the degree above in one integer of about 27 lanes
-# whose width grows with the log of the sum, so the work grows about linearly
-# with the sum (README, "Cost of large multiplicities", gives times at the limit)
+# `hilbert`/`betti` limit on m1 + ... + m6: below the top nef run, the scan of
+# at most that sum + 3 degrees peels the curves new at a degree, on pairings
+# carried in one integer of about 27 lanes whose width grows with the log of
+# the sum, and steps over each run of degrees that provably repeats at once (a
+# few peels at the limit); what still grows about linearly with the sum is the
+# list of h_I, one value per degree, built and read at C speed (README, "Cost
+# of large multiplicities", gives times at the limit)
 MAX_MULT_SUM = 10_000
 # `verify --samples` limit: the sampler may spend verify.DRAWS_PER_SAMPLE draws
 # per requested class on every type, draws it skips before the lane test included
@@ -87,7 +89,8 @@ def build_parser(argv: Sequence[str] = ()) -> _Parser:
     parser = _Parser(prog="sixpoints", description=__doc__.splitlines()[0])
     command = argv[0] if argv else None
     wanted, metavar = _trim(command, COMMANDS)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    # each subparsers' prog is given: argparse derives the same one by formatting a usage line
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar, prog=parser.prog)
 
     def add_format(p):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -96,7 +99,8 @@ def build_parser(argv: Sequence[str] = ()) -> _Parser:
         types_p = sub.add_parser("types", help="list or classify configuration types")
         actions, metavar = _trim(argv[1] if command == "types" and len(argv) > 1 else None,
                                  TYPES_ACTIONS)
-        types_sub = types_p.add_subparsers(dest="types_command", required=True, metavar=metavar)
+        types_sub = types_p.add_subparsers(dest="types_command", required=True, metavar=metavar,
+                                           prog=types_p.prog)
         if "list" in actions:
             lst = types_sub.add_parser("list", help="all 90 types")
             lst.set_defaults(handler=_types_list)

@@ -281,32 +281,42 @@ def _step_limit(F: Sequence[int]) -> int:
     return max(1, _intersect(AMPLE_CLASS, F) - _AMPLE_WEIGHT * floor + 1)
 
 
-def _peel(D: list[int], p: int, N: NegCurveSet, W: int, subs: list | None = None) -> int:
-    """Reduce the class D in place and return its packed pairings, given p,
-    those of D with N.NEG in W-bit lanes (see ``_packing``): peel
-    ceil(-D.C / -C^2) copies of the first curve C in N.NEG with D.C < 0 (a
-    section of D vanishes on C to that order; a copy that makes the degree
-    negative is the last) and subtract as many packed Gram rows of C from p,
-    appending each copy to ``subs`` if given.  D ends nef, or at a negative
-    degree (no sections).  The first such C is the lowest lane whose top bit
-    is clear.  A step-count guard turns a broken peel (pairings that do not
-    follow the class, a curve list corrupted after construction) into a hard
-    error instead of a hang.  It raises past ``_step_limit`` of D as it was
-    at the first step, but starts from a lower bound on that limit, 16d + 1
-    at the starting degree d >= 0: AMPLE_CLASS.D - 21*floor = 16d +
-    sum w_i (a_i - floor) >= 16d, each a_i being at or above the floor.  Only
-    a peel that takes more steps than that computes the exact limit, and it
-    raises on exactly the classes the exact limit raises on.
+def _peel(
+    D: list[int], p: int, N: NegCurveSet, W: int, subs: list | None = None
+) -> tuple[int, int]:
+    """Reduce the class D in place and return its packed pairings and the
+    lanes it selected, given p, those of D with N.NEG in W-bit lanes (see
+    ``_packing``): peel ceil(-D.C / -C^2) copies of the first curve C in
+    N.NEG with D.C < 0 (a section of D vanishes on C to that order; a copy
+    that makes the degree negative is the last) and subtract as many packed
+    Gram rows of C from p, appending each copy to ``subs`` if given.  D ends
+    nef, or at a negative degree (no sections).  The first such C is the
+    lowest lane whose top bit is clear, and the selected lanes come back as
+    the OR of those top bits (0 if D takes no step).  Which curve and how
+    many copies read nothing but lane values: the degree cap binds only on
+    a copy that leaves a negative degree.  ``fatpoints.analyze`` rests its
+    period steps on that.
+
+    A step-count guard turns a broken peel (pairings that do not follow the
+    class, a curve list corrupted after construction) into a hard error
+    instead of a hang.  It raises past ``_step_limit`` of D as it was at the
+    first step, but starts from a lower bound on that limit, 16d + 1 at the
+    starting degree d >= 0: AMPLE_CLASS.D - 21*floor = 16d + sum w_i (a_i -
+    floor) >= 16d, each a_i being at or above the floor.  Only a peel that
+    takes more steps than that computes the exact limit, and it raises on
+    exactly the classes the exact limit raises on.
     """
     NEG, minus_sq, support = N.NEG, N.minus_sq, N.support
     high, rows, _ = _packing(N, W)
     mask, off = (1 << W) - 1, 1 << W - 1
-    steps = 0
+    steps = sel = 0
     while D[0] >= 0:
         neg = ~p & high  # the top bits of the lanes that read D.C < 0
         if not neg:
-            return p
-        at = (neg & -neg).bit_length() - W  # the lowest such lane starts here
+            return p, sel
+        low = neg & -neg  # the top bit of the lowest such lane
+        sel |= low
+        at = low.bit_length() - W  # the lane starts here
         i = at // W
         if not steps:  # the guard is set at the first step; a nef D takes none
             start = tuple(D)
@@ -328,7 +338,7 @@ def _peel(D: list[int], p: int, N: NegCurveSet, W: int, subs: list | None = None
         p -= k * rows[i]
         if subs is not None:
             subs.extend([hit] * k)
-    return p
+    return p, sel
 
 
 def reduce_to_nef(F: DivisorClass, N: NegCurveSet) -> ReductionResult:

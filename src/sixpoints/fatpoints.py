@@ -7,7 +7,10 @@ its ideal has dimension h^0 of the class t*L - m1*E1 - ... - m6*E6.
 from scratch (the top degree, which normalizes the multiplicities), a top run
 of nef degrees read off its pairings with the negative curves, and a short
 peel per lower degree, carrying those pairings, packed into one integer with
-a lane per curve, from degree to degree so that none is recomputed.
+a lane per curve, from degree to degree so that none is recomputed.  The
+peels repeat with a short period, and where a run of them provably repeats
+(peel determinism, see ``analyze``) the scan steps over all its repeats at
+once.
 Riemann-Roch gives h^0 of each nef part; generator counts come from the
 maximal-rank behaviour of multiplication by linear forms, and the first
 syzygy module from third differences of the Hilbert function.  Inside the
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
+from itertools import accumulate, compress, islice, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .curves import NegCurveSet, _chi, _pack, _packing, _peel, full_neg
@@ -67,7 +71,7 @@ def _top_nef_part(mults: Sequence[int], N: NegCurveSet) -> tuple[list[int], int,
     top = sum(m) + 3
     P = [top, *(-v for v in m)]
     W, p = _pack(P, N)
-    p = _peel(P, p, N, W)
+    p = _peel(P, p, N, W)[0]
     if P[0] != top:
         raise ConsistencyError(
             f"degree {top} class of {m} reduced to {P}, not a nef class of degree {top}"
@@ -184,6 +188,32 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
     - both are effective exactly when D_t - L has sections, since a reduction
       that ends at a nef class of degree >= 0 has chi >= 1 sections, and one
       that reaches a negative degree shows there are none.
+
+    The peels repeat, and the scan steps a whole period at a time.  Take the
+    run of the last q degrees, from the nef part P_{t+q} to P_t, with Delta =
+    P_t - P_{t+q} and delta_j = Delta.C_j.  If every lane the run's peels
+    selected has delta_j = 0, the next n runs repeat it with the same curves
+    and copies, for the largest n with x_j(P_t) + n*delta_j >= 0 on every
+    lane, deg(P_t + n*Delta) >= 0 and t - n*q >= t_min; the nef part of degree
+    t - o - (j - 1)*q is then P_{t+q-o} + j*Delta (``_step``).  The proof is
+    peel determinism:
+
+    - a peel reads only lane values: the lowest lane below 0 picks the curve,
+      its value the copies.  The degree cap binds only on a copy that leaves a
+      negative degree, and degrees only fall along a run, so it never binds
+      in a run that ends at degree >= 0;
+    - a lane the run never selects only falls within it: stepping down by L
+      lowers it by L.C_j >= 0, and peeling another curve C lowers it by
+      C.C_j >= 0, as distinct curves of N.NEG meet nonnegatively.  Shifted by
+      j*Delta, it falls to x_j(P_t) + j*delta_j at the end of the j-th repeat,
+      which is >= 0 for every j <= n (it is linear in j), so it is never read
+      below 0;
+    - a lane the run selects reads the same value at the same point of every
+      repeat, as delta_j = 0.  So each repeat peels the same curves with the
+      same copies, and the scan itself would reach P_t + n*Delta.
+
+    Which runs to try is a heuristic: the run back to the latest degree whose
+    peel subtracted the same packed pairings as this one.  The test is exact.
     """
     if type(betti) is not bool:
         raise ValidationError(f"expected a bool for betti, got {betti!r}")
@@ -201,22 +231,97 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
     nef_deg = [-1] * r + list(range(r, end + 1))
     t_min = max(m)
     # D goes to P - (k+1)*L, then to each nef part minus L: (D - L).C = D.C - deg C
-    degs = _packing(N, W)[2][0]
+    high, _, (degs, *_) = _packing(N, W)
     D[0] -= k + 1
     p -= (k + 1) * degs
-    alpha = r  # the initial degree, the lowest with sections, where the scan stops
-    for t in range(r - 1, t_min - 1, -1):
-        p = _peel(D, p, N, W)
+    # (nef part, packed pairings, lanes its peel selected) of each degree
+    # peeled since the last step, and for each packed subtraction a peel made,
+    # the latest index there of a degree whose peel made it
+    run: list[tuple[tuple[int, ...], int, int]] = []
+    seen: dict[int, int] = {}
+    t = r - 1
+    while t >= t_min:
+        before = p
+        p, sel = _peel(D, p, N, W)
         if D[0] < 0:
             break
         h[t] = _chi(D)
         nef_deg[t] = D[0]
-        alpha = t
+        key = before - p
+        i = seen.get(key)
+        seen[key] = len(run)
+        run.append((tuple(D), p, sel))
+        if i is not None and (stepped := _step(run[i:], t, t_min, h, nef_deg, high, W)):
+            D, p, n = stepped
+            t -= n
+            run.clear()
+            seen.clear()
         D[0] -= 1
         p -= degs
+        t -= 1
+    alpha = t + 1  # the initial degree, the lowest with sections, where the scan stopped
     hf = _hilbert(P, deg_z, h)
     res = _resolution(hf, h, _generators(h, nef_deg, alpha), alpha) if betti else None
     return SchemeAnalysis(m, hf, res)
+
+
+def _step(
+    run: list[tuple[tuple[int, ...], int, int]], t: int, t_min: int, h: list[int],
+    nef_deg: list[int], high: int, W: int,
+) -> tuple[list[int], int, int] | None:
+    """Step the scan over every repeat of its last q degrees, from the nef
+    part run[0] of degree t + q to run[-1] of degree t (see ``analyze``):
+    fill h_I and the nef degrees of the n*q degrees below t and return the
+    nef part of degree t - n*q, its packed pairings and n*q; None if it
+    cannot step (a selected lane changed, or n is 0).
+
+    With Delta = P_t - P_{t+q}, the nef part of degree t - o - (j - 1)*q is
+    B + j*Delta, B = P_{t+q-o}, for o = 1..q and j = 1..n, whose chi is
+    quadratic in j: chi(B) + j*(B.Delta + chi(Delta) - 1) + binom(j, 2)*Delta^2."""
+    (Q, pq, _), (P, p, _) = run[0], run[-1]
+    q = len(run) - 1
+    sel = 0
+    for _, _, s in run[1:]:
+        sel |= s
+    dp = p - pq  # Delta's packed pairings
+    dh = dp + high  # each lane holds 2^(W-1) + Delta.C
+    if (dh ^ high) & (sel << 1) - (sel >> W - 1):
+        return None  # a lane the run selected changed
+    # Delta has degree P[0] - Q[0] <= -q, as L and each curve has degree >= 0
+    n = min((t - t_min) // q, P[0] // (Q[0] - P[0]))
+    down = ~dh & high  # the top bits of the lanes with Delta.C < 0
+    if n and down:
+        # each such lane of P_t + n*Delta must stay >= 0.  Keep only those
+        # lanes: x + m*d then holds 2^(W-1) + x_j + m*delta_j in each, exactly
+        # while -2^(W-1) < x_j + m*delta_j, which holds at m = 1 and at m <= 2n
+        # for a valid n (x_j + 2n*delta_j >= -x_j); so the valid m (top bits
+        # set) are found by doubling, then by bisection
+        lanes = (down << 1) - (down >> W - 1)
+        x, d = p & lanes, (dh & lanes) - (high & lanes)
+        lo, hi = 0, 1
+        while hi <= n and (x + hi * d) & down == down:
+            lo, hi = hi, 2 * hi
+        hi = min(hi, n + 1)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if (x + mid * d) & down == down:
+                lo = mid
+            else:
+                hi = mid
+        n = lo
+    if not n:
+        return None
+    step = list(map(operator.sub, P, Q))
+    sq = _intersect(step, step)
+    c = _chi(step) - 1
+    for o, (B, _, _) in enumerate(run[1:], 1):
+        # chi(B + j*Delta), j = 0..n: differences B.Delta + c, then Delta^2 more each
+        values = list(accumulate(accumulate(repeat(sq, n - 1), initial=_intersect(B, step) + c),
+                                 initial=h[t + q - o]))
+        start = t - o - (n - 1) * q
+        h[start:t - o + 1:q] = values[:0:-1]
+        nef_deg[start:t - o + 1:q] = range(B[0] + n * step[0], B[0], -step[0])
+    return [a + n * b for a, b in zip(P, step)], p + n * dp, n * q
 
 
 def hilbert_function(classes: Iterable[DivisorClass], mults: Sequence[int]) -> HilbertFunction:
@@ -230,8 +335,13 @@ def _hilbert(P: DivisorClass, deg_z: int, h: Sequence[int]) -> HilbertFunction:
         t = part[0]
         if _chi(part) != math.comb(t + 2, 2) - deg_z:
             raise ConsistencyError(f"ideal Hilbert function failed to stabilize by degree {P[0]}")
-    hz = tuple(math.comb(t + 2, 2) - v for t, v in enumerate(h))
-    if not all(map(operator.le, hz, hz[1:])) or hz[-1] != deg_z:
+    # h_Z = binom(t+2, 2) - h_I; below the first degree with h_I != 0 it is the
+    # binomial itself, increasing, so only the degrees from there on are compared
+    binom = accumulate(range(1, len(h) + 1))
+    first = next(compress(range(len(h)), h), len(h))
+    hz = (*islice(binom, first), *map(operator.sub, binom, h[first:]))
+    rest = hz[max(first - 1, 0):]
+    if not all(map(operator.le, rest, rest[1:])) or hz[-1] != deg_z:
         raise ConsistencyError("quotient Hilbert function is not monotone to the degree")
     tail_from = hz.index(deg_z)
     return HilbertFunction(tuple(h[: tail_from + 1]), deg_z, tail_from, hz[: tail_from + 1])
@@ -275,19 +385,21 @@ def _resolution(
     # For any g, rank 1 and s_t = 0 for t <= min(gens).
     if not f0:
         raise ConsistencyError("ideal has no generators")
-    gens = dict(f0)
-    top = max(max(gens), hf.tail_from + 3)
-    # h_I in degrees -3..top; past the degrees in h it is binom(t+2, 2) - deg_z
-    hs = [0, 0, 0, *h, *(math.comb(t + 2, 2) - hf.deg_z for t in range(len(h), top + 1))]
-    f1 = []
-    for t in range(alpha, top + 1):
-        s = gens.get(t, 0) - (hs[t + 3] - 3 * hs[t + 2] + 3 * hs[t + 1] - hs[t])
-        if s < 0:
-            raise ConsistencyError(
-                f"free module dimensions disagree in degree {t} (defect {s})"
-            )
-        if s:
-            f1.append((t, s))
+    top = max(f0[-1][0], hf.tail_from + 3)
+    # h_I in degrees alpha - 3..top (0 below alpha, the h listed from alpha - 3
+    # on, and binom(t+2, 2) - deg_z past h); three differences leave its third
+    # difference in degrees alpha..top, and subtracting g_t leaves -s_t
+    d = h[alpha - 3:top + 1] if alpha >= 3 else [0] * (3 - alpha) + h[:top + 1]
+    if len(h) <= top:
+        d += [math.comb(t + 2, 2) - hf.deg_z for t in range(len(h), top + 1)]
+    for _ in range(3):
+        d = list(map(operator.sub, d[1:], d))
+    for t, g in f0:
+        d[t - alpha] -= g
+    if max(d) > 0:
+        t, v = next((t, v) for t, v in enumerate(d, alpha) if v > 0)
+        raise ConsistencyError(f"free module dimensions disagree in degree {t} (defect {-v})")
+    f1 = zip(compress(range(alpha, top + 1), d), map(operator.neg, filter(None, d)))
     return GradedResolution(f0=f0, f1=tuple(f1))
 
 

@@ -314,6 +314,18 @@ def test_h0_monotone_along_curves(F, k):
     assert h0(F + C, N) >= h0(F, N)
 
 
+def test_distinct_negative_curves_meet_nonnegatively():
+    # the premise of analyze's period step: peeling a curve, or stepping down
+    # by L, never raises another curve's pairing, so a lane no peel of a run
+    # selects only falls along the run
+    for t in enumerate_types():
+        N = t.neg_set()
+        for i, a in enumerate(N.NEG):
+            assert intersect(L, a) >= 0, (t.id, a)
+            for b in N.NEG[i + 1:]:
+                assert intersect(a, b) >= 0, (t.id, a, b)
+
+
 def test_ample_class_meets_all_candidates_positively():
     candidates = candidate_pool() + minus_one_candidates()
     assert len(set(candidates)) == 63
@@ -408,7 +420,7 @@ def test_peel_on_a_nef_class_sets_no_step_guard(monkeypatch):
         N = type_by_id(t).neg_set()
         for F in sample_nef(N, 30, seed=2) + tuple(L - e(j) for j in N.usable):
             D, (W, p) = list(F), curves._pack(F, N)
-            assert curves._peel(D, p, N, W) == p
+            assert curves._peel(D, p, N, W) == (p, 0)  # its pairings, and no lane selected
             assert D == list(F)
     # nor does a peel within the guard's lower bound, 16d + 1 steps from
     # degree d: L - E1 - E2 takes one

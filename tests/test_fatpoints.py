@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from sixpoints import (
     table2,
     type_by_id,
 )
-from sixpoints import fatpoints
+from sixpoints import curves, fatpoints
 from sixpoints.typeenum import candidate_pool
 
 
@@ -299,6 +300,35 @@ def test_analyze_matches_frozen_digest():
     assert _analyze_digest() == FROZEN_ANALYZE_SHA256
 
 
+def _checked_scan(type_id, mults):
+    """analyze with the packed pairings each peel is handed (carried from the
+    degree above, from the top degree's reduction or from a period step) and
+    those it hands back unpacked and checked against the class: (peels
+    checked, of them the first after a period step)."""
+    checked = [0, 0]
+    stepped = [False]
+    peel, step = fatpoints._peel, fatpoints._step
+
+    def checked_peel(D, p, N, W, subs=None):
+        assert _lanes_of(p, W, len(N.NEG)) == [intersect(D, c) for c in N.NEG]
+        p, selected = peel(D, p, N, W, subs)
+        assert _lanes_of(p, W, len(N.NEG)) == [intersect(D, c) for c in N.NEG]
+        checked[0] += 1
+        checked[1] += stepped[0]
+        stepped[0] = False
+        return p, selected
+
+    def noted_step(*args):
+        stepped[0] = (out := step(*args)) is not None
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fatpoints, "_peel", checked_peel)
+        mp.setattr(fatpoints, "_step", noted_step)
+        analyze(type_by_id(type_id).classes, mults, betti=True)
+    return tuple(checked)
+
+
 @settings(max_examples=150, deadline=None)
 @example(90, (300, 300, 0, 0, 0, 0))
 @example(74, (0, 0, 0, 0, 0, 200))
@@ -306,22 +336,20 @@ def test_analyze_matches_frozen_digest():
 @given(st.integers(1, 90), st.tuples(*[st.integers(0, 40)] * 6))
 def test_carried_pairings_match_fresh_ones(type_id, mults):
     # analyze hands each peel the packed pairings it carried from the degree
-    # above (or from the top degree's reduction); unpacked, they must be
-    # those of the class, and so must the ones the peel hands back
-    checked = [0]
-    peel = fatpoints._peel
+    # above (or from the top degree's reduction, or from a period step);
+    # unpacked, they must be those of the class, and so must the ones the
+    # peel hands back
+    assert _checked_scan(type_id, mults)[0] > 0
 
-    def checked_peel(D, p, N, W, subs=None):
-        assert _lanes_of(p, W, len(N.NEG)) == [intersect(D, c) for c in N.NEG]
-        p = peel(D, p, N, W, subs)
-        assert _lanes_of(p, W, len(N.NEG)) == [intersect(D, c) for c in N.NEG]
-        checked[0] += 1
-        return p
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fatpoints, "_peel", checked_peel)
-        analyze(type_by_id(type_id).classes, mults, betti=True)
-    assert checked[0] > 0
+@pytest.mark.parametrize("type_id, mults", [
+    (86, (60,) * 6), (61, (50, 40, 30, 20, 10, 5)),
+    (1, (60, 50, 40, 30, 20, 10)), (90, (46, 31, 81, 93, 95, 59)),
+])
+def test_pairings_carried_over_a_period_step_match_fresh_ones(type_id, mults):
+    # a period step hands on P_t + n*Delta with p_t + n*(p_t - p_{t+q}); the
+    # first peel after it checks those pairings too
+    assert _checked_scan(type_id, mults)[1] > 0
 
 
 def _lanes_of(p, W, n):
@@ -339,11 +367,11 @@ def _count_peel_steps(monkeypatch):
 
     def counted(D, p, N, W, subs=None):
         copies = []
-        p = real(D, p, N, W, copies)
+        p, selected = real(D, p, N, W, copies)
         steps[0] += sum(1 for _ in itertools.groupby(copies)) + (D[0] >= 0)
         if subs is not None:
             subs.extend(copies)
-        return p
+        return p, selected
 
     monkeypatch.setattr(fatpoints, "_peel", counted)
     return steps
@@ -404,6 +432,117 @@ def test_top_run_stops_at_the_last_possible_generator(monkeypatch, type_id, mult
     full_h = list(h) + [math.comb(t + 2, 2) - hf.deg_z for t in range(len(h), top + 1)]
     full_nef = list(nef_deg) + list(range(len(h), top + 1))
     assert real(full_h, full_nef, 0) == res.f0  # counted from degree 0, not alpha
+
+
+@pytest.mark.parametrize("type_id, mults", [
+    (86, (400,) * 6),  # 401 peels one degree at a time
+    # the chain inputs at the CLI cap: 5,001 peels one degree at a time
+    (74, (0, 0, 0, 0, 0, 10000)), (88, (0, 0, 0, 0, 0, 10000)), (90, (5000, 5000, 0, 0, 0, 0)),
+])
+def test_period_steps_replace_the_peels_of_repeating_degrees(monkeypatch, type_id, mults):
+    calls = _count_calls(monkeypatch, fatpoints, "_peel")
+    analyze(type_by_id(type_id).classes, mults, betti=True)
+    assert 0 < calls[0] <= 20
+
+
+def _scan_one_degree_at_a_time(classes, mults):
+    """analyze's scan as it ran before the period step: one peel per degree
+    below the top nef run, on the pairings carried from the degree above.
+    Returns (P, deg_z, h, nef_deg, alpha) as analyze finds them, and per
+    scanned degree t with sections (nef part, packed pairings, lanes its peel
+    selected)."""
+    N = full_neg(classes)
+    D, p, W = fatpoints._top_nef_part(mults, N)
+    P = DivisorClass(D[0], tuple(D[1:]))
+    d, m = P[0], tuple(-v for v in P[1:])
+    deg_z = sum(v * (v + 1) // 2 for v in m)
+    k = min([d] + [intersect(P, C) // C[0] for C in N.NEG if C[0] > 0])
+    r = d - k
+    end = min(d, max(r, math.isqrt(2 * deg_z)))
+    h = [0] * r + [math.comb(t + 2, 2) - deg_z for t in range(r, end + 1)]
+    nef_deg = [-1] * r + list(range(r, end + 1))
+    degs = curves._packing(N, W)[2][0]
+    D[0] -= k + 1
+    p -= (k + 1) * degs
+    alpha, records = r, {}
+    for t in range(r - 1, max(m) - 1, -1):
+        p, selected = curves._peel(D, p, N, W)
+        if D[0] < 0:
+            break
+        h[t] = euler_characteristic(D)
+        nef_deg[t] = D[0]
+        alpha = t
+        records[t] = (tuple(D), p, selected)
+        D[0] -= 1
+        p -= degs
+    return (P, deg_z, h, nef_deg, alpha), records
+
+
+def _analyze_one_degree_at_a_time(classes, mults):
+    (P, deg_z, h, nef_deg, alpha), _ = _scan_one_degree_at_a_time(classes, mults)
+    hf = fatpoints._hilbert(P, deg_z, h)
+    f0 = fatpoints._generators(h, nef_deg, alpha)
+    return tuple(-v for v in P[1:]), hf, fatpoints._resolution(hf, h, f0, alpha)
+
+
+def _seeded_scans():
+    """Seeded (type, multiplicities): m up to 100, inputs at the CLI cap (sum
+    10,000), and one multiplicity of 300,000 with a few hundred beside it,
+    whose pairings need 16-, 24- and 32-bit lanes."""
+    rng = random.Random(29)
+    cases = [(rng.randint(1, 90), tuple(rng.randint(0, 100) for _ in range(6))) for _ in range(60)]
+    for _ in range(6):
+        cut = sorted(rng.randint(0, 10000) for _ in range(5))
+        cases.append((rng.randint(1, 90), tuple(map(operator.sub, cut + [10000], [0] + cut))))
+    for _ in range(3):
+        type_id = rng.randint(1, 90)
+        mults = [rng.randint(0, 300) for _ in range(6)]
+        # at a plane point, where the scan stops, so it scans at most 1,803 degrees
+        mults[rng.choice(full_neg(type_by_id(type_id).classes).usable) - 1] = 300000
+        cases.append((type_id, tuple(mults)))
+    return cases
+
+
+def test_period_steps_match_the_scan_one_degree_at_a_time():
+    widths = set()
+    for type_id, mults in _seeded_scans():
+        classes = type_by_id(type_id).classes
+        widths.add(fatpoints._top_nef_part(mults, full_neg(classes))[2])
+        want = _analyze_one_degree_at_a_time(classes, mults)
+        assert analyze(classes, mults, betti=True) == want, (type_id, mults)
+    assert {16, 24, 32} <= widths
+
+
+def test_period_step_is_exact_on_every_run():
+    # the step's test is exact, whichever run it is handed: on each run of q
+    # consecutive scanned degrees, it either declines or steps to the nef part
+    # and pairings the scan reaches, filling h_I and the nef degrees on the way
+    rng = random.Random(7)
+    steps = 0
+    for _ in range(40):
+        type_id = rng.randint(1, 90)
+        classes = type_by_id(type_id).classes
+        mults = tuple(rng.randint(0, 60) for _ in range(6))
+        (P, _, h, nef_deg, _), records = _scan_one_degree_at_a_time(classes, mults)
+        N = full_neg(classes)
+        W = fatpoints._top_nef_part(mults, N)[2]
+        high = curves._packing(N, W)[0]
+        t_min = max(-v for v in P[1:])
+        for t in records:
+            for q in range(1, 5):
+                if t + q not in records:
+                    break
+                run = [records[t + q - o] for o in range(q + 1)]
+                h_low, nef_low = h[:], nef_deg[:]  # to be filled below t
+                h_low[t_min:t] = nef_low[t_min:t] = [None] * (t - t_min)
+                stepped = fatpoints._step(run, t, t_min, h_low, nef_low, high, W)
+                if stepped is None:
+                    continue
+                D, p, n = stepped
+                steps += 1
+                assert (tuple(D), p) == records[t - n][:2], (type_id, mults, t, q)
+                assert h_low[t - n:t] == h[t - n:t] and nef_low[t - n:t] == nef_deg[t - n:t]
+    assert steps > 1000
 
 
 def test_scan_stops_at_the_largest_plane_point_multiplicity(monkeypatch):
