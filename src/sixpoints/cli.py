@@ -5,12 +5,14 @@ Subcommands: ``types list``, ``types classify --neg TEXT``,
 ``tables --which 1|2`` and ``verify [--seed S]``.  Every subcommand accepts
 ``--format text|json|csv``.  Each subcommand's handler computes its result
 and hands back one renderer per format; the writer of the format asked for
-calls its renderer and no other, so a call renders only what it prints.  Each
-call builds the parser of the subcommand it names and no other, all of them
-only for the top-level help or a bad command; one level down, ``types list``
-and ``types classify`` build only their own action's parser.  Payload goes
-to stdout, diagnostics to stderr; exit code 0 means success, 1 a rejected
-input, 2 an internal consistency failure.
+calls its renderer and no other, so a call renders only what it prints.  A
+call that names a subcommand parses with that subcommand's parser as the
+root, the parser the tree would hand its arguments to; ``types`` builds
+only the parser of the action it names.  The whole tree is built only for
+the top-level help, a bad or missing command and leftover arguments, whose
+error it prints under the top-level usage.  Payload goes to stdout,
+diagnostics to stderr; exit code 0 means success, 1 a rejected input, 2 an
+internal consistency failure.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
-COMMANDS = ("types", "hilbert", "betti", "tables", "verify")
 TYPES_ACTIONS = ("list", "classify")
 
 
@@ -79,68 +80,80 @@ def _int_arg(text: str) -> int:
     return int(text)
 
 
+def _add_format(p) -> None:
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+
+
+def _add_types(p, argv) -> None:
+    # only the action argv[1] names if it names one, else both
+    actions, metavar = _trim(argv[1] if len(argv) > 1 and argv[0] == "types" else None,
+                             TYPES_ACTIONS)
+    sub = p.add_subparsers(dest="types_command", required=True, metavar=metavar, prog=p.prog)
+    if "list" in actions:
+        lst = sub.add_parser("list", help="all 90 types")
+        lst.set_defaults(handler=_types_list)
+        _add_format(lst)
+    if "classify" in actions:
+        cls = sub.add_parser("classify", help="match a neg set to its type")
+        cls.add_argument("--neg", required=True,
+                         help="letter notation, e.g. '0: AB, CD; 2: ABCDEF'")
+        cls.set_defaults(handler=_types_classify)
+        _add_format(cls)
+
+
+def _add_scheme(p, with_betti: bool) -> None:
+    p.add_argument("--type", required=True, dest="type_arg",
+                   help="type id 1..90, or a neg set in letter notation")
+    p.add_argument("--mults", required=True,
+                   help=f"six multiplicities, e.g. 1,1,1,1,1,1 (sum at most {MAX_MULT_SUM})")
+    _add_format(p)
+    if not with_betti:
+        p.add_argument("--tmax", type=_int_arg, default=None,
+                       help=f"show values up to this degree (display only, 0..{MAX_TMAX})")
+    p.set_defaults(handler=_scheme, with_betti=with_betti, tmax=None)
+
+
+def _add_tables(p, argv) -> None:
+    p.add_argument("--which", required=True, choices=("1", "2"))
+    p.set_defaults(handler=_tables)
+    _add_format(p)
+
+
+def _add_verify(p, argv) -> None:
+    p.add_argument("--seed", type=_int_arg, default=0)
+    p.add_argument("--samples", type=_int_arg, default=verify.DEFAULT_SAMPLES,
+                   help="nef classes sampled per type for the rank bound checks "
+                        f"(at most {MAX_SAMPLES})")
+    p.set_defaults(handler=_verify)
+    _add_format(p)
+
+
+# each subcommand's help in the tree, and the function that adds its
+# arguments and defaults to a parser: a subparser of the tree, or the root
+_SUBCOMMANDS = {
+    "types": ("list or classify configuration types", _add_types),
+    "hilbert": ("Hilbert function of a fat point ideal", lambda p, argv: _add_scheme(p, False)),
+    "betti": ("graded Betti numbers of a fat point ideal", lambda p, argv: _add_scheme(p, True)),
+    "tables": ("emit the built-in tables", _add_tables),
+    "verify": ("run the invariant suite", _add_verify),
+}
+COMMANDS = tuple(_SUBCOMMANDS)
+
+
 def build_parser(argv: Sequence[str] = ()) -> _Parser:
-    """The parser for the call ``argv``, with only the subparser of argv[0]
-    if it is one of COMMANDS, else with all of them (top-level help, a bad or
-    missing command); one level down, ``types`` gets only the action of
-    argv[1] if it is one of TYPES_ACTIONS, else both.  A call runs one
-    subcommand, and building the others took most of a short call's time;
-    each call builds its own, so no call depends on another."""
+    """The whole command tree for the call ``argv``, which ``main`` builds
+    only for the top-level help, a bad or missing command and leftover
+    arguments: with only the subparser of argv[0] if it is one of COMMANDS,
+    else with all of them; one level down, ``types`` gets only the action of
+    argv[1] if it is one of TYPES_ACTIONS, else both.  Each call builds its
+    own, so no call depends on another."""
     parser = _Parser(prog="sixpoints", description=__doc__.splitlines()[0])
-    command = argv[0] if argv else None
-    wanted, metavar = _trim(command, COMMANDS)
+    wanted, metavar = _trim(argv[0] if argv else None, COMMANDS)
     # each subparsers' prog is given: argparse derives the same one by formatting a usage line
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar, prog=parser.prog)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-
-    if "types" in wanted:
-        types_p = sub.add_parser("types", help="list or classify configuration types")
-        actions, metavar = _trim(argv[1] if command == "types" and len(argv) > 1 else None,
-                                 TYPES_ACTIONS)
-        types_sub = types_p.add_subparsers(dest="types_command", required=True, metavar=metavar,
-                                           prog=types_p.prog)
-        if "list" in actions:
-            lst = types_sub.add_parser("list", help="all 90 types")
-            lst.set_defaults(handler=_types_list)
-            add_format(lst)
-        if "classify" in actions:
-            cls = types_sub.add_parser("classify", help="match a neg set to its type")
-            cls.add_argument("--neg", required=True,
-                             help="letter notation, e.g. '0: AB, CD; 2: ABCDEF'")
-            cls.set_defaults(handler=_types_classify)
-            add_format(cls)
-
-    for name, with_betti, what in (("hilbert", False, "Hilbert function"),
-                                   ("betti", True, "graded Betti numbers")):
-        if name not in wanted:
-            continue
-        p = sub.add_parser(name, help=f"{what} of a fat point ideal")
-        p.add_argument("--type", required=True, dest="type_arg",
-                       help="type id 1..90, or a neg set in letter notation")
-        p.add_argument("--mults", required=True,
-                       help=f"six multiplicities, e.g. 1,1,1,1,1,1 (sum at most {MAX_MULT_SUM})")
-        add_format(p)
-        if not with_betti:
-            p.add_argument("--tmax", type=_int_arg, default=None,
-                           help=f"show values up to this degree (display only, 0..{MAX_TMAX})")
-        p.set_defaults(handler=_scheme, with_betti=with_betti, tmax=None)
-
-    if "tables" in wanted:
-        tab = sub.add_parser("tables", help="emit the built-in tables")
-        tab.add_argument("--which", required=True, choices=("1", "2"))
-        tab.set_defaults(handler=_tables)
-        add_format(tab)
-
-    if "verify" in wanted:
-        ver = sub.add_parser("verify", help="run the invariant suite")
-        ver.add_argument("--seed", type=_int_arg, default=0)
-        ver.add_argument("--samples", type=_int_arg, default=verify.DEFAULT_SAMPLES,
-                         help="nef classes sampled per type for the rank bound checks "
-                              f"(at most {MAX_SAMPLES})")
-        ver.set_defaults(handler=_verify)
-        add_format(ver)
+    for name in wanted:
+        text, add = _SUBCOMMANDS[name]
+        add(sub.add_parser(name, help=text), argv)
     return parser
 
 
@@ -394,9 +407,14 @@ def _verify(args) -> _Output:
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        if command:  # its parser as the root: the tree hands it argv[1:] unchanged
+            root = _Parser(prog=f"sixpoints {command}")
+            _SUBCOMMANDS[command][1](root, argv)
+            args, extra = root.parse_known_args(argv[1:])
+        if not command or extra:  # the tree reports leftover arguments under its own usage
+            args = build_parser(argv).parse_args(argv)
         result = args.handler(args)
         _WRITERS[args.format](result, out)
     except _UsageError as exc:

@@ -222,7 +222,8 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
     P = DivisorClass._from_vec(tuple(D))
     d, m = P[0], tuple(-v for v in P[1:])
     deg_z = sum(v * (v + 1) // 2 for v in m)
-    k = min([d] + [_intersect(P, C) // C[0] for C in N.NEG if C[0] > 0])
+    mask, half = (1 << W) - 1, 1 << W - 1  # lane i of p holds half + P.C_i
+    k = min([d] + [((p >> W * i & mask) - half) // C[0] for i, C in enumerate(N.NEG) if C[0] > 0])
     r = d - k
     end = min(d, max(r, math.isqrt(2 * deg_z)))  # the last degree with a possible generator
     # h_I and the nef part's degree in each degree, 0 and -1 where there are

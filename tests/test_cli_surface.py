@@ -1,8 +1,10 @@
 """The parser's own output: help, usage and argument errors.
 
-`main` builds only the parser of the subcommand named by argv[0], and the
-whole command tree otherwise; for `types`, only the action named by argv[1]
-if it names one, and both otherwise.  The frozen file
+`main` parses a call that names a subcommand with that subcommand's parser
+as the root, and builds the command tree only for the top-level help, a bad
+or missing command and leftover arguments; the tree has only the subcommand
+named by argv[0], or all of them, and `types` has only the action named by
+argv[1] if it names one, and both otherwise.  The frozen file
 tests/data/cli_surface.json holds, per argument vector and COLUMNS width,
 the exit code (from `main`'s return or its `SystemExit`), stdout and stderr,
 written once with `capture` by release 8.0.0, which built the whole tree on
@@ -15,12 +17,13 @@ arguments" error that follows a good command.
 import contextlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from sixpoints import cli
+from sixpoints import cli, verify
 
 FROZEN = Path(__file__).parent / "data" / "cli_surface.json"
 
@@ -105,11 +108,102 @@ def test_only_the_named_subcommand_is_built():
 
 
 def test_main_builds_one_subcommand_per_call(monkeypatch):
-    built = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv: built.append(list(argv)) or build(argv))
-    capture(["betti", *M])
-    capture(["bogus"])
-    capture(iter(["types", "list"]))
-    capture([])
-    assert built == [["betti", *M], ["bogus"], ["types", "list"], []]
+    """A call that names a subcommand builds that subcommand's parser as the
+    root, and for `types` the parser of the action it names; the tree is
+    built only for the top-level help, a bad or missing command and
+    leftover arguments.  Counted per `_Parser` made, by prog."""
+    made, trees = [], []
+    init, build = cli._Parser.__init__, cli.build_parser
+    monkeypatch.setattr(cli._Parser, "__init__",
+                        lambda self, *a, **kw: made.append(kw["prog"]) or init(self, *a, **kw))
+    monkeypatch.setattr(cli, "build_parser", lambda argv: trees.append(list(argv)) or build(argv))
+
+    def built(argv):
+        made.clear()
+        trees.clear()
+        capture(argv)
+        return made[:], trees[:]
+
+    for argv in (["hilbert", *M], ["betti", *M], ["tables", "--which", "1"], ["verify", "-h"],
+                 ["betti", "--type", "1"], ["hilbert", "-h"]):
+        assert built(argv) == ([f"sixpoints {argv[0]}"], [])
+    for action in cli.TYPES_ACTIONS:
+        assert built(iter(["types", action, "-h"])) == (
+            ["sixpoints types", f"sixpoints types {action}"], [])
+    assert built(["types", "list"]) == (["sixpoints types", "sixpoints types list"], [])
+    whole = 1 + len(cli.COMMANDS) + len(cli.TYPES_ACTIONS)
+    for argv in ([], ["-h"], ["bogus"], ["-h", "betti"]):
+        progs, tree = built(argv)
+        assert (progs[0], len(progs), tree) == ("sixpoints", whole, [argv])
+    # leftover arguments: the root, then the tree of the command for its error
+    assert built(["betti", *M, "extra"]) == (
+        ["sixpoints betti", "sixpoints", "sixpoints betti"], [["betti", *M, "extra"]])
+    assert built(["types", "list", "extra"]) == (
+        ["sixpoints types", "sixpoints types list",
+         "sixpoints", "sixpoints types", "sixpoints types list"], [["types", "list", "extra"]])
+
+
+def _tree_main(argv, out) -> int:
+    """`main` as it was when every call parsed with the tree."""
+    try:
+        args = cli.build_parser(argv).parse_args(argv)
+        result = args.handler(args)
+        cli._WRITERS[args.format](result, out)
+    except cli._UsageError as exc:
+        print(exc.parser.format_usage(), file=sys.stderr, end="")
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except cli.ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return result.code
+
+
+def _corpus(count: int, seed: int) -> list[list[str]]:
+    """Seeded argument vectors: a command (none, a bad one, each of COMMANDS,
+    each `types` action), for half of them the flags a call needs, then 0-7
+    tokens from every subcommand's flags and values, help flags and their
+    abbreviation, `--`, an `=` form, a negative number and stray words."""
+    needs = {"hilbert": M, "betti": M, "tables": ["--which", "2"],
+             "types classify": ["--neg", "0: AB"]}
+    commands = ["", "bogus", *cli.COMMANDS, *(f"types {a}" for a in cli.TYPES_ACTIONS)]
+    tokens = ["list", "classify", "--neg", "0: AB, CD; 2: ABCDEF", "0: AB", "--type", "1",
+              "86", "--mults", "1,1,1,1,1,1", "2,1,0,0,0,0", "1,1", "--format", "json",
+              "csv", "text", "xml", "--tmax", "3", "x", "--which", "2", "3", "--seed",
+              "--samples", "0", "-h", "--help", "--he", "--", "--format=json", "-1",
+              "--t", "--s", "--mu", "extra", "Betti", "hilbert"]
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(count):
+        command = rng.choice(commands)
+        argv = command.split()
+        if rng.random() < 0.5:
+            argv += needs.get(command, [])
+        corpus.append(argv + rng.choices(tokens, k=rng.randint(0, 7)))
+    return corpus
+
+
+def _stub_suite(seed=0, samples_per_type=verify.DEFAULT_SAMPLES):
+    # the real suite's argument checks, without the suite
+    verify._check_count(samples_per_type)
+    verify._check_seed(seed)
+    return verify.InvariantReport(seed, (verify.CheckResult("stub", True, str(samples_per_type)),))
+
+
+@pytest.mark.parametrize("columns", COLUMNS)
+def test_main_matches_the_whole_tree_on_a_seeded_corpus(monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    monkeypatch.setattr(verify, "run_invariant_suite", _stub_suite)
+    corpus = _corpus(2000, seed=30)
+    codes = set()
+    for argv in corpus:
+        got = capture(argv)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = _tree_main(argv, stdout)
+            except SystemExit as exc:
+                code = exc.code
+        assert got == {"code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}, argv
+        codes.add(code)
+    assert codes == {0, 1}  # help and successful calls, and rejected ones
