@@ -42,18 +42,27 @@ FROZEN_TYPE_2_SHA256 = "9f1aee8ef56b8bdd6e46b86a6f343c974b23f70af6dfc9ed917df5fa
 # from the release before draws outside the general-position nef cone skipped
 # the lane test; type 90 is the only type whose draw budget binds at 1000
 FROZEN_TYPE_90_CAP_SHA256 = "68eb19a46f5880e90b81f1598de04a35dcc8047da0a89d5185a9e62152166d00"
+# The same digest, with each report's violations after its MuStats, over the
+# default verify sweep (200 samples at seed 0 on all 90 types), frozen from
+# the release before check_mu_bounds counted nef base-point classes by
+# Riemann-Roch without a peel
+FROZEN_DEFAULT_SWEEP_SHA256 = "611f2801f8b04c64d2fb1f2505394fe2bc577ffee8d2aba90caa7e50057886ea"
 
 
-def _samples_and_stats_digest(pairs) -> str:
+def _samples_and_stats_digest(pairs, violations=False) -> str:
     """Digest of [(N, samples)]: each class, then each MuStats as a tuple of
-    its fields in declaration order (classes as plain tuples)."""
+    its fields in declaration order (classes as plain tuples), then, if
+    ``violations``, the report's violation strings."""
     h = hashlib.sha256()
     for N, samples in pairs:
         for F in samples:
             h.update(repr(tuple(F)).encode())
-            for s in check_mu_bounds(F, N).stats:
+            report = check_mu_bounds(F, N)
+            for s in report.stats:
                 row = tuple(s)
                 h.update(repr(tuple(tuple(v) if isinstance(v, tuple) else v for v in row)).encode())
+            if violations:
+                h.update(repr(report.violations).encode())
         h.update(b";")
     return h.hexdigest()
 
@@ -66,6 +75,11 @@ def test_samples_and_stats_match_frozen_digests():
     assert _samples_and_stats_digest(sweep) == FROZEN_SWEEP_SHA256
     N = type_by_id(2).neg_set()
     assert _samples_and_stats_digest([(N, sample_nef(N, 200, seed=11))]) == FROZEN_TYPE_2_SHA256
+
+
+def test_the_default_verify_sweep_matches_its_frozen_digest():
+    sweep = [(N, sample_nef(N, 200, seed=0)) for N in (t.neg_set() for t in enumerate_types())]
+    assert _samples_and_stats_digest(sweep, violations=True) == FROZEN_DEFAULT_SWEEP_SHA256
 
 
 def test_skipped_draws_count_towards_the_draw_budget():
