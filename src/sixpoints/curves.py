@@ -9,7 +9,7 @@ the candidate classes, and a configuration's ``neg`` set is a set of distinct
 candidates that pairwise meet nonnegatively; this module holds both the
 candidates and that rule.  The neg set determines the rest of the list, and
 a class is nef iff its pairing vector with the list has no negative entry.
-The one sections count, ``_h0``, peels off curves the class meets negatively
+The sections count ``h0`` peels off curves the class meets negatively
 until it is nef or visibly empty and takes the Riemann-Roch value of the nef
 part; h^1/h^2 follow from Riemann-Roch and duality.  A reduction carries the
 pairings of the running class with every curve in the list as one integer,
@@ -228,7 +228,7 @@ def _lane_width(D: Sequence[int]) -> int:
     # degree <= 2 with E coefficients in -1..1, meets D' in at most 2|d'| +
     # sum |a'_i| in absolute value; sum |a_i| covers D itself, which takes no
     # step at a negative degree.  The floor is taken one lower so that the
-    # bound also holds from D - E_j and D - (L - E_j), which _stats_at
+    # bound also holds from D - E_j and D - (L - E_j), which _mu_report
     # reduces on D's lanes.  W is the least multiple of 8 with 2^(W-1) > bound
     # (multiples of 8, so that a configuration keeps few tables).
     d, *a = D
@@ -306,8 +306,10 @@ def _peel(
     takes more steps than that computes the exact limit, and it raises on
     exactly the classes the exact limit raises on.
     """
-    NEG, minus_sq, support = N.NEG, N.minus_sq, N.support
     high, rows, _ = _packing(N, W)
+    if D[0] < 0 or not ~p & high:
+        return p, 0  # no sections, or nef: no step
+    NEG, minus_sq, support = N.NEG, N.minus_sq, N.support
     mask, off = (1 << W) - 1, 1 << W - 1
     steps = sel = 0
     while D[0] >= 0:
@@ -368,24 +370,18 @@ def euler_characteristic(F: Sequence[int]) -> int:
     return _chi(F)
 
 
-def _h0(D: list[int], p: int, N: NegCurveSet, W: int) -> int:
-    """h^0 of the class D, given p, its pairings with N.NEG in W-bit lanes:
-    the Riemann-Roch value of its nef part, or 0 at a negative degree (where
-    ``_peel`` returns at once) or where the peel reaches one.  Peels D in
-    place."""
-    _peel(D, p, N, W)
-    return _chi(D) if D[0] >= 0 else 0
-
-
 def h0(F: DivisorClass, N: NegCurveSet) -> int:
-    """Dimension of the space of sections of F (see ``_h0``); at a negative
-    degree, 0 without building F's pairings."""
+    """Dimension of the space of sections of F: the Riemann-Roch value of its
+    nef part (see ``_peel``), or 0 where the peel reaches a negative degree;
+    at a negative degree, 0 without building F's pairings."""
     _check_class(F)
     _check_curves(N)
     if F[0] < 0:
         return 0
     W, p = _pack(F, N)
-    return _h0(list(F), p, N, W)
+    D = list(F)
+    _peel(D, p, N, W)
+    return _chi(D) if D[0] >= 0 else 0
 
 
 def h2(F: DivisorClass, N: NegCurveSet) -> int:
@@ -426,51 +422,63 @@ class MuStats(NamedTuple):
     cok_pred: int
 
 
-def _nef_sections(F: DivisorClass, N: NegCurveSet) -> tuple[int, int, int, int, int]:
-    """The lane width W of a nef class F, the pairings of F and of F - L with
-    N.NEG packed into W-bit lanes, then h^0(F) and h^0(F + L).
-
-    F and F + L are nef, so both are counted by Riemann-Roch:
-    h^0(F) = chi(F) and chi(F + L) - chi(F) = F.L + (L^2 - K.L)/2 = deg F + 2.
-    """
+def _mu_report(F: DivisorClass, N: NegCurveSet, indices: Sequence[int] | None = None
+               ) -> tuple[list[MuStats], list[str]]:
+    """The MuStats of the nef class F at each base point j of ``indices``
+    (N.usable if None) and the violations among them (see
+    ``check_mu_bounds``), on packed pairings.  F and F + L are nef, so
+    Riemann-Roch counts both: h^0(F) = chi(F) and chi(F + L) - chi(F) =
+    F.L + (L^2 - K.L)/2 = deg F + 2.  F - E_j and F - (L - E_j) pair with
+    N.NEG as F.C + C_j and (F - L).C - C_j, one add or subtract of the
+    packed column j (W also holds their reductions, see ``_lane_width``).
+    Both have degree >= -1, so h^2 = 0 and h^1 = h^0 - chi.  One whose
+    lanes all read >= 0 is nef, so h^0 = chi: chi(F) - a_j - 1 and chi(F) -
+    d + a_j - 1 for F = d*L - sum a_i E_i.  Only the others are peeled; at
+    d = 0, F = 0 (the only nef class there), and chi(E_j - L) = 0 counts
+    degree -1."""
     _check_class(F)
     _check_curves(N)
     W, p = _pack(F, N)
     high, _, columns = _packing(N, W)
     if ~p & high:
         raise ValidationError(f"{F} is not nef for this configuration")
-    chi = _chi(F)
-    return W, p, p - columns[0], chi, chi + F[0] + 2
-
-
-def _stats_at(F: DivisorClass, N: NegCurveSet, j: int, W: int, p: int, pL: int,
-              h0F: int, h0FL: int) -> MuStats:
-    """MuStats at index j, on packed pairings: ``_h0`` counts F - E_j and F -
-    (L - E_j) from their pairings F.C + C_j and (F - L).C - C_j, one add or
-    subtract of the packed column j (the lane width W of F also holds every
-    pairing of their reductions, see ``_lane_width``).  Both have
-    degree >= -1, so h^2 = 0 and h^1 = h^0 - chi, with chi(F - E_j) = chi(F) -
-    a_j - 1 and chi(F - L + E_j) = chi(F) - d + a_j - 1 for F = d*L - sum a_i E_i."""
-    d, aj, col = F[0], -F[j], _packing(N, W)[2][j]
-    Q = list(F)
-    Q[j] -= 1
-    q = _h0(Q, p + col, N, W)
-    D = list(F)
-    D[0] -= 1
-    D[j] += 1
-    l = _h0(D, pL - col, N, W)
-    qstar, lstar = q - h0F + aj + 1, l - h0F + d - aj + 1
-    if qstar < 0 or lstar < 0:
-        _check_h1(qstar, F - E[j - 1])
-        _check_h1(lstar, F - (L - E[j - 1]))
-    return MuStats(F, j, q, l, qstar, lstar, h0F, h0FL,
-                   max(0, 3 * h0F - h0FL), max(0, h0FL - 3 * h0F))
+    d, pL, h0F = F[0], p - columns[0], _chi(F)
+    h0FL = h0F + d + 2
+    gap = h0FL - 3 * h0F
+    ker_pred, cok_pred = max(0, -gap), max(0, gap)
+    stats, bad = [], []
+    for j in N.usable if indices is None else indices:
+        aj, col = -F[j], columns[j]
+        q, l = h0F - aj - 1, h0F - d + aj - 1
+        if ~(r := p + col) & high:
+            D = list(F)
+            D[j] -= 1
+            _peel(D, r, N, W)
+            q = _chi(D) if D[0] >= 0 else 0
+        if d and ~(r := pL - col) & high:
+            D = list(F)
+            D[0] -= 1
+            D[j] += 1
+            _peel(D, r, N, W)
+            l = _chi(D) if D[0] >= 0 else 0
+        qstar, lstar = q - h0F + aj + 1, l - h0F + d - aj + 1
+        if qstar < 0 or lstar < 0:
+            _check_h1(qstar, F - E[j - 1])
+            _check_h1(lstar, F - (L - E[j - 1]))
+        stats.append(MuStats(F, j, q, l, qstar, lstar, h0F, h0FL, ker_pred, cok_pred))
+        if not (l <= ker_pred <= q + l):
+            bad.append(f"j={j}: kernel bound fails for {F}: l={l}, pred={ker_pred}, q+l={q + l}")
+        if (lstar - l) + (qstar - q) != gap:
+            bad.append(f"j={j}: difference identity fails for {F}")
+    return stats, bad
 
 
 def mu_stats(F: DivisorClass, N: NegCurveSet, index: int = 1) -> MuStats:
-    sections = _nef_sections(F, N)
+    """The ``MuStats`` of the nef class F at base point ``index`` (1..6,
+    usable or not), counted as ``check_mu_bounds`` counts them.  Raises
+    ``ValidationError`` if the index is not 1..6 or F is not nef."""
     e(index)  # validates the index
-    return _stats_at(F, N, index, *sections)
+    return _mu_report(F, N, (index,))[0][0]
 
 
 class MuBoundsReport(NamedTuple):
@@ -486,13 +494,11 @@ class MuBoundsReport(NamedTuple):
 
 
 def check_mu_bounds(F: DivisorClass, N: NegCurveSet) -> MuBoundsReport:
-    sections = _nef_sections(F, N)
-    stats, bad = [], []
-    for j in N.usable:
-        s = _stats_at(F, N, j, *sections)
-        stats.append(s)
-        if not (s.l <= s.ker_pred <= s.q + s.l):
-            bad.append(f"j={j}: kernel bound fails for {F}: l={s.l}, pred={s.ker_pred}, q+l={s.q + s.l}")
-        if (s.lstar - s.l) + (s.qstar - s.q) != s.h0FL - 3 * s.h0F:
-            bad.append(f"j={j}: difference identity fails for {F}")
+    """The rank bounds on the nef class F (``ValidationError`` if not nef):
+    one ``MuStats`` per index j of ``N.usable``, in order, and a violation
+    "j=J: ..." per bound that fails at j = J, the kernel bound l <= ker_pred
+    <= q + l or the identity (l* - l) + (q* - q) = h^0(F + L) - 3 h^0(F).
+    Riemann-Roch counts F, F + L and each nef base-point class F - E_j or
+    F - (L - E_j); only the others, at degree >= 0, are peeled."""
+    stats, bad = _mu_report(F, N)
     return MuBoundsReport(F=F, stats=tuple(stats), violations=tuple(bad))

@@ -154,15 +154,14 @@ def sample_nef(
         if b1 + b2 > t or s - b6 > 2 * t:
             continue
         # the draw, then its a_i in decreasing order; both tests are pure, repeats go first
-        for a1, a2, a3, a4, a5, a6 in ((a1, a2, a3, a4, a5, a6), (b1, b2, b3, b4, b5, b6)):
-            if (vec := (t, -a1, -a2, -a3, -a4, -a5, -a6)) in seen:
-                continue
-            if (w0[t] + w1[a1] + w2[a2] + w3[a3] + w4[a4] + w5[a5] + w6[a6]) & high == high:
-                seen.add(vec)
-                out.append(DivisorClass._from_vec(vec))  # ints by construction
-                if len(out) == count:
-                    return tuple(out)
-                break
+        if ((vec := (t, -a1, -a2, -a3, -a4, -a5, -a6)) not in seen
+                and (w0[t] + w1[a1] + w2[a2] + w3[a3] + w4[a4] + w5[a5] + w6[a6]) & high == high
+                or (vec := (t, -b1, -b2, -b3, -b4, -b5, -b6)) not in seen
+                and (w0[t] + w1[b1] + w2[b2] + w3[b3] + w4[b4] + w5[b5] + w6[b6]) & high == high):
+            seen.add(vec)
+            out.append(DivisorClass._from_vec(vec))  # ints by construction
+            if len(out) == count:
+                return tuple(out)
     return tuple(out)
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import zipfile
@@ -430,3 +431,10 @@ def test_the_package_runs_from_a_zip_archive(tmp_path):
         env={**os.environ, "PYTHONPATH": str(archive)},
     )
     assert done.stdout == (package / "data" / "table1.tsv").read_bytes()
+
+
+def test_version_is_the_newest_release_in_the_changelog():
+    changes = (Path(__file__).parents[1] / "CHANGES.md").read_text(encoding="utf-8")
+    releases = [tuple(map(int, v)) for v in re.findall(r"\bVersion (\d+)\.(\d+)\.(\d+)\b", changes)]
+    assert releases, "CHANGES.md names no release"
+    assert sixpoints.__version__ == "%d.%d.%d" % max(releases)

@@ -376,21 +376,28 @@ def peeled(monkeypatch):
         calls.append(tuple(D))
         return real(D, p, N, W, subs)
 
-    monkeypatch.setattr(curves, "_peel", recording)  # the name _h0 calls
+    monkeypatch.setattr(curves, "_peel", recording)  # the name check_mu_bounds calls
     return calls
 
 
 @pytest.mark.parametrize("type_id", [1, 2, 90])
 def test_check_mu_bounds_reduces_only_the_base_point_classes(peeled, type_id):
+    # F and F + L are nef, and so is a base-point class that meets every curve
+    # nonnegatively: Riemann-Roch counts them.  A class of degree -1 (F - (L -
+    # E_j) at F = 0) has no sections.  Only the other base-point classes are
+    # peeled, each once, in order.
     N = type_by_id(type_id).neg_set()
-    usable = N.usable
+    counted = reduced = 0
     for F in sample_nef(N, 12, seed=4):
-        if F[0] == 0:
-            continue  # F - (L - E_j) has negative degree and is not reduced
         peeled.clear()
         check_mu_bounds(F, N)
-        assert peeled == [c for j in usable for c in (F - e(j), F - (L - e(j)))]
-        assert len(peeled) == 2 * len(usable)
+        nef, rest = [], []
+        for c in (c for j in N.usable for c in (F - e(j), F - (L - e(j)))):
+            if c[0] >= 0:
+                (nef if min(intersect(c, C) for C in N.NEG) >= 0 else rest).append(c)
+        assert peeled == rest
+        counted, reduced = counted + len(nef), reduced + len(rest)
+    assert counted and reduced  # both paths are taken on every type
 
 
 def test_a_broken_h0_is_a_consistency_error(monkeypatch):
@@ -401,8 +408,10 @@ def test_a_broken_h0_is_a_consistency_error(monkeypatch):
 
     N = type_by_id(1).neg_set()
     monkeypatch.setattr(curves, "_peel", never_nef)
-    with pytest.raises(ConsistencyError, match=r"negative h\^1 = -2 for L-E1"):
-        mu_stats(L, N)
+    # F = L - E2: F - E1 = L - E1 - E2 is a -1 curve, so not nef, and its
+    # count reaches the peel (nef base-point classes are counted without one)
+    with pytest.raises(ConsistencyError, match=r"negative h\^1 = -1 for L-E1-E2;"):
+        mu_stats(L - e(2), N)
     with pytest.raises(ConsistencyError, match=r"negative h\^1"):
         check_mu_bounds(2 * L, N)
     with pytest.raises(ConsistencyError, match=r"negative h\^1 = -3 for L;"):
@@ -427,7 +436,10 @@ def _reference_stats(F, N, j):
 @settings(max_examples=40, deadline=None)
 @example(1, 0, 0, 1, 0)  # F = 0, of degree 0: l = 0 without a peel
 @example(90, 5, 0, 3, 0)  # F = 0 again, on E6
-@example(1, 0, 1, 1, 0)  # F = L: every F - E_j is nef, so its peel takes no step
+@example(1, 0, 1, 1, 0)  # F = L: every F - E_j is nef, so Riemann-Roch counts it
+@example(1, 0, 1, 1, 2)  # F = 4L - E1 - ... - E6: all 12 base-point classes are nef
+@example(74, 0, 6, 1, 12)  # F = 14L - 7E1 - 4E2 - 3E3 - 2E4 - 2E5 - E6: all 12 are nef
+@example(1, 0, 0, 1, 3)  # F = 5L - 2(E1 + ... + E6): none of the 12 is nef
 @example(90, 0, 1, 2, 1)  # F = 3L on E6: F - E_1 is nef
 @example(74, 3, 5, 3, 2)  # a chain of infinitely near points
 @example(90, 0, 7, 4, 11)  # E6: every point but p_1 infinitely near
