@@ -140,20 +140,15 @@ _SUBCOMMANDS = {
 COMMANDS = tuple(_SUBCOMMANDS)
 
 
-def build_parser(argv: Sequence[str] = ()) -> _Parser:
-    """The whole command tree for the call ``argv``, which ``main`` builds
-    only for the top-level help, a bad or missing command and leftover
-    arguments: with only the subparser of argv[0] if it is one of COMMANDS,
-    else with all of them; one level down, ``types`` gets only the action of
-    argv[1] if it is one of TYPES_ACTIONS, else both.  Each call builds its
-    own, so no call depends on another."""
+def build_parser() -> _Parser:
+    """The whole command tree, which ``main`` builds only for the top-level
+    help, a bad or missing command and leftover arguments.  Each call builds
+    its own, so no call depends on another."""
     parser = _Parser(prog="sixpoints", description=__doc__.splitlines()[0])
-    wanted, metavar = _trim(argv[0] if argv else None, COMMANDS)
     # each subparsers' prog is given: argparse derives the same one by formatting a usage line
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar, prog=parser.prog)
-    for name in wanted:
-        text, add = _SUBCOMMANDS[name]
-        add(sub.add_parser(name, help=text), argv)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    for name, (text, add) in _SUBCOMMANDS.items():
+        add(sub.add_parser(name, help=text), ())
     return parser
 
 
@@ -414,7 +409,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
             _SUBCOMMANDS[command][1](root, argv)
             args, extra = root.parse_known_args(argv[1:])
         if not command or extra:  # the tree reports leftover arguments under its own usage
-            args = build_parser(argv).parse_args(argv)
+            args = build_parser().parse_args(argv)
         result = args.handler(args)
         _WRITERS[args.format](result, out)
     except _UsageError as exc:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import accumulate, compress, islice, repeat
 from typing import Iterable, NamedTuple, Sequence
 
-from .curves import NegCurveSet, _chi, _pack, _packing, _peel, full_neg
+from .curves import NegCurveSet, _chi, _pack, _packing, _peel, _repeats, full_neg
 from .errors import ConsistencyError, ValidationError
 from .lattice import DivisorClass, L, N_POINTS, _intersect
 from .typeenum import ConfigurationType, enumerate_types
@@ -195,8 +195,8 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
     selected has delta_j = 0, the next n runs repeat it with the same curves
     and copies, for the largest n with x_j(P_t) + n*delta_j >= 0 on every
     lane, deg(P_t + n*Delta) >= 0 and t - n*q >= t_min; the nef part of degree
-    t - o - (j - 1)*q is then P_{t+q-o} + j*Delta (``_step``).  The proof is
-    peel determinism:
+    t - o - (j - 1)*q is then P_{t+q-o} + j*Delta (``_step``; ``curves._repeats``
+    bounds n, and k above, on the lanes).  The proof is peel determinism:
 
     - a peel reads only lane values: the lowest lane below 0 picks the curve,
       its value the copies.  The degree cap binds only on a copy that leaves a
@@ -222,8 +222,8 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
     P = DivisorClass._from_vec(tuple(D))
     d, m = P[0], tuple(-v for v in P[1:])
     deg_z = sum(v * (v + 1) // 2 for v in m)
-    mask, half = (1 << W) - 1, 1 << W - 1  # lane i of p holds half + P.C_i
-    k = min([d] + [((p >> W * i & mask) - half) // C[0] for i, C in enumerate(N.NEG) if C[0] > 0])
+    high, _, (degs, *_) = _packing(N, W)
+    k = _repeats(p, -degs, 0, high, W, d)  # the top run: steps of -L, no lane selected
     r = d - k
     end = min(d, max(r, math.isqrt(2 * deg_z)))  # the last degree with a possible generator
     # h_I and the nef part's degree in each degree, 0 and -1 where there are
@@ -232,7 +232,6 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
     nef_deg = [-1] * r + list(range(r, end + 1))
     t_min = max(m)
     # D goes to P - (k+1)*L, then to each nef part minus L: (D - L).C = D.C - deg C
-    high, _, (degs, *_) = _packing(N, W)
     D[0] -= k + 1
     p -= (k + 1) * degs
     # (nef part, packed pairings, lanes its peel selected) of each degree
@@ -284,32 +283,8 @@ def _step(
     sel = 0
     for _, _, s in run[1:]:
         sel |= s
-    dp = p - pq  # Delta's packed pairings
-    dh = dp + high  # each lane holds 2^(W-1) + Delta.C
-    if (dh ^ high) & (sel << 1) - (sel >> W - 1):
-        return None  # a lane the run selected changed
     # Delta has degree P[0] - Q[0] <= -q, as L and each curve has degree >= 0
-    n = min((t - t_min) // q, P[0] // (Q[0] - P[0]))
-    down = ~dh & high  # the top bits of the lanes with Delta.C < 0
-    if n and down:
-        # each such lane of P_t + n*Delta must stay >= 0.  Keep only those
-        # lanes: x + m*d then holds 2^(W-1) + x_j + m*delta_j in each, exactly
-        # while -2^(W-1) < x_j + m*delta_j, which holds at m = 1 and at m <= 2n
-        # for a valid n (x_j + 2n*delta_j >= -x_j); so the valid m (top bits
-        # set) are found by doubling, then by bisection
-        lanes = (down << 1) - (down >> W - 1)
-        x, d = p & lanes, (dh & lanes) - (high & lanes)
-        lo, hi = 0, 1
-        while hi <= n and (x + hi * d) & down == down:
-            lo, hi = hi, 2 * hi
-        hi = min(hi, n + 1)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if (x + mid * d) & down == down:
-                lo = mid
-            else:
-                hi = mid
-        n = lo
+    n = _repeats(p, p - pq, sel, high, W, min((t - t_min) // q, P[0] // (Q[0] - P[0])))
     if not n:
         return None
     step = list(map(operator.sub, P, Q))
@@ -322,7 +297,7 @@ def _step(
         start = t - o - (n - 1) * q
         h[start:t - o + 1:q] = values[:0:-1]
         nef_deg[start:t - o + 1:q] = range(B[0] + n * step[0], B[0], -step[0])
-    return [a + n * b for a, b in zip(P, step)], p + n * dp, n * q
+    return [a + n * b for a, b in zip(P, step)], p + n * (p - pq), n * q
 
 
 def hilbert_function(classes: Iterable[DivisorClass], mults: Sequence[int]) -> HilbertFunction:

@@ -201,9 +201,8 @@ def test_criterion_6_multiplication_rank_bounds():
             report = check_mu_bounds(F, N)
             assert report.passed, (t.id, F, report.violations)
             checked += 1
-    _report(f"criterion 6: PASS - rank bounds and the exact difference "
-            f"identity hold for {checked} sampled nef classes "
-            f"(200 per type, every usable base index)")
+    _report(f"criterion 6: PASS - the kernel bounds hold for {checked} "
+            f"sampled nef classes (200 per type, every usable base index)")
 
 
 def test_criterion_7_property_suites():

@@ -1,17 +1,16 @@
 """The parser's own output: help, usage and argument errors.
 
 `main` parses a call that names a subcommand with that subcommand's parser
-as the root, and builds the command tree only for the top-level help, a bad
-or missing command and leftover arguments; the tree has only the subcommand
-named by argv[0], or all of them, and `types` has only the action named by
-argv[1] if it names one, and both otherwise.  The frozen file
-tests/data/cli_surface.json holds, per argument vector and COLUMNS width,
-the exit code (from `main`'s return or its `SystemExit`), stdout and stderr,
-written once with `capture` by release 8.0.0, which built the whole tree on
-every call, under Python 3.11.  The cases cover the top-level help, each
-subcommand's help, an empty argv, a bad command or flag, missing required
-flags, bad choices and bad integers, and the top-level "unrecognized
-arguments" error that follows a good command.
+as the root, where `types` has only the action named by argv[1] if it names
+one, and both otherwise.  It builds the whole command tree only for the
+top-level help, a bad or missing command and leftover arguments.  The
+frozen file tests/data/cli_surface.json holds, per argument vector and
+COLUMNS width, the exit code (from `main`'s return or its `SystemExit`),
+stdout and stderr, written once with `capture` by release 8.0.0, which
+built the whole tree on every call, under Python 3.11.  The cases cover the
+top-level help, each subcommand's help, an empty argv, a bad command or
+flag, missing required flags, bad choices and bad integers, and the
+top-level "unrecognized arguments" error that follows a good command.
 """
 
 import contextlib
@@ -86,67 +85,69 @@ def _commands(parser) -> list[str]:
     return list(_subparsers(parser, "command"))
 
 
-def _types_actions(parser) -> list[str]:
-    return list(_subparsers(_subparsers(parser, "command")["types"], "types_command"))
+def _types_actions(argv) -> list[str]:
+    """The actions of the `types` root parser `main` builds for ``argv``."""
+    root = cli._Parser(prog="sixpoints types")
+    cli._add_types(root, argv)
+    return list(_subparsers(root, "types_command"))
 
 
 def test_only_the_named_subcommand_is_built():
-    assert _commands(cli.build_parser(["betti"])) == ["betti"]
-    assert _commands(cli.build_parser(["types"])) == ["types"]
-    full = list(cli.COMMANDS)
-    for other in ([], ["bogus"], ["-h"], ["Betti"], [["betti"]], ["-h", "betti"]):
-        assert _commands(cli.build_parser(other)) == full
-    # one level down: a types call builds the action it names
+    # the tree holds every subcommand, and its types every action
+    tree = cli.build_parser()
+    types = _subparsers(tree, "command")["types"]
+    assert (_commands(tree), list(_subparsers(types, "types_command"))) == (
+        list(cli.COMMANDS), list(cli.TYPES_ACTIONS))
+    # a types call builds the action it names
     for action in cli.TYPES_ACTIONS:
         for argv in (["types", action], ["types", action, "--format", "json"]):
-            parser = cli.build_parser(argv)
-            assert (_commands(parser), _types_actions(parser)) == (["types"], [action])
+            assert _types_actions(argv) == [action]
     both = list(cli.TYPES_ACTIONS)
     for argv in (["types"], ["types", "bogus"], ["types", "-h"], ["types", "Classify"],
                  ["types", ["list"]], [], ["bogus", "list"]):
-        assert _types_actions(cli.build_parser(argv)) == both
+        assert _types_actions(argv) == both
 
 
 def test_main_builds_one_subcommand_per_call(monkeypatch):
     """A call that names a subcommand builds that subcommand's parser as the
     root, and for `types` the parser of the action it names; the tree is
     built only for the top-level help, a bad or missing command and
-    leftover arguments.  Counted per `_Parser` made, by prog."""
+    leftover arguments.  Counted per `_Parser` made, by prog, and per tree."""
     made, trees = [], []
     init, build = cli._Parser.__init__, cli.build_parser
     monkeypatch.setattr(cli._Parser, "__init__",
                         lambda self, *a, **kw: made.append(kw["prog"]) or init(self, *a, **kw))
-    monkeypatch.setattr(cli, "build_parser", lambda argv: trees.append(list(argv)) or build(argv))
+    monkeypatch.setattr(cli, "build_parser", lambda: trees.append("tree") or build())
 
     def built(argv):
         made.clear()
         trees.clear()
         capture(argv)
-        return made[:], trees[:]
+        return made[:], len(trees)
 
     for argv in (["hilbert", *M], ["betti", *M], ["tables", "--which", "1"], ["verify", "-h"],
                  ["betti", "--type", "1"], ["hilbert", "-h"]):
-        assert built(argv) == ([f"sixpoints {argv[0]}"], [])
+        assert built(argv) == ([f"sixpoints {argv[0]}"], 0)
     for action in cli.TYPES_ACTIONS:
         assert built(iter(["types", action, "-h"])) == (
-            ["sixpoints types", f"sixpoints types {action}"], [])
-    assert built(["types", "list"]) == (["sixpoints types", "sixpoints types list"], [])
+            ["sixpoints types", f"sixpoints types {action}"], 0)
+    assert built(["types", "list"]) == (["sixpoints types", "sixpoints types list"], 0)
     whole = 1 + len(cli.COMMANDS) + len(cli.TYPES_ACTIONS)
     for argv in ([], ["-h"], ["bogus"], ["-h", "betti"]):
         progs, tree = built(argv)
-        assert (progs[0], len(progs), tree) == ("sixpoints", whole, [argv])
-    # leftover arguments: the root, then the tree of the command for its error
-    assert built(["betti", *M, "extra"]) == (
-        ["sixpoints betti", "sixpoints", "sixpoints betti"], [["betti", *M, "extra"]])
-    assert built(["types", "list", "extra"]) == (
-        ["sixpoints types", "sixpoints types list",
-         "sixpoints", "sixpoints types", "sixpoints types list"], [["types", "list", "extra"]])
+        assert (progs[0], len(progs), tree) == ("sixpoints", whole, 1)
+    # leftover arguments: the root, then the whole tree for its error
+    progs, tree = built(["betti", *M, "extra"])
+    assert (progs[:2], len(progs), tree) == (["sixpoints betti", "sixpoints"], 1 + whole, 1)
+    progs, tree = built(["types", "list", "extra"])
+    assert (progs[:3], len(progs), tree) == (
+        ["sixpoints types", "sixpoints types list", "sixpoints"], 2 + whole, 1)
 
 
 def _tree_main(argv, out) -> int:
     """`main` as it was when every call parsed with the tree."""
     try:
-        args = cli.build_parser(argv).parse_args(argv)
+        args = cli.build_parser().parse_args(argv)
         result = args.handler(args)
         cli._WRITERS[args.format](result, out)
     except cli._UsageError as exc:

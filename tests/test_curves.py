@@ -529,3 +529,39 @@ def test_reducing_nef_part_minus_L_matches_reducing_D_minus_L(type_id, D):
     assert via_nef.effective == direct.effective
     if direct.effective:  # otherwise only the sign of the degree is promised
         assert via_nef.reduced == direct.reduced
+
+
+@st.composite
+def _lane_steps(draw):
+    """A lane width W, lanes (x_j, delta_j, selected) within the contract of
+    ``curves._repeats`` (x_j >= 0, |delta_j| < 2^(W-1)) and a cap n >= 0.
+    Small values and unchanged lanes are drawn often, so that caps, lanes
+    that reach 0 and selected lanes left unchanged all occur."""
+    W = draw(st.sampled_from([8, 16, 24, 32]))
+    top = (1 << W - 1) - 1
+    x = st.integers(0, 40) | st.integers(0, top)
+    delta = st.just(0) | st.integers(-3, 3) | st.integers(-top, top)
+    lanes = draw(st.lists(st.tuples(x, delta, st.booleans()), min_size=1, max_size=27))
+    return W, lanes, draw(st.integers(0, 60) | st.integers(0, 1 << W))
+
+
+@settings(max_examples=500, deadline=None)
+@example((8, [(5, 0, False), (40, -1, False), (90, -2, False)], 6))  # analyze's top run: capped by d
+@example((16, [(30, -3, False), (7, 0, True)], 100))  # a selected lane that does not change
+@example((16, [(30, -3, False), (7, 1, True)], 100))  # a selected lane that changes
+@example((8, [(127, -127, False), (0, 0, False)], 5))  # the widest step a lane holds
+@example((8, [(0, -127, False), (3, 0, False)], 5))  # 2 steps would overflow the lane
+@example((32, [(9, -2, False)], 0))  # a cap of 0
+@given(_lane_steps())
+def test_repeats_matches_decode_and_divide(case):
+    W, lanes, n = case
+    half = 1 << W - 1
+    p = sum(half + x << W * j for j, (x, _, _) in enumerate(lanes))
+    dp = sum(delta << W * j for j, (_, delta, _) in enumerate(lanes))
+    sel = sum(half << W * j for j, (_, _, s) in enumerate(lanes) if s)
+    high = sum(half << W * j for j in range(len(lanes)))
+    if any(s and delta for _, delta, s in lanes):
+        want = 0  # a selected lane changes
+    else:
+        want = min([n] + [x // -delta for x, delta, _ in lanes if delta < 0])
+    assert curves._repeats(p, dp, sel, high, W, n) == want

@@ -418,6 +418,25 @@ def test_a_broken_h0_is_a_consistency_error(monkeypatch):
         curves.h1(L, N)
 
 
+def test_the_kernel_bound_catches_a_peel_that_overcounts(monkeypatch):
+    # a peel whose nef part ends one degree too high overcounts the sections
+    # of each peeled base-point class while h^1 stays >= 0, so no
+    # ConsistencyError hides it: the kernel bound must catch it
+    N = type_by_id(61).neg_set()
+    samples = sample_nef(N, 100, 0)
+    real = curves._peel
+
+    def raised(D, p, N, W, subs=None):
+        out = real(D, p, N, W, subs)
+        if D[0] >= 0:
+            D[0] += 1
+        return out
+
+    monkeypatch.setattr(curves, "_peel", raised)
+    violations = [v for F in samples for v in check_mu_bounds(F, N).violations]
+    assert any("kernel bound fails" in v for v in violations)
+
+
 def _reference_stats(F, N, j):
     """MuStats by the earlier path: each class a checked DivisorClass whose
     h^0 and h^2 come from h0 (a reduction from scratch), h^1 by Riemann-Roch."""
