@@ -86,8 +86,7 @@ def _add_format(p) -> None:
 
 def _add_types(p, argv) -> None:
     # only the action argv[1] names if it names one, else both
-    actions, metavar = _trim(argv[1] if len(argv) > 1 and argv[0] == "types" else None,
-                             TYPES_ACTIONS)
+    actions, metavar = _trim(argv[1] if len(argv) > 1 else None, TYPES_ACTIONS)
     sub = p.add_subparsers(dest="types_command", required=True, metavar=metavar, prog=p.prog)
     if "list" in actions:
         lst = sub.add_parser("list", help="all 90 types")
@@ -129,7 +128,8 @@ def _add_verify(p, argv) -> None:
 
 
 # each subcommand's help in the tree, and the function that adds its
-# arguments and defaults to a parser: a subparser of the tree, or the root
+# arguments and defaults to a parser: a subparser of the tree, or the root.
+# An adder gets its call's argv (empty for the tree); only types reads it
 _SUBCOMMANDS = {
     "types": ("list or classify configuration types", _add_types),
     "hilbert": ("Hilbert function of a fat point ideal", lambda p, argv: _add_scheme(p, False)),

@@ -15,7 +15,8 @@ part; h^1/h^2 follow from Riemann-Roch and duality.  A reduction carries the
 pairings of the running class with every curve in the list as one integer,
 a lane of W bits per curve, and peeling k copies of a curve subtracts k
 times that curve's packed row of the Gram matrix.  Only this module builds
-the lane tables (``_packing``), sizes (``_lane_width``) and reads the lanes.
+the lane tables (``_packing``) and sizes them (``_lane_width``); the lanes are
+read here and by ``verify.sample_nef``, on 8-bit lanes from ``verify._lanes``.
 
 ``check_mu_bounds`` checks the bound on the rank of multiplication by
 linear forms on a nef class F at each base point j (see ``MuStats``): the

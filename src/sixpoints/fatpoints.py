@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .curves import NegCurveSet, _chi, _pack, _packing, _peel, _repeats, full_neg
 from .errors import ConsistencyError, ValidationError
-from .lattice import DivisorClass, L, N_POINTS, _intersect
+from .lattice import DivisorClass, N_POINTS, _intersect
 from .typeenum import ConfigurationType, enumerate_types
 
 Mults = tuple[int, ...]
@@ -219,8 +219,7 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
         raise ValidationError(f"expected a bool for betti, got {betti!r}")
     N = full_neg(classes)
     D, p, W = _top_nef_part(mults, N)
-    P = DivisorClass._from_vec(tuple(D))
-    d, m = P[0], tuple(-v for v in P[1:])
+    d, m = D[0], tuple(-v for v in D[1:])
     deg_z = sum(v * (v + 1) // 2 for v in m)
     high, _, (degs, *_) = _packing(N, W)
     k = _repeats(p, -degs, 0, high, W, d)  # the top run: steps of -L, no lane selected
@@ -260,7 +259,7 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
         p -= degs
         t -= 1
     alpha = t + 1  # the initial degree, the lowest with sections, where the scan stopped
-    hf = _hilbert(P, deg_z, h)
+    hf = _hilbert(deg_z, h)
     res = _resolution(hf, h, _generators(h, nef_deg, alpha), alpha) if betti else None
     return SchemeAnalysis(m, hf, res)
 
@@ -306,11 +305,7 @@ def hilbert_function(classes: Iterable[DivisorClass], mults: Sequence[int]) -> H
     return analyze(classes, mults, betti=False).hilbert
 
 
-def _hilbert(P: DivisorClass, deg_z: int, h: Sequence[int]) -> HilbertFunction:
-    for part in (P - L, P):  # the nef parts of the two top degrees
-        t = part[0]
-        if _chi(part) != math.comb(t + 2, 2) - deg_z:
-            raise ConsistencyError(f"ideal Hilbert function failed to stabilize by degree {P[0]}")
+def _hilbert(deg_z: int, h: Sequence[int]) -> HilbertFunction:
     # h_Z = binom(t+2, 2) - h_I; below the first degree with h_I != 0 it is the
     # binomial itself, increasing, so only the degrees from there on are compared
     binom = accumulate(range(1, len(h) + 1))

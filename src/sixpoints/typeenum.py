@@ -8,7 +8,8 @@ to relabelling of the points.  ``_build_type`` builds a type from one row of
 the shipped, human-audited table that fixes ids and labels, as the canonical
 representative of the row's relabelling orbit, with its intersection graph
 (an ADE diagram) and the torsion of the quotient of the orthogonal complement
-of the canonical class by its span, both checked against the row.
+of the canonical class by its span, read off the classes' own coefficients
+(see ``torsion``), both checked against the row.
 ``type_by_id`` builds its own row only; ``enumerate_types`` (and so
 ``classify``) builds every row and checks across them, in ``build_types``,
 that the ids run 1..n and only DUPLICATE_CATALOG_ROWS share an orbit.  That
@@ -170,19 +171,6 @@ def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(diag)
 
 
-def kperp_coordinates(c: DivisorClass) -> tuple[int, ...]:
-    """Coordinates of a class orthogonal to K in the fixed basis
-    E1-E2, ..., E5-E6, L-E1-E2-E3."""
-    _check_class(c)
-    if _intersect(c, K) != 0:
-        raise ValidationError(f"{c} is not orthogonal to the canonical class")
-    d = c.d
-    resid = [c[i + 1] + (d if i < 3 else 0) for i in range(N_POINTS)]
-    coords = list(itertools.accumulate(resid[:5]))
-    coords.append(d)
-    return tuple(coords)
-
-
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -224,11 +212,18 @@ class ConfigurationType(NamedTuple):
 
 
 def torsion(classes: Iterable[DivisorClass]) -> TorsionGroup:
-    """Torsion of the quotient of K-perp by the span of classes, read off the
-    Smith normal form of their coordinates."""
+    """Torsion of the quotient of K-perp by the span R of classes, read off the
+    Smith normal form of their own coefficients: K-perp is the kernel of x -> x.K,
+    so Z^7/K-perp embeds in Z and is free, 0 -> K-perp/R -> Z^7/R -> Z^7/K-perp
+    -> 0 splits for R inside K-perp, and both quotients have the same torsion."""
     if not isinstance(classes, Iterable):
         raise ValidationError(f"expected a collection of classes, got {classes!r}")
-    factors = smith_invariant_factors([kperp_coordinates(c) for c in classes])
+    rows = list(classes)
+    for c in rows:
+        _check_class(c)
+        if _intersect(c, K) != 0:
+            raise ValidationError(f"{c} is not orthogonal to the canonical class")
+    factors = smith_invariant_factors(rows)
     return TorsionGroup(tuple(f for f in factors if f > 1))
 
 
@@ -244,19 +239,13 @@ def _component_label(vertices: list[int], adj) -> str:
             raise ConsistencyError(f"path component of length {k} is not an allowed diagram")
         return f"A_{k}"
     if len(branch) == 1 and deg[branch[0]] == 3:
+        # a tree whose only vertex of degree > 2 has degree 3 has three legs of
+        # lengths summing to k - 1, and a leg has length 1 iff it ends in a leaf
+        # next to the branch: legs 1,1,1, 1,1,2 and 1,2,2 are the only ones to
+        # give (4, 3), (5, 2) and (6, 1), and every other set gives another key
         b = branch[0]
-        legs = []
-        for start in (w for w in vertices if adj[b][w]):
-            length, prev, cur = 1, b, start
-            while True:
-                nxt = [w for w in vertices if adj[cur][w] and w != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                length += 1
-            legs.append(length)
-        legs.sort()
-        shape = {(1, 1, 1): "D_4", (1, 1, 2): "D_5", (1, 2, 2): "E_6"}.get(tuple(legs))
+        ones = sum(1 for w in vertices if adj[b][w] and deg[w] == 1)
+        shape = {(4, 3): "D_4", (5, 2): "D_5", (6, 1): "E_6"}.get((k, ones))
         if shape:
             return shape
     raise ConsistencyError("intersection graph component is not an allowed ADE diagram")

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -28,7 +29,6 @@ from sixpoints.typeenum import (
     DUPLICATE_CATALOG_ROWS,
     TableRow,
     build_types,
-    kperp_coordinates,
     orbit_gaps,
     table_rows,
 )
@@ -197,7 +197,7 @@ def test_smith_invariant_factors():
 def test_integer_rank():
     # the rank over the integers is the number of invariant factors
     assert len(smith_invariant_factors([[1, 2], [2, 4]])) == 1
-    assert len(smith_invariant_factors([kperp_coordinates(c) for c in candidate_pool()])) == 6
+    assert len(smith_invariant_factors(candidate_pool())) == 6
 
 
 def test_torsion_examples():
@@ -211,6 +211,37 @@ def test_torsion_rejects_classes_off_kperp():
         torsion([e(1)])
 
 
+_KPERP_BASIS = (*(e(i) - e(i + 1) for i in range(1, 6)), L - e(1) - e(2) - e(3))
+
+
+def _kperp_coordinates(c):
+    """Coordinates of a class orthogonal to K in the basis _KPERP_BASIS."""
+    resid = [c[i + 1] + (c.d if i < 3 else 0) for i in range(6)]
+    return (*itertools.accumulate(resid[:5]), c.d)
+
+
+def test_torsion_agrees_with_kperp_coordinates():
+    # the Smith factors of the classes' own coefficients and of their
+    # coordinates in a basis of K-perp agree whole, 1s included, on the
+    # catalog, on every enumerated orbit and on seeded K-perp matrices
+    assert [_kperp_coordinates(b) for b in _KPERP_BASIS] == [
+        tuple(int(i == j) for j in range(6)) for i in range(6)]
+    pool = candidate_pool()
+    sets = [t.classes for t in enumerate_types()]
+    sets += [tuple(pool[i] for i in canon) for canon in typeenum._enumerate_orbits()]
+    rng = random.Random(33)
+    for _ in range(400):
+        rows = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(rng.randint(1, 7))]
+        sets.append(tuple(
+            DivisorClass(v[0], tuple(v[1:]))
+            for v in ([sum(u * b[j] for u, b in zip(row, _KPERP_BASIS)) for j in range(7)]
+                      for row in rows)))
+    for classes in sets:
+        want = smith_invariant_factors([_kperp_coordinates(c) for c in classes])
+        assert smith_invariant_factors(classes) == want, classes
+        assert torsion(classes).invariant_factors == tuple(f for f in want if f > 1)
+
+
 def test_dynkin_examples():
     assert dynkin_graph(parse_negset("0: AB, BC")).name == "A_2"
     assert dynkin_graph(parse_negset("0: AB, BC, CD, DE, EF; 1: ABC")).name == "E_6"
@@ -218,6 +249,77 @@ def test_dynkin_examples():
     assert dynkin_graph(parse_negset("0: AB, BC, CD, DE; 1: ABC")).name == "D_5"
     assert dynkin_graph([]).name == ""
     assert dynkin_graph(parse_negset("0: AB, BC, DE, EF; 1: ABC")).name == "A_12A_2"
+
+
+def _leg_walk_label(vertices, adj):
+    """ADE name of a component by walking the legs from its branch vertex:
+    an independent reference for ``typeenum._component_label``."""
+    k = len(vertices)
+    deg = {v: sum(adj[v][w] for w in vertices if w != v) for v in vertices}
+    if sum(deg.values()) // 2 != k - 1:
+        raise ConsistencyError("intersection graph component is not a tree")
+    branch = [v for v in vertices if deg[v] > 2]
+    if not branch:
+        if k > 5:
+            raise ConsistencyError(f"path component of length {k} is not an allowed diagram")
+        return f"A_{k}"
+    if len(branch) == 1 and deg[branch[0]] == 3:
+        b = branch[0]
+        legs = []
+        for start in (w for w in vertices if adj[b][w]):
+            length, prev, cur = 1, b, start
+            while True:
+                nxt = [w for w in vertices if adj[cur][w] and w != prev]
+                if not nxt:
+                    break
+                prev, cur = cur, nxt[0]
+                length += 1
+            legs.append(length)
+        shape = {(1, 1, 1): "D_4", (1, 1, 2): "D_5", (1, 2, 2): "E_6"}.get(tuple(sorted(legs)))
+        if shape:
+            return shape
+    raise ConsistencyError("intersection graph component is not an allowed ADE diagram")
+
+
+def _labelled_graphs():
+    """Every labelled tree on 1..7 vertices, by Prufer sequence, and the
+    cycles on 3..7 vertices, as edge lists on range(n)."""
+    yield 1, []
+    for n in range(2, 8):
+        for seq in itertools.product(range(n), repeat=n - 2):
+            degree = [1] * n
+            for v in seq:
+                degree[v] += 1
+            edges = []
+            for v in seq:
+                leaf = degree.index(1)
+                edges.append((leaf, v))
+                degree[leaf] -= 1
+                degree[v] -= 1
+            edges.append(tuple(u for u in range(n) if degree[u] == 1))
+            yield n, edges
+    for n in range(3, 8):
+        yield n, [(i, (i + 1) % n) for i in range(n)]
+
+
+def test_component_label_agrees_with_the_leg_walk():
+    def outcome(label, vertices, adj):
+        try:
+            return label(vertices, adj)
+        except ConsistencyError as exc:
+            return f"error: {exc}"
+
+    seen = Counter()
+    for n, edges in _labelled_graphs():
+        adj = [[0] * n for _ in range(n)]
+        for u, v in edges:
+            adj[u][v] = adj[v][u] = 1
+        vertices = list(range(n))
+        want = outcome(_leg_walk_label, vertices, adj)
+        assert outcome(typeenum._component_label, vertices, adj) == want, edges
+        seen[want] += 1
+    assert sum(seen.values()) == 1 + sum(n ** (n - 2) for n in range(2, 8)) + 5
+    assert {"D_4", "D_5", "E_6", "A_5"} <= set(seen) and len(seen) == 12, seen
 
 
 def test_enumeration_counts():
@@ -248,8 +350,7 @@ def test_every_type_is_linearly_independent():
     sets = [t.classes for t in enumerate_types()]
     sets += [tuple(pool[i] for i in canon) for canon in typeenum._enumerate_orbits()]
     for classes in sets:
-        rows = [kperp_coordinates(c) for c in classes]
-        assert len(smith_invariant_factors(rows)) == len(classes)
+        assert len(smith_invariant_factors(classes)) == len(classes)
 
 
 def test_edge_weights_are_simple():
