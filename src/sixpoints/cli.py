@@ -62,12 +62,6 @@ class _Parser(argparse.ArgumentParser):
 TYPES_ACTIONS = ("list", "classify")
 
 
-def _trim(name, names: tuple[str, ...]) -> tuple[tuple[str, ...], str | None]:
-    # name alone if it is one of names (a tuple: odd input cannot raise), with a
-    # metavar that keeps every name in the usage an error at this level prints
-    return ((name,), "{" + ",".join(names) + "}") if name in names else (names, None)
-
-
 def _is_int(text: str) -> bool:
     return text.isascii() and text.removeprefix("-").isdigit()
 
@@ -85,9 +79,10 @@ def _add_format(p) -> None:
 
 
 def _add_types(p, argv) -> None:
-    # only the action argv[1] names if it names one, else both
-    actions, metavar = _trim(argv[1] if len(argv) > 1 else None, TYPES_ACTIONS)
-    sub = p.add_subparsers(dest="types_command", required=True, metavar=metavar, prog=p.prog)
+    # only the action argv[1] names if it names one (a tuple: odd input cannot raise),
+    # else both; an error then comes from that action's parser or the whole tree
+    actions = TYPES_ACTIONS if len(argv) < 2 or argv[1] not in TYPES_ACTIONS else (argv[1],)
+    sub = p.add_subparsers(dest="types_command", required=True, prog=p.prog)
     if "list" in actions:
         lst = sub.add_parser("list", help="all 90 types")
         lst.set_defaults(handler=_types_list)

@@ -194,9 +194,10 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
     P_t - P_{t+q} and delta_j = Delta.C_j.  If every lane the run's peels
     selected has delta_j = 0, the next n runs repeat it with the same curves
     and copies, for the largest n with x_j(P_t) + n*delta_j >= 0 on every
-    lane, deg(P_t + n*Delta) >= 0 and t - n*q >= t_min; the nef part of degree
-    t - o - (j - 1)*q is then P_{t+q-o} + j*Delta (``_step``; ``curves._repeats``
-    bounds n, and k above, on the lanes).  The proof is peel determinism:
+    lane and deg(P_t + n*Delta) >= 0; the nef part of degree t - o - (j - 1)*q
+    is then P_{t+q-o} + j*Delta (``_step``; ``curves._repeats`` bounds n, and k
+    above, on the lanes).  No step passes t_min: each repeat ends at a nef
+    class of degree >= 0, so with sections.  The proof is peel determinism:
 
     - a peel reads only lane values: the lowest lane below 0 picks the curve,
       its value the copies.  The degree cap binds only on a copy that leaves a
@@ -250,7 +251,7 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
         i = seen.get(key)
         seen[key] = len(run)
         run.append((tuple(D), p, sel))
-        if i is not None and (stepped := _step(run[i:], t, t_min, h, nef_deg, high, W)):
+        if i is not None and (stepped := _step(run[i:], t, h, nef_deg, high, W)):
             D, p, n = stepped
             t -= n
             run.clear()
@@ -265,8 +266,8 @@ def analyze(classes: Iterable[DivisorClass], mults: Sequence[int], betti: bool) 
 
 
 def _step(
-    run: list[tuple[tuple[int, ...], int, int]], t: int, t_min: int, h: list[int],
-    nef_deg: list[int], high: int, W: int,
+    run: list[tuple[tuple[int, ...], int, int]], t: int, h: list[int], nef_deg: list[int],
+    high: int, W: int,
 ) -> tuple[list[int], int, int] | None:
     """Step the scan over every repeat of its last q degrees, from the nef
     part run[0] of degree t + q to run[-1] of degree t (see ``analyze``):
@@ -283,7 +284,7 @@ def _step(
     for _, _, s in run[1:]:
         sel |= s
     # Delta has degree P[0] - Q[0] <= -q, as L and each curve has degree >= 0
-    n = _repeats(p, p - pq, sel, high, W, min((t - t_min) // q, P[0] // (Q[0] - P[0])))
+    n = _repeats(p, p - pq, sel, high, W, P[0] // (Q[0] - P[0]))
     if not n:
         return None
     step = list(map(operator.sub, P, Q))

@@ -10,19 +10,29 @@ curve, so ``0: AB, CD; 2: ABCDEF`` is the set {E1 - E2, E3 - E4,
     term   := letters from A..F, strictly increasing
 
 Degree 0 terms have exactly two letters (E_x - E_y with x < y), degree 1
-exactly three (L - E_x - E_y - E_z), degree 2 exactly six.
+exactly three (L - E_x - E_y - E_z), degree 2 exactly six: the terms name the
+36 candidate classes of ``curves.candidate_pool``, by their points, in order.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
-from .curves import _curve
+from .curves import candidate_pool
 from .errors import ValidationError
-from .lattice import DivisorClass, E
+from .lattice import DivisorClass
 
 _LETTERS = "ABCDEF"
 _ARITY = {0: 2, 1: 3, 2: 6}
+
+
+@lru_cache(maxsize=1)
+def _names() -> tuple[dict, dict]:
+    """Each candidate's (degree, letters of its nonzero points), and the inverse map."""
+    names = {c: (c[0], "".join(ch for ch, v in zip(_LETTERS, c[1:]) if v))
+             for c in candidate_pool()}
+    return names, {name: c for c, name in names.items()}
 
 
 def parse_negset(text: str) -> list[DivisorClass]:
@@ -63,26 +73,22 @@ def parse_negset(text: str) -> list[DivisorClass]:
             start += len(raw) + 1
             if not ttext:
                 raise ValidationError(f"syntax error at position {tpos}: empty term")
-            indices = []
             for ch in ttext:
                 if ch not in _LETTERS:
                     raise ValidationError(
                         f"syntax error at position {tpos}: {ch!r} is not a point letter A..F"
                     )
-                indices.append(_LETTERS.index(ch) + 1)
-            if any(a >= b for a, b in zip(indices, indices[1:])):
+            if any(a >= b for a, b in zip(ttext, ttext[1:])):
                 raise ValidationError(
                     f"letters in {ttext!r} at position {tpos} must be strictly increasing"
                 )
-            if len(indices) != _ARITY[degree]:
+            if len(ttext) != _ARITY[degree]:
                 raise ValidationError(
-                    f"term {ttext!r} at position {tpos} has {len(indices)} letters; "
+                    f"term {ttext!r} at position {tpos} has {len(ttext)} letters; "
                     f"degree {degree} needs exactly {_ARITY[degree]}"
                 )
-            if degree == 0:
-                cls = E[indices[0] - 1] - E[indices[1] - 1]
-            else:
-                cls = _curve(degree, indices)
+            # the increasing letters at their degree's arity name a candidate
+            cls = _names()[1][degree, ttext]
             if cls in out:
                 raise ValidationError(f"duplicate class {ttext!r} at position {tpos}")
             out.append(cls)
@@ -91,21 +97,13 @@ def parse_negset(text: str) -> list[DivisorClass]:
 
 
 def class_letters(c: DivisorClass) -> tuple[int, str]:
-    """Inverse of the term mapping: (degree, letter string) for a pool-shaped class."""
+    """Inverse of the term mapping: (degree, letter string) for a candidate class."""
     if type(c) is not DivisorClass:
         raise ValidationError(f"expected a DivisorClass, got {c!r}")
-    d = c.d
-    m = c.m
-    if d == 0:
-        pos = [i for i, v in enumerate(m, 1) if v == 1]
-        neg = [i for i, v in enumerate(m, 1) if v == -1]
-        if len(pos) == 1 and len(neg) == 1 and pos[0] < neg[0] and sum(map(abs, m)) == 2:
-            return 0, _LETTERS[pos[0] - 1] + _LETTERS[neg[0] - 1]
-    elif d in (1, 2):
-        neg = [i for i, v in enumerate(m, 1) if v == -1]
-        if len(neg) == _ARITY[d] and all(v in (0, -1) for v in m):
-            return d, "".join(_LETTERS[i - 1] for i in neg)
-    raise ValidationError(f"{c} has no letter notation")
+    name = _names()[0].get(c)
+    if name is None:
+        raise ValidationError(f"{c} has no letter notation")
+    return name
 
 
 def format_negset(classes: Iterable[DivisorClass]) -> str:

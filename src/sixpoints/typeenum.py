@@ -267,18 +267,13 @@ def dynkin_graph(classes: Iterable[DivisorClass]) -> DynkinGraph:
     A1..A5, D4, D5, E6."""
     pool = candidate_pool()
     classes = [pool[i] for i in _neg_indices(classes)]
-    k = len(classes)
-    adj = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            w = _intersect(classes[i], classes[j])
-            if w not in (0, 1):
-                raise ConsistencyError(
-                    f"classes {classes[i]} and {classes[j]} meet in {w}; "
-                    "a type allows at most one edge between two vertices"
-                )
-            adj[i][j] = adj[j][i] = w
-    unseen = set(range(k))
+    # members meet in 0 or 1: K^2 = 3 and signature (1, 6) make K-perp, which holds
+    # the candidates, negative definite, so for distinct a, b with a.b >= 0 Cauchy-
+    # Schwarz gives (a.b)^2 <= a^2 b^2 = 4, equal only at b = -a, and -a is never a
+    # candidate (it has negative degree or is E_j - E_i with j > i)
+    adj = [[_intersect(a, b) if i != j else 0 for j, b in enumerate(classes)]
+           for i, a in enumerate(classes)]
+    unseen = set(range(len(classes)))
     labels = []
     while unseen:
         stack = [unseen.pop()]

@@ -535,7 +535,7 @@ def test_period_step_is_exact_on_every_run():
                 run = [records[t + q - o] for o in range(q + 1)]
                 h_low, nef_low = h[:], nef_deg[:]  # to be filled below t
                 h_low[t_min:t] = nef_low[t_min:t] = [None] * (t - t_min)
-                stepped = fatpoints._step(run, t, t_min, h_low, nef_low, high, W)
+                stepped = fatpoints._step(run, t, h_low, nef_low, high, W)
                 if stepped is None:
                     continue
                 D, p, n = stepped

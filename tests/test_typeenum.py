@@ -251,6 +251,13 @@ def test_dynkin_examples():
     assert dynkin_graph(parse_negset("0: AB, BC, DE, EF; 1: ABC")).name == "A_12A_2"
 
 
+def test_distinct_pool_classes_that_meet_nonnegatively_meet_in_0_or_1():
+    # the fact dynkin_graph rests on to read a neg set's pairings as edges
+    pairings = {intersect(a, b) for a, b in itertools.combinations(candidate_pool(), 2)}
+    assert {w for w in pairings if w >= 0} == {0, 1}
+    assert not {-c for c in candidate_pool()} & set(candidate_pool())
+
+
 def _leg_walk_label(vertices, adj):
     """ADE name of a component by walking the legs from its branch vertex:
     an independent reference for ``typeenum._component_label``."""
