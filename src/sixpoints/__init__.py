@@ -64,4 +64,4 @@ from .typeenum import (
 )
 from .verify import run_invariant_suite, sample_nef
 
-__version__ = "10.9.0"
+__version__ = "10.10.0"

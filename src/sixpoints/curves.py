@@ -314,6 +314,8 @@ def _peel(
     NEG, minus_sq, support = N.NEG, N.minus_sq, N.support
     mask, off = (1 << W) - 1, 1 << W - 1
     steps = sel = 0
+    start = tuple(D)  # the guard; past the return above, D takes at least one step
+    limit = AMPLE_CLASS[0] * D[0] + 1  # at most _step_limit(start)
     while D[0] >= 0:
         neg = ~p & high  # the top bits of the lanes that read D.C < 0
         if not neg:
@@ -322,9 +324,6 @@ def _peel(
         sel |= low
         at = low.bit_length() - W  # the lane starts here
         i = at // W
-        if not steps:  # the guard is set at the first step; a nef D takes none
-            start = tuple(D)
-            limit = AMPLE_CLASS[0] * D[0] + 1  # at most _step_limit(start)
         hit = NEG[i]
         k = -(((p >> at & mask) - off) // minus_sq[i])
         if hit[0] > 0:

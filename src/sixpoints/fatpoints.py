@@ -35,7 +35,7 @@ Mults = tuple[int, ...]
 
 
 def _check_mults(mults: Sequence[int]) -> Mults:
-    if not isinstance(mults, Iterable):
+    if not isinstance(mults, Sequence):
         raise ValidationError(f"multiplicities must be a sequence, got {mults!r}")
     m = tuple(mults)
     if len(m) != N_POINTS:
@@ -71,11 +71,7 @@ def _top_nef_part(mults: Sequence[int], N: NegCurveSet) -> tuple[list[int], int,
     top = sum(m) + 3
     P = [top, *(-v for v in m)]
     W, p = _pack(P, N)
-    p = _peel(P, p, N, W)[0]
-    if P[0] != top:
-        raise ConsistencyError(
-            f"degree {top} class of {m} reduced to {P}, not a nef class of degree {top}"
-        )
+    p = _peel(P, p, N, W)[0]  # only differences, so P keeps degree top
     return P, p, W
 
 
@@ -354,9 +350,10 @@ def _resolution(
     # in t is 1 at t = j and 0 elsewhere; so h_I = dim F0 - dim F1 gives
     # syzygies s_t = g_t - (third difference of h_I at t), 0 past the last
     # generator and tail_from + 3, and below alpha, where h_I and g_t are 0.
-    # For any g, rank 1 and s_t = 0 for t <= min(gens).
-    if not f0:
-        raise ConsistencyError("ideal has no generators")
+    # For any g, rank 1 and s_t = 0 for t <= min(gens).  f0 is never empty:
+    # ``_generators`` starts from h_I = 0 in degree alpha - 1, so it counts
+    # g = h_alpha >= 1 generators in degree alpha (h_alpha is chi of a nef
+    # class of degree >= 0, which is at least 1).
     top = max(f0[-1][0], hf.tail_from + 3)
     # h_I in degrees alpha - 3..top (0 below alpha, the h listed from alpha - 3
     # on, and binom(t+2, 2) - deg_z past h); three differences leave its third

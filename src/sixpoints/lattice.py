@@ -8,49 +8,29 @@ integers, so arithmetic is exact at any size and wraparound cannot occur.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Sized
+from typing import Sequence
 
 from .errors import ValidationError
 
 N_POINTS = 6
 
 
-def _check_operand(other) -> None:
-    """Check an operand of + or - that is not a DivisorClass: width 7, int entries."""
-    if not isinstance(other, Sized):
-        raise ValidationError(
-            f"cannot combine a class with {other!r}, expected a class or {N_POINTS + 1} integers"
-        )
-    if len(other) != N_POINTS + 1:
-        raise ValidationError(
-            f"cannot combine a class with an operand of width {len(other)}, "
-            f"expected {N_POINTS + 1}"
-        )
-    if any(type(v) is not int for v in other):
-        raise ValidationError(f"cannot combine a class with non-integer entries {tuple(other)}")
-
-
 class DivisorClass(tuple):
     """An integer class d*L + m1*E1 + ... + m6*E6, stored as (d, m1, ..., m6).
 
-    Coefficients are literal: L - E1 - E2 is ``DivisorClass(1, (-1, -1, 0, 0, 0, 0))``,
-    and must be of type int (bool and float are rejected).  Instances are
-    immutable, hashable, and support +, -, unary minus and multiplication by
-    an integer.
+    Coefficients are literal: L - E1 - E2 is ``DivisorClass(1, (-1, -1, 0, 0, 0, 0))``;
+    m is a sequence of six, and every coefficient must be of type int (bool
+    and float are rejected).  Instances are immutable, hashable, and support
+    +, -, unary minus and multiplication by an integer.
     """
 
     __slots__ = ()
 
     def __new__(cls, d: int, m: Sequence[int]) -> "DivisorClass":
-        if not isinstance(m, Iterable):
+        if not isinstance(m, Sequence):
             raise ValidationError(f"expected {N_POINTS} exceptional coefficients, got {m!r}")
         vec = (d, *m)
-        if len(vec) != N_POINTS + 1:
-            raise ValidationError(
-                f"expected {N_POINTS} exceptional coefficients, got {len(vec) - 1}"
-            )
-        if any(type(v) is not int for v in vec):
-            raise ValidationError(f"coefficients must be integers, got {vec}")
+        _check_vector(vec)
         return tuple.__new__(cls, vec)
 
     @classmethod
@@ -68,8 +48,7 @@ class DivisorClass(tuple):
         return tuple(self[1:])
 
     def __add__(self, other):
-        if type(other) is not DivisorClass:  # a DivisorClass is checked already
-            _check_operand(other)
+        _check_vector(other)
         return DivisorClass._from_vec(tuple(a + b for a, b in zip(self, other)))
 
     def __radd__(self, other):
@@ -78,8 +57,7 @@ class DivisorClass(tuple):
         return self.__add__(other)
 
     def __sub__(self, other):
-        if type(other) is not DivisorClass:
-            _check_operand(other)
+        _check_vector(other)
         return DivisorClass._from_vec(tuple(a - b for a, b in zip(self, other)))
 
     def __neg__(self):
@@ -100,7 +78,7 @@ class DivisorClass(tuple):
         if self[0]:
             c = {1: "", -1: "-"}.get(self[0], str(self[0]))
             terms.append(f"{c}L")
-        for i in range(1, 7):
+        for i in range(1, N_POINTS + 1):
             v = self[i]
             if not v:
                 continue
@@ -158,7 +136,7 @@ def permute_points(c: DivisorClass, sigma: Sequence[int]) -> DivisorClass:
     """Relabel points by sigma (1-indexed: point i becomes point sigma[i-1]),
     a permutation of 1..6; c is a class or 7 integers."""
     _check_vector(c)
-    if not isinstance(sigma, Iterable):
+    if not isinstance(sigma, Sequence):
         raise ValidationError(f"sigma must be a permutation of 1..{N_POINTS}, got {sigma!r}")
     sigma = tuple(sigma)
     if any(type(v) is not int for v in sigma) or sorted(sigma) != list(range(1, N_POINTS + 1)):

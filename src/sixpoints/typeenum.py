@@ -123,12 +123,11 @@ def smith_invariant_factors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     Smallest-pivot elimination with exact integer arithmetic; a final
     gcd/lcm pass on the diagonal enforces the divisibility chain.
     """
-    try:
-        A = [list(r) for r in rows]
-    except TypeError:  # rows, or one of them, is not iterable
-        A = None
-    if A is None or len({len(r) for r in A}) > 1 or not all(type(v) is int for r in A for v in r):
+    A = list(rows) if isinstance(rows, Iterable) else None  # read once: it may be a generator
+    if (A is None or not all(isinstance(r, Sequence) for r in A)
+            or len({len(r) for r in A}) > 1 or not all(type(v) is int for r in A for v in r)):
         raise ValidationError(f"expected a matrix of integers, rows of equal length, got {rows!r}")
+    A = [list(r) for r in A]
     if not A or not A[0]:
         return ()
     m, n = len(A), len(A[0])

@@ -187,8 +187,8 @@ class InvariantReport(NamedTuple):
 def _check(name, fn) -> CheckResult:
     try:
         return CheckResult(name, True, fn())
-    except (AssertionError, ConsistencyError, ValidationError) as exc:
-        return CheckResult(name, False, str(exc) or "assertion failed")
+    except (ConsistencyError, ValidationError) as exc:
+        return CheckResult(name, False, str(exc))
 
 
 def _lattice_signature() -> str:
@@ -196,23 +196,28 @@ def _lattice_signature() -> str:
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             want = 0 if i != j else (1 if i == 0 else -1)
-            assert intersect(a, b) == want, f"pairing of basis {i},{j} is {intersect(a, b)}"
+            if intersect(a, b) != want:
+                raise ConsistencyError(f"pairing of basis {i},{j} is {intersect(a, b)}")
     return "pairing of (L, E1..E6) is diag(1, -1, ..., -1)"
 
 
 def _pool_shape() -> str:
     pool = candidate_pool()
-    assert len(pool) == 36, f"pool has {len(pool)} classes"
+    if len(pool) != 36:
+        raise ConsistencyError(f"pool has {len(pool)} classes")
     for c in pool:
-        assert selfint(c) == -2, f"{c} has square {selfint(c)}"
-        assert intersect(c, K) == 0, f"{c} not orthogonal to K"
+        if selfint(c) != -2:
+            raise ConsistencyError(f"{c} has square {selfint(c)}")
+        if intersect(c, K) != 0:
+            raise ConsistencyError(f"{c} not orthogonal to K")
     return "36 candidate classes, all square -2 and orthogonal to K"
 
 
 def _types():
     """The catalog, failing the check that reads it if it is empty."""
     types = enumerate_types()
-    assert types, "the catalog has no types, so there is nothing to check"
+    if not types:
+        raise ConsistencyError("the catalog has no types, so there is nothing to check")
     return types
 
 
@@ -221,24 +226,30 @@ def _lines_per_graph() -> str:
     for t in types:
         N = t.neg_set()
         lines, want = len(N.NEG) - len(N.neg), LINES_PER_GRAPH.get(t.graph.name)
-        assert lines == want, f"type {t.id} ({t.graph.name!r}) has {lines} -1 curves, not {want}"
+        if lines != want:
+            raise ConsistencyError(
+                f"type {t.id} ({t.graph.name!r}) has {lines} -1 curves, not {want}")
     return f"-1 curve count equals its graph's line count on all {len(types)} types"
 
 
 def _type_count() -> str:
     missing, stray = orbit_gaps(_types())
-    assert not missing, (
-        f"enumeration found {len(missing)} orbit(s) missing from the catalog, "
-        f"e.g. {format_negset(missing[0])!r}"
-    )
-    assert not stray, f"catalog rows {list(stray)} match no enumerated orbit"
+    if missing:
+        raise ConsistencyError(
+            f"enumeration found {len(missing)} orbit(s) missing from the catalog, "
+            f"e.g. {format_negset(missing[0])!r}"
+        )
+    if stray:
+        raise ConsistencyError(f"catalog rows {list(stray)} match no enumerated orbit")
     return "enumeration matches the 90-row catalog"
 
 
 def _graph_census() -> str:
     names = {t.graph.name for t in _types() if t.graph.name}
     known = LINES_PER_GRAPH.keys() - {""}
-    assert names == known, f"unexpected graphs {sorted(names - known)}, missing {sorted(known - names)}"
+    if names != known:
+        raise ConsistencyError(
+            f"unexpected graphs {sorted(names - known)}, missing {sorted(known - names)}")
     return f"exactly the {len(known)} expected intersection graphs occur"
 
 
@@ -247,13 +258,15 @@ def _graph_determines_torsion() -> str:
     for t in _types():
         by_graph.setdefault(t.graph.name, set()).add(t.torsion.text())
     bad = {g: sorted(v) for g, v in by_graph.items() if len(v) > 1}
-    assert not bad, f"graphs with mixed torsion: {bad}"
+    if bad:
+        raise ConsistencyError(f"graphs with mixed torsion: {bad}")
     return "types with equal graphs have equal torsion"
 
 
 def _ample_positivity() -> str:
     for c in candidate_pool() + minus_one_candidates():
-        assert intersect(AMPLE_CLASS, c) > 0, f"{AMPLE_CLASS} meets {c} nonpositively"
+        if intersect(AMPLE_CLASS, c) <= 0:
+            raise ConsistencyError(f"{AMPLE_CLASS} meets {c} nonpositively")
     return "reduction potential is positive on every nef-side candidate"
 
 
@@ -277,9 +290,11 @@ def _mu_consistency(seed: int, samples_per_type: int) -> str:
         N = t.neg_set()
         for F in sample_nef(N, count=samples_per_type, seed=seed):
             report = curves.check_mu_bounds(F, N)
-            assert report.passed, "; ".join(report.violations[:3]) + f" (type {t.id})"
+            if not report.passed:
+                raise ConsistencyError("; ".join(report.violations[:3]) + f" (type {t.id})")
             checked += 1
-    assert checked, "no nef class was sampled, so no rank bound was checked"
+    if not checked:
+        raise ConsistencyError("no nef class was sampled, so no rank bound was checked")
     return f"rank bounds hold for {checked} sampled nef classes"
 
 
@@ -287,13 +302,16 @@ def _special_class_checks() -> str:
     types = _types()
     N = types[1].neg_set()  # the single infinitely near point configuration
     F = FIVE_L_MINUS_2
-    assert is_nef(F, N), "5L - 2(E1+...+E6) should be nef here"
+    if not is_nef(F, N):
+        raise ConsistencyError("5L - 2(E1+...+E6) should be nef here")
     for i in (3, 4):
         s = curves.mu_stats(i * F, N)
-        assert s.l > 0, f"l({i}F) should be positive"
+        if s.l <= 0:
+            raise ConsistencyError(f"l({i}F) should be positive")
     for i in (1, 2, 3, 4):
         s = curves.mu_stats(i * F, N)
-        assert s.lstar > 0, f"l*({i}F) should be positive"
+        if s.lstar <= 0:
+            raise ConsistencyError(f"l*({i}F) should be positive")
     # Witness for surjectivity at twice the borderline class: subtracting the
     # conic class that omits the point carrying the infinitely near one makes
     # both obstruction terms vanish.  (Omitting the last point instead leaves
@@ -301,7 +319,8 @@ def _special_class_checks() -> str:
     H = 2 * F
     C = DivisorClass(2, (0, -1, -1, -1, -1, -1))
     s = curves.mu_stats(H - C, N)
-    assert s.qstar + s.lstar == 0, "q* + l* should vanish for the surjectivity witness"
+    if s.qstar + s.lstar != 0:
+        raise ConsistencyError("q* + l* should vanish for the surjectivity witness")
     return "known borderline classes behave as expected"
 
 

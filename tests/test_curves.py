@@ -22,6 +22,7 @@ from sixpoints import (
     e,
     enumerate_types,
     euler_characteristic,
+    fatpoint_class,
     format_negset,
     full_neg,
     h0,
@@ -30,6 +31,7 @@ from sixpoints import (
     hilbert_function,
     intersect,
     is_nef,
+    minimal_resolution,
     minus_one_candidates,
     mu_stats,
     parse_negset,
@@ -198,6 +200,44 @@ def test_wrong_argument_types_rejected_at_the_boundary(call):
     # an unhashable member where a class belongs
     with pytest.raises(ValidationError, match="expected a"):
         call(type_by_id(5).classes)
+
+
+# Every entry point that reads an ordered vector, each called on one vector
+# given as seq(values), and the value it returns for that vector
+_ORDERED_ENTRY_POINTS = [
+    (range(7), lambda seq: L + seq, DivisorClass(1, (1, 2, 3, 4, 5, 6))),
+    (range(7), lambda seq: seq + L, DivisorClass(1, (1, 2, 3, 4, 5, 6))),
+    (range(7), lambda seq: L - seq, DivisorClass(1, (-1, -2, -3, -4, -5, -6))),
+    (range(0, -6, -1), lambda seq: DivisorClass(1, seq), DivisorClass(1, (0, -1, -2, -3, -4, -5))),
+    (range(5, -1, -1), lambda seq: analyze(type_by_id(3).classes, seq, False).mults_reduced,
+     (5, 4, 3, 2, 1, 0)),
+    (range(5, -1, -1), lambda seq: hilbert_function(type_by_id(3).classes, seq).ideal_values,
+     (0, 0, 0, 0, 0, 0, 2, 7, 14, 22, 32, 43)),
+    (range(5, -1, -1), lambda seq: minimal_resolution(type_by_id(3).classes, seq).f1,
+     ((8, 2), (9, 1), (11, 1), (13, 1))),
+    (range(6), lambda seq: proximity_reduce(seq, type_by_id(2).classes), (1, 0, 2, 3, 4, 5)),
+    (range(5, -1, -1), lambda seq: fatpoint_class(seq, 7),
+     DivisorClass(7, (-5, -4, -3, -2, -1, 0))),
+    (range(6, 0, -1), lambda seq: permute_points(e(1) - e(2), seq), e(6) - e(5)),
+    (range(2, -1, -2), lambda seq: smith_invariant_factors([seq, [0, 3]]), (1, 6)),
+]
+
+
+@pytest.mark.parametrize("values, call, want", _ORDERED_ENTRY_POINTS)
+def test_ordered_input_must_be_a_sequence(values, call, want):
+    # a list, a tuple and a range give one answer; a set, a mapping and a
+    # mapping's keys have no order to read, so each is rejected
+    for seq in (list(values), tuple(values), values):
+        assert call(seq) == want, seq
+    for unordered in (set(values), dict.fromkeys(values, 0), dict.fromkeys(values).keys()):
+        with pytest.raises(ValidationError):
+            call(unordered)
+
+
+def test_smith_invariant_factors_reads_a_generator_of_rows_once():
+    assert smith_invariant_factors(row for row in ([2, 0], [0, 3])) == (1, 6)
+    with pytest.raises(ValidationError, match="expected a matrix"):
+        smith_invariant_factors(row for row in ({2, 0}, [0, 3]))
 
 
 def test_full_neg_validation():

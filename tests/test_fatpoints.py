@@ -639,10 +639,3 @@ def test_a_free_module_defect_is_a_consistency_error(monkeypatch):
     with pytest.raises(ConsistencyError, match="disagree in degree 6 \\(defect -1\\)"):
         _analyze_with(monkeypatch, "_resolution", wrap)
 
-
-def test_an_ideal_without_generators_is_a_consistency_error(monkeypatch):
-    def wrap(real):
-        return lambda *args: ()  # what _generators returns for an ideal with no generators
-
-    with pytest.raises(ConsistencyError, match="ideal has no generators"):
-        _analyze_with(monkeypatch, "_generators", wrap)

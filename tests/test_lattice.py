@@ -70,19 +70,19 @@ def test_wrong_width_rejected():
     with pytest.raises(ValidationError):
         DivisorClass(1, (0, 0, 0))
     for bad in ((1, 2), (1,) * 8):
-        with pytest.raises(ValidationError, match="width"):
+        with pytest.raises(ValidationError, match="7 integers"):
             L + bad
-        with pytest.raises(ValidationError, match="width"):
+        with pytest.raises(ValidationError, match="7 integers"):
             bad + L
-        with pytest.raises(ValidationError, match="width"):
+        with pytest.raises(ValidationError, match="7 integers"):
             L - bad
     # an operand without a width, or coefficients that are not a sequence
     for bad in (5, None, 2.5, 0.0, False):
-        with pytest.raises(ValidationError, match="cannot combine"):
+        with pytest.raises(ValidationError, match="7 integers"):
             L + bad
-        with pytest.raises(ValidationError, match="cannot combine"):
+        with pytest.raises(ValidationError, match="7 integers"):
             bad + L
-        with pytest.raises(ValidationError, match="cannot combine"):
+        with pytest.raises(ValidationError, match="7 integers"):
             L - bad
         with pytest.raises(ValidationError, match="exceptional coefficients"):
             DivisorClass(1, bad)
@@ -101,15 +101,15 @@ def test_non_integer_coefficients_rejected():
             k * L
     # a plain tuple or list operand of + or - is checked at the operator
     for bad in ((0.5,) * 7, (1, 0, 0, 0, 0, 0, 2.0), (True,) + (0,) * 6, (0,) * 6 + ("1",)):
-        with pytest.raises(ValidationError, match="non-integer"):
+        with pytest.raises(ValidationError, match="7 integers"):
             L + bad
-        with pytest.raises(ValidationError, match="non-integer"):
+        with pytest.raises(ValidationError, match="7 integers"):
             bad + L
-        with pytest.raises(ValidationError, match="non-integer"):
+        with pytest.raises(ValidationError, match="7 integers"):
             L - bad
     # a width-7 sequence of non-integers, whatever its container
     for bad in ("1234567", [None] * 7):
-        with pytest.raises(ValidationError, match="non-integer"):
+        with pytest.raises(ValidationError, match="7 integers"):
             L + bad
         with pytest.raises(ValidationError, match="integers"):
             DivisorClass(bad[0], bad[1:])

@@ -1,6 +1,10 @@
+import ast
 import hashlib
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -272,6 +276,27 @@ def test_every_check_that_reads_the_catalog_fails_on_an_empty_one(monkeypatch):
     assert failed == set(CATALOG_CHECKS)
     assert {c.detail for c in report.checks if not c.passed} == {
         "the catalog has no types, so there is nothing to check"}
+
+
+def test_the_empty_catalog_fails_the_same_checks_under_python_o():
+    # -O strips assert statements: no check may rest on one, or it passes vacuously
+    src = str(Path(sixpoints.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from sixpoints import verify; "
+            "verify.enumerate_types = lambda: (); "
+            "checks = verify.run_invariant_suite(seed=0, samples_per_type=2).checks; "
+            "print(sys.flags.optimize, [(c.name, c.detail) for c in checks if not c.passed])")
+    done = subprocess.run([sys.executable, "-B", "-O", "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    detail = "the catalog has no types, so there is nothing to check"
+    assert done.stdout == f"1 {[(name, detail) for name in CATALOG_CHECKS]}\n"
+
+
+def test_no_check_in_the_package_is_an_assert_statement():
+    package = Path(sixpoints.__file__).parent
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 def test_rank_bounds_fail_when_nothing_is_sampled(monkeypatch):
