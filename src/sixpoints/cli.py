@@ -6,13 +6,13 @@ Subcommands: ``types list``, ``types classify --neg TEXT``,
 ``--format text|json|csv``.  Each subcommand's handler computes its result
 and hands back one renderer per format; the writer of the format asked for
 calls its renderer and no other, so a call renders only what it prints.  A
-call that names a subcommand parses with that subcommand's parser as the
-root, the parser the tree would hand its arguments to; ``types`` builds
-only the parser of the action it names.  The whole tree is built only for
-the top-level help, a bad or missing command and leftover arguments, whose
-error it prints under the top-level usage.  Payload goes to stdout,
-diagnostics to stderr; exit code 0 means success, 1 a rejected input, 2 an
-internal consistency failure.
+call that names a leaf command (``types list``, ``types classify``,
+``hilbert``, ``betti``, ``tables``, ``verify``) parses with that leaf's
+parser as the root, the parser the tree would hand its arguments to.  The
+whole tree is built only for the top-level help, a bad or missing command
+or ``types`` action and leftover arguments, whose error it prints under the
+top-level usage.  Payload goes to stdout, diagnostics to stderr; exit code 0
+means success, 1 a rejected input, 2 an internal consistency failure.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from itertools import chain
 from typing import Callable, NamedTuple, Sequence
@@ -59,9 +60,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
-TYPES_ACTIONS = ("list", "classify")
-
-
 def _is_int(text: str) -> bool:
     return text.isascii() and text.removeprefix("-").isdigit()
 
@@ -78,21 +76,15 @@ def _add_format(p) -> None:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
 
-def _add_types(p, argv) -> None:
-    # only the action argv[1] names if it names one (a tuple: odd input cannot raise),
-    # else both; an error then comes from that action's parser or the whole tree
-    actions = TYPES_ACTIONS if len(argv) < 2 or argv[1] not in TYPES_ACTIONS else (argv[1],)
-    sub = p.add_subparsers(dest="types_command", required=True, prog=p.prog)
-    if "list" in actions:
-        lst = sub.add_parser("list", help="all 90 types")
-        lst.set_defaults(handler=_types_list)
-        _add_format(lst)
-    if "classify" in actions:
-        cls = sub.add_parser("classify", help="match a neg set to its type")
-        cls.add_argument("--neg", required=True,
-                         help="letter notation, e.g. '0: AB, CD; 2: ABCDEF'")
-        cls.set_defaults(handler=_types_classify)
-        _add_format(cls)
+def _add_types_list(p) -> None:
+    p.set_defaults(handler=_types_list)
+    _add_format(p)
+
+
+def _add_types_classify(p) -> None:
+    p.add_argument("--neg", required=True, help="letter notation, e.g. '0: AB, CD; 2: ABCDEF'")
+    p.set_defaults(handler=_types_classify)
+    _add_format(p)
 
 
 def _add_scheme(p, with_betti: bool) -> None:
@@ -107,13 +99,13 @@ def _add_scheme(p, with_betti: bool) -> None:
     p.set_defaults(handler=_scheme, with_betti=with_betti, tmax=None)
 
 
-def _add_tables(p, argv) -> None:
+def _add_tables(p) -> None:
     p.add_argument("--which", required=True, choices=("1", "2"))
     p.set_defaults(handler=_tables)
     _add_format(p)
 
 
-def _add_verify(p, argv) -> None:
+def _add_verify(p) -> None:
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--samples", type=_int_arg, default=verify.DEFAULT_SAMPLES,
                    help="nef classes sampled per type for the rank bound checks "
@@ -122,28 +114,32 @@ def _add_verify(p, argv) -> None:
     _add_format(p)
 
 
-# each subcommand's help in the tree, and the function that adds its
-# arguments and defaults to a parser: a subparser of the tree, or the root.
-# An adder gets its call's argv (empty for the tree); only types reads it
-_SUBCOMMANDS = {
-    "types": ("list or classify configuration types", _add_types),
-    "hilbert": ("Hilbert function of a fat point ideal", lambda p, argv: _add_scheme(p, False)),
-    "betti": ("graded Betti numbers of a fat point ideal", lambda p, argv: _add_scheme(p, True)),
-    "tables": ("emit the built-in tables", _add_tables),
-    "verify": ("run the invariant suite", _add_verify),
+# each leaf command's help in the tree, and the function that adds its
+# arguments and defaults to a parser: a subparser of the tree, or the root;
+# keyed by the words that name it, and in the tree's order
+_LEAVES = {
+    ("types", "list"): ("all 90 types", _add_types_list),
+    ("types", "classify"): ("match a neg set to its type", _add_types_classify),
+    ("hilbert",): ("Hilbert function of a fat point ideal", partial(_add_scheme, with_betti=False)),
+    ("betti",): ("graded Betti numbers of a fat point ideal", partial(_add_scheme, with_betti=True)),
+    ("tables",): ("emit the built-in tables", _add_tables),
+    ("verify",): ("run the invariant suite", _add_verify),
 }
-COMMANDS = tuple(_SUBCOMMANDS)
+LEAVES = tuple(_LEAVES)  # a tuple: a membership test compares, so odd input cannot raise
 
 
 def build_parser() -> _Parser:
-    """The whole command tree, which ``main`` builds only for the top-level
-    help, a bad or missing command and leftover arguments.  Each call builds
-    its own, so no call depends on another."""
+    """The whole command tree, with the ``types`` leaves under a ``types``
+    parser, which ``main`` builds only for the top-level help, a bad or
+    missing command or ``types`` action and leftover arguments.  Each call
+    builds its own, so no call depends on another."""
     parser = _Parser(prog="sixpoints", description=__doc__.splitlines()[0])
     # each subparsers' prog is given: argparse derives the same one by formatting a usage line
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-    for name, (text, add) in _SUBCOMMANDS.items():
-        add(sub.add_parser(name, help=text), ())
+    types = sub.add_parser("types", help="list or classify configuration types")
+    actions = types.add_subparsers(dest="types_command", required=True, prog=types.prog)
+    for words, (text, add) in _LEAVES.items():
+        add((actions if words[0] == "types" else sub).add_parser(words[-1], help=text))
     return parser
 
 
@@ -397,13 +393,13 @@ def _verify(args) -> _Output:
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
+    words = next((w for w in (tuple(argv[:1]), tuple(argv[:2])) if w in LEAVES), None)
     try:
-        if command:  # its parser as the root: the tree hands it argv[1:] unchanged
-            root = _Parser(prog=f"sixpoints {command}")
-            _SUBCOMMANDS[command][1](root, argv)
-            args, extra = root.parse_known_args(argv[1:])
-        if not command or extra:  # the tree reports leftover arguments under its own usage
+        if words:  # its parser as the root: the tree hands it the rest of argv unchanged
+            root = _Parser(prog="sixpoints " + " ".join(words))
+            _LEAVES[words][1](root)
+            args, extra = root.parse_known_args(argv[len(words):])
+        if not words or extra:  # the tree reports leftover arguments under its own usage
             args = build_parser().parse_args(argv)
         result = args.handler(args)
         _WRITERS[args.format](result, out)

@@ -1,9 +1,9 @@
 """The parser's own output: help, usage and argument errors.
 
-`main` parses a call that names a subcommand with that subcommand's parser
-as the root, where `types` has only the action named by argv[1] if it names
-one, and both otherwise.  It builds the whole command tree only for the
-top-level help, a bad or missing command and leftover arguments.  The
+`main` parses a call that names a leaf command (`types list`, `types
+classify`, `hilbert`, `betti`, `tables`, `verify`) with that leaf's parser
+as the root.  It builds the whole command tree only for the top-level help,
+a bad or missing command or `types` action and leftover arguments.  The
 frozen file tests/data/cli_surface.json holds, per argument vector and
 COLUMNS width, the exit code (from `main`'s return or its `SystemExit`),
 stdout and stderr, written once with `capture` by release 8.0.0, which
@@ -81,38 +81,34 @@ def _subparsers(parser, dest) -> dict:
     return sub.choices
 
 
-def _commands(parser) -> list[str]:
-    return list(_subparsers(parser, "command"))
-
-
-def _types_actions(argv) -> list[str]:
-    """The actions of the `types` root parser `main` builds for ``argv``."""
-    root = cli._Parser(prog="sixpoints types")
-    cli._add_types(root, argv)
-    return list(_subparsers(root, "types_command"))
-
-
 def test_only_the_named_subcommand_is_built():
-    # the tree holds every subcommand, and its types every action
+    # the tree holds every command, and its types every action, in the leaf table's order
     tree = cli.build_parser()
-    types = _subparsers(tree, "command")["types"]
-    assert (_commands(tree), list(_subparsers(types, "types_command"))) == (
-        list(cli.COMMANDS), list(cli.TYPES_ACTIONS))
-    # a types call builds the action it names
-    for action in cli.TYPES_ACTIONS:
-        for argv in (["types", action], ["types", action, "--format", "json"]):
-            assert _types_actions(argv) == [action]
-    both = list(cli.TYPES_ACTIONS)
-    for argv in (["types"], ["types", "bogus"], ["types", "-h"], ["types", "Classify"],
-                 ["types", ["list"]], []):
-        assert _types_actions(argv) == both
+    commands = _subparsers(tree, "command")
+    actions = _subparsers(commands["types"], "types_command")
+    assert list(commands)[0] == "types"
+    assert list(cli.LEAVES) == [*(("types", a) for a in actions),
+                                *((c,) for c in commands if c != "types")]
+    # a leaf built alone as the root, as `main` builds it, has the tree's leaf's arguments
+    # and defaults and no subparsers; only its prog names it in full in both
+    for words, (_, add) in cli._LEAVES.items():
+        root = cli._Parser(prog="sixpoints " + " ".join(words))
+        add(root)
+        leaf = actions[words[1]] if words[0] == "types" else commands[words[0]]
+        assert root.prog == leaf.prog
+        assert root._defaults == leaf._defaults
+        assert [(a.option_strings, a.dest, a.default, a.choices, a.required, a.help)
+                for a in root._actions] == [
+            (a.option_strings, a.dest, a.default, a.choices, a.required, a.help)
+            for a in leaf._actions]
 
 
 def test_main_builds_one_subcommand_per_call(monkeypatch):
-    """A call that names a subcommand builds that subcommand's parser as the
-    root, and for `types` the parser of the action it names; the tree is
-    built only for the top-level help, a bad or missing command and
-    leftover arguments.  Counted per `_Parser` made, by prog, and per tree."""
+    """A call that names a leaf (`types list`, `types classify`, `hilbert`,
+    `betti`, `tables`, `verify`) builds only that leaf's parser, as the root;
+    the tree is built only for the top-level help, a bad or missing command
+    or `types` action and leftover arguments.  Counted per `_Parser` made, by
+    prog, and per tree."""
     made, trees = [], []
     init, build = cli._Parser.__init__, cli.build_parser
     monkeypatch.setattr(cli._Parser, "__init__",
@@ -128,20 +124,27 @@ def test_main_builds_one_subcommand_per_call(monkeypatch):
     for argv in (["hilbert", *M], ["betti", *M], ["tables", "--which", "1"], ["verify", "-h"],
                  ["betti", "--type", "1"], ["hilbert", "-h"]):
         assert built(argv) == ([f"sixpoints {argv[0]}"], 0)
-    for action in cli.TYPES_ACTIONS:
-        assert built(iter(["types", action, "-h"])) == (
-            ["sixpoints types", f"sixpoints types {action}"], 0)
-    assert built(["types", "list"]) == (["sixpoints types", "sixpoints types list"], 0)
-    whole = 1 + len(cli.COMMANDS) + len(cli.TYPES_ACTIONS)
-    for argv in ([], ["-h"], ["bogus"], ["-h", "betti"]):
+    for action, rest in (("list", []), ("list", ["-h"]), ("list", ["--format"]),
+                         ("list", ["--format", "csv"]), ("classify", []), ("classify", ["-h"]),
+                         ("classify", ["--neg"]), ("classify", ["--neg", "0: AB", "--format=json"])):
+        assert built(iter(["types", action, *rest])) == ([f"sixpoints types {action}"], 0)
+    whole = 2 + len(cli.LEAVES)  # the root, the types parser and one parser per leaf
+    for argv in ([], ["-h"], ["bogus"], ["-h", "betti"], ["Betti"],
+                 ["types"], ["types", "bogus"], ["types", "-h"], ["types", "Classify"]):
         progs, tree = built(argv)
         assert (progs[0], len(progs), tree) == ("sixpoints", whole, 1)
-    # leftover arguments: the root, then the whole tree for its error
+    # an unhashable token is compared, not hashed, so the tree is built; argparse's
+    # own choice test then hashes it
+    made.clear()
+    trees.clear()
+    with pytest.raises(TypeError):
+        cli.main(["types", ["list"]])
+    assert (made[0], len(made), len(trees)) == ("sixpoints", whole, 1)
+    # leftover arguments: the leaf, then the whole tree for its error
     progs, tree = built(["betti", *M, "extra"])
     assert (progs[:2], len(progs), tree) == (["sixpoints betti", "sixpoints"], 1 + whole, 1)
     progs, tree = built(["types", "list", "extra"])
-    assert (progs[:3], len(progs), tree) == (
-        ["sixpoints types", "sixpoints types list", "sixpoints"], 2 + whole, 1)
+    assert (progs[:2], len(progs), tree) == (["sixpoints types list", "sixpoints"], 1 + whole, 1)
 
 
 def _tree_main(argv, out) -> int:
@@ -161,13 +164,14 @@ def _tree_main(argv, out) -> int:
 
 
 def _corpus(count: int, seed: int) -> list[list[str]]:
-    """Seeded argument vectors: a command (none, a bad one, each of COMMANDS,
+    """Seeded argument vectors: a command (none, a bad one, each command,
     each `types` action), for half of them the flags a call needs, then 0-7
     tokens from every subcommand's flags and values, help flags and their
     abbreviation, `--`, an `=` form, a negative number and stray words."""
     needs = {"hilbert": M, "betti": M, "tables": ["--which", "2"],
              "types classify": ["--neg", "0: AB"]}
-    commands = ["", "bogus", *cli.COMMANDS, *(f"types {a}" for a in cli.TYPES_ACTIONS)]
+    commands = ["", "bogus", "types", "hilbert", "betti", "tables", "verify",
+                "types list", "types classify"]
     tokens = ["list", "classify", "--neg", "0: AB, CD; 2: ABCDEF", "0: AB", "--type", "1",
               "86", "--mults", "1,1,1,1,1,1", "2,1,0,0,0,0", "1,1", "--format", "json",
               "csv", "text", "xml", "--tmax", "3", "x", "--which", "2", "3", "--seed",
@@ -184,6 +188,19 @@ def _corpus(count: int, seed: int) -> list[list[str]]:
     return corpus
 
 
+def _types_corpus(count: int, seed: int) -> list[list[str]]:
+    """Seeded argument vectors that start with `types`, then 0-5 tokens from
+    its actions (drawn 6 times as often as each other token, so that about
+    half the vectors name one next), a miscased one, help flags and their
+    abbreviation, `--`, `classify`'s flag and value, every format flag and
+    value and a stray word."""
+    tokens = ["list", "classify", "Classify", "-h", "--help", "--he", "--", "--format=json",
+              "--neg", "0: AB", "extra", "--format", "text", "json", "csv"]
+    weights = [6, 6] + [1] * (len(tokens) - 2)
+    rng = random.Random(seed)
+    return [["types", *rng.choices(tokens, weights, k=rng.randint(0, 5))] for _ in range(count)]
+
+
 def _stub_suite(seed=0, samples_per_type=verify.DEFAULT_SAMPLES):
     # the real suite's argument checks, without the suite
     verify._check_count(samples_per_type)
@@ -195,7 +212,7 @@ def _stub_suite(seed=0, samples_per_type=verify.DEFAULT_SAMPLES):
 def test_main_matches_the_whole_tree_on_a_seeded_corpus(monkeypatch, columns):
     monkeypatch.setenv("COLUMNS", columns)
     monkeypatch.setattr(verify, "run_invariant_suite", _stub_suite)
-    corpus = _corpus(2000, seed=30)
+    corpus = _corpus(2000, seed=30) + _types_corpus(1000, seed=32)
     codes = set()
     for argv in corpus:
         got = capture(argv)

@@ -93,6 +93,12 @@ def test_full_neg_conic():
     assert all(not (c.d == 2 and selfint(c) == -1) for c in N.NEG if c != CONIC)
 
 
+def test_neg_curve_set_repr_shows_its_own_tuples():
+    N = full_neg(type_by_id(2).classes)
+    assert repr(N) == f"NegCurveSet(neg={N.neg!r}, NEG={N.NEG!r})"
+    assert repr(N).startswith("NegCurveSet(neg=(DivisorClass(0, (1, -1, 0, 0, 0, 0)),), NEG=(")
+
+
 def test_full_neg_memo_hands_out_the_pool_classes():
     # a plain 7-tuple hashes and compares equal to the class it spells, so a
     # memo keyed on the input would hand the first caller's tuples to later

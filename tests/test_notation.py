@@ -67,6 +67,11 @@ def test_format_sorts_terms_and_groups():
     assert format_negset(classes) == "0: AB, CD; 1: ABC"
 
 
+def test_format_rejects_input_that_is_not_a_collection():
+    with pytest.raises(ValidationError, match="expected a collection of classes, got 5"):
+        format_negset(5)
+
+
 def test_class_letters_rejects_non_pool_shapes():
     with pytest.raises(ValidationError):
         class_letters(cls(3, -1, -1, -1, -1, -1, -1))
