@@ -7,9 +7,10 @@ E_i - E_j, 20 three-point line classes, one six-point conic class), taken up
 to relabelling of the points.  ``_build_type`` builds a type from one row of
 the shipped, human-audited table that fixes ids and labels, as the canonical
 representative of the row's relabelling orbit, with its intersection graph
-(an ADE diagram) and the torsion of the quotient of the orthogonal complement
-of the canonical class by its span, read off the classes' own coefficients
-(see ``torsion``), both checked against the row.
+(an ADE diagram, since the classes are independent) and the torsion of the
+quotient of the orthogonal complement of the canonical class by its span,
+read off the classes' own coefficients (see ``torsion``), both checked
+against the row.
 ``type_by_id`` builds its own row only; ``enumerate_types`` (and so
 ``classify``) builds every row and checks across them, in ``build_types``,
 that the ids run 1..n and only DUPLICATE_CATALOG_ROWS share an orbit.  That
@@ -227,27 +228,15 @@ def torsion(classes: Iterable[DivisorClass]) -> TorsionGroup:
 
 
 def _component_label(vertices: list[int], adj) -> str:
+    # Neg set members are independent (each pairs positively with AMPLE_CLASS, and
+    # they meet pairwise >= 0 in the negative definite K-perp), so a component is a
+    # Dynkin diagram on k <= 6 vertices.  The simple roots E1-E2, ..., E5-E6,
+    # L-E1-E2-E3 have Gram determinant 3, squarefree, so they span K-perp, and a
+    # component on 6 vertices has determinant 3 times a square: E_6, not A_6 (7) or D_6 (4)
     k = len(vertices)
-    deg = {v: sum(adj[v][w] for w in vertices if w != v) for v in vertices}
-    edges = sum(deg.values()) // 2
-    if edges != k - 1:
-        raise ConsistencyError("intersection graph component is not a tree")
-    branch = [v for v in vertices if deg[v] > 2]
-    if not branch:
-        if k > 5:
-            raise ConsistencyError(f"path component of length {k} is not an allowed diagram")
+    if all(sum(adj[v][w] for w in vertices) < 3 for v in vertices):
         return f"A_{k}"
-    if len(branch) == 1 and deg[branch[0]] == 3:
-        # a tree whose only vertex of degree > 2 has degree 3 has three legs of
-        # lengths summing to k - 1, and a leg has length 1 iff it ends in a leaf
-        # next to the branch: legs 1,1,1, 1,1,2 and 1,2,2 are the only ones to
-        # give (4, 3), (5, 2) and (6, 1), and every other set gives another key
-        b = branch[0]
-        ones = sum(1 for w in vertices if adj[b][w] and deg[w] == 1)
-        shape = {(4, 3): "D_4", (5, 2): "D_5", (6, 1): "E_6"}.get((k, ones))
-        if shape:
-            return shape
-    raise ConsistencyError("intersection graph component is not an allowed ADE diagram")
+    return "E_6" if k == 6 else f"D_{k}"
 
 
 def _label_key(label: str) -> tuple[str, int]:
@@ -262,8 +251,8 @@ def _graph_name(labels: Sequence[str]) -> str:
 
 
 def dynkin_graph(classes: Iterable[DivisorClass]) -> DynkinGraph:
-    """Intersection graph of a neg set, with components identified among
-    A1..A5, D4, D5, E6."""
+    """Intersection graph of a neg set, its components named by
+    ``_component_label`` (they can only be A1..A5, D4, D5 and E6)."""
     pool = candidate_pool()
     classes = [pool[i] for i in _neg_indices(classes)]
     # members meet in 0 or 1: K^2 = 3 and signature (1, 6) make K-perp, which holds
@@ -373,8 +362,8 @@ def orbit_gaps(
 def _build_type(row: TableRow) -> ConfigurationType:
     """One catalog row's type: the canonical classes of its orbit, whose graph
     and torsion must match the row's label and torsion column.  They are
-    independent, since the graph check admits only ADE trees of square -2
-    classes, whose Gram matrix is negative definite."""
+    independent, as every neg set is, so their graph is a finite-type ADE
+    diagram (see ``_component_label``)."""
     try:
         idxs = _pool_indices(parse_negset(row.neg))
     except ValidationError as exc:

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from sixpoints import (
     ConsistencyError,
     DivisorClass,
+    K,
     L,
     ValidationError,
     candidate_pool,
@@ -24,7 +25,7 @@ from sixpoints import (
     type_by_id,
 )
 from sixpoints import typeenum
-from sixpoints.curves import _pool_indices
+from sixpoints.curves import AMPLE_CLASS, _pool_indices
 from sixpoints.typeenum import (
     DUPLICATE_CATALOG_ROWS,
     TableRow,
@@ -288,45 +289,66 @@ def _leg_walk_label(vertices, adj):
     raise ConsistencyError("intersection graph component is not an allowed ADE diagram")
 
 
-def _labelled_graphs():
-    """Every labelled tree on 1..7 vertices, by Prufer sequence, and the
-    cycles on 3..7 vertices, as edge lists on range(n)."""
-    yield 1, []
-    for n in range(2, 8):
-        for seq in itertools.product(range(n), repeat=n - 2):
-            degree = [1] * n
-            for v in seq:
-                degree[v] += 1
-            edges = []
-            for v in seq:
-                leaf = degree.index(1)
-                edges.append((leaf, v))
-                degree[leaf] -= 1
-                degree[v] -= 1
-            edges.append(tuple(u for u in range(n) if degree[u] == 1))
-            yield n, edges
-    for n in range(3, 8):
-        yield n, [(i, (i + 1) % n) for i in range(n)]
+def _components(adj):
+    """Vertex lists of the connected components of a graph given by its
+    adjacency matrix."""
+    unseen, comps = set(range(len(adj))), []
+    while unseen:
+        comp = [unseen.pop()]
+        for v in comp:  # comp grows while it is read
+            near = [w for w in unseen if adj[v][w]]
+            unseen.difference_update(near)
+            comp.extend(near)
+        comps.append(comp)
+    return comps
 
 
 def test_component_label_agrees_with_the_leg_walk():
-    def outcome(label, vertices, adj):
-        try:
-            return label(vertices, adj)
-        except ConsistencyError as exc:
-            return f"error: {exc}"
-
+    # on every component of every neg set: each is, up to relabelling, a subset
+    # of an enumerated orbit, which gives 394 sets with 820 components.  The
+    # leg walk raises on any shape outside A1..A5, D4, D5, E6; it never does here
+    pool = candidate_pool()
+    sets = {sub for canon in typeenum._enumerate_orbits() for r in range(len(canon) + 1)
+            for sub in itertools.combinations(canon, r)}
     seen = Counter()
-    for n, edges in _labelled_graphs():
-        adj = [[0] * n for _ in range(n)]
-        for u, v in edges:
-            adj[u][v] = adj[v][u] = 1
-        vertices = list(range(n))
-        want = outcome(_leg_walk_label, vertices, adj)
-        assert outcome(typeenum._component_label, vertices, adj) == want, edges
-        seen[want] += 1
-    assert sum(seen.values()) == 1 + sum(n ** (n - 2) for n in range(2, 8)) + 5
-    assert {"D_4", "D_5", "E_6", "A_5"} <= set(seen) and len(seen) == 12, seen
+    for idxs in sets:
+        classes = [pool[i] for i in idxs]
+        adj = [[intersect(a, b) if a != b else 0 for b in classes] for a in classes]
+        for vertices in _components(adj):
+            want = _leg_walk_label(vertices, adj)
+            assert typeenum._component_label(vertices, adj) == want, (idxs, vertices)
+            seen[want] += 1
+    assert (len(sets), sum(seen.values())) == (394, 820)
+    assert set(seen) == {"A_1", "A_2", "A_3", "A_4", "A_5", "D_4", "D_5", "E_6"}
+
+
+def _det(rows):
+    """Determinant by cofactor expansion along the first row, in integers."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * v * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, v in enumerate(rows[0]) if v)
+
+
+def _cartan(n, edges):
+    return [[2 if i == j else -((i, j) in edges or (j, i) in edges) for j in range(n)]
+            for i in range(n)]
+
+
+def test_the_simple_roots_span_kperp_with_determinant_3():
+    # the lattice facts _component_label's proof rests on: the simple roots lie
+    # in K-perp with Gram determinant 3, squarefree, so they span it, and a
+    # component on 6 vertices has determinant 3 times a square, unlike A_6 and
+    # D_6; every candidate pairs positively with AMPLE_CLASS, so neg sets are
+    # independent
+    roots = [e(i) - e(i + 1) for i in range(1, 6)] + [L - e(1) - e(2) - e(3)]
+    assert all(intersect(r, K) == 0 for r in roots)
+    assert _det([[intersect(a, b) for b in roots] for a in roots]) == 3
+    path = {(i, i + 1) for i in range(5)}
+    assert _det(_cartan(6, path)) == 7  # A_6
+    assert _det(_cartan(6, path - {(4, 5)} | {(3, 5)})) == 4  # D_6
+    assert _det(_cartan(6, path - {(4, 5)} | {(2, 5)})) == 3  # E_6
+    assert all(intersect(AMPLE_CLASS, c) > 0 for c in candidate_pool())
 
 
 def test_enumeration_counts():
@@ -350,9 +372,9 @@ def test_catalog_rows_round_trip_through_letters():
 
 
 def test_every_type_is_linearly_independent():
-    # build_types does not check this: its graph check admits only ADE trees
-    # of square -2 classes, whose Gram matrix (minus a Cartan matrix) is
-    # negative definite; pinned on the catalog and on every enumerated orbit
+    # every neg set is independent (see typeenum._component_label), which is
+    # why its graph is a finite-type ADE diagram; pinned on the catalog and on
+    # every enumerated orbit
     pool = candidate_pool()
     sets = [t.classes for t in enumerate_types()]
     sets += [tuple(pool[i] for i in canon) for canon in typeenum._enumerate_orbits()]

@@ -264,8 +264,8 @@ def test_lines_per_graph_fails_on_a_wrong_minus_one_list(monkeypatch):
     assert result.detail == "type 1 ('') has 26 -1 curves, not 27"
 
 
-CATALOG_CHECKS = ("lines per graph", "type count", "graph census", "graph determines torsion",
-                  "fat point schemes", "multiplication rank bounds", "special classes")
+CATALOG_CHECKS = ("lines per graph", "type count", "graph census", "fat point schemes",
+                  "multiplication rank bounds", "special classes")
 
 
 def test_every_check_that_reads_the_catalog_fails_on_an_empty_one(monkeypatch):
